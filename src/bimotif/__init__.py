@@ -9,20 +9,7 @@ four clustering coefficients with :func:`global_profile` and
 
 __version__ = "0.1.0"
 
-from .census import (
-    FourPath,
-    MotifCensus,
-    NotAPath,
-    OpsahlStats,
-    SixCycleClass,
-    TooLarge,
-    brute_force_census,
-    canonical_four_path,
-    census,
-    classify_four_path,
-    closures_of,
-    opsahl,
-)
+from .census import MotifCensus, OpsahlStats, SixCycleClass, census, opsahl
 from .coefficients import (
     SEMANTICS,
     ClusteringProfile,
@@ -99,17 +86,10 @@ __all__ = [
     "DimensionMismatch",
     "MalformedInput",
     "SixCycleClass",
-    "FourPath",
     "MotifCensus",
     "OpsahlStats",
     "census",
-    "brute_force_census",
-    "canonical_four_path",
-    "classify_four_path",
-    "closures_of",
     "opsahl",
-    "NotAPath",
-    "TooLarge",
     "SEMANTICS",
     "ClusteringProfile",
     "global_profile",

@@ -28,20 +28,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
-from itertools import combinations
 from math import comb
 from typing import Optional
 
-from .errors import BimotifError
 from .graph import BipartiteGraph, Side
-
-
-class NotAPath(BimotifError):
-    """The given nodes do not form a valid 4-path."""
-
-
-class TooLarge(BimotifError):
-    """Graph exceeds the brute-force size guard."""
 
 
 class SixCycleClass(IntEnum):
@@ -51,22 +41,6 @@ class SixCycleClass(IntEnum):
     SPARSE = 1
     HIGH = 2
     COMPLETE = 3
-
-
-@dataclass(frozen=True)
-class FourPath:
-    """A canonical 4-path: ends-(vias)-center on the analysis side.
-
-    ``ends`` are the outer analysis nodes (v0, v2), ``vias`` the
-    opposite-side nodes (w0, w1) with w0 on the v0 branch.  For
-    extra_edges == 1 the orientation puts the extra edge at v0-w1;
-    otherwise ends are ordered by index.
-    """
-
-    center: int
-    ends: tuple[int, int]
-    vias: tuple[int, int]
-    extra_edges: int
 
 
 @dataclass(frozen=True)
@@ -125,65 +99,6 @@ class OpsahlStats:
     per_node_tau: tuple[int, ...]
     per_node_closed: tuple[int, ...]
     per_node_c: tuple[Optional[Fraction], ...]
-
-
-def _adjacency_sets(g: BipartiteGraph, side: Side):
-    """(analysis-side, other-side) adjacency as sets for membership tests."""
-    return (
-        [set(t) for t in g.adjacency(side)],
-        [set(t) for t in g.adjacency(side.other())],
-    )
-
-
-def canonical_four_path(
-    g: BipartiteGraph, v0: int, w0: int, v1: int, w1: int, v2: int,
-    side: Side = Side.PRIMARY,
-) -> FourPath:
-    """Validate the nodes as a 4-path and return its canonical form."""
-    adj_a, _ = _adjacency_sets(g, side)
-    na = g.node_count(side)
-    ns = g.node_count(side.other())
-    for v in (v0, v1, v2):
-        if not 0 <= v < na:
-            raise NotAPath(f"analysis node {v} out of range")
-    for w in (w0, w1):
-        if not 0 <= w < ns:
-            raise NotAPath(f"via node {w} out of range")
-    if len({v0, v1, v2}) != 3 or w0 == w1:
-        raise NotAPath("path nodes repeat")
-    for v, w in ((v0, w0), (v1, w0), (v1, w1), (v2, w1)):
-        if w not in adj_a[v]:
-            raise NotAPath(f"missing edge between {v} and {w}")
-    extra_a = w1 in adj_a[v0]
-    extra_b = w0 in adj_a[v2]
-    extra = int(extra_a) + int(extra_b)
-    if (extra == 1 and extra_b) or (extra != 1 and v2 < v0):
-        v0, v2 = v2, v0
-        w0, w1 = w1, w0
-    return FourPath(center=v1, ends=(v0, v2), vias=(w0, w1), extra_edges=extra)
-
-
-def classify_four_path(
-    g: BipartiteGraph, v0: int, w0: int, v1: int, w1: int, v2: int,
-    side: Side = Side.PRIMARY,
-) -> int:
-    """Number of extra edges (0, 1 or 2) on a validated 4-path."""
-    return canonical_four_path(g, v0, w0, v1, w1, v2, side).extra_edges
-
-
-def closures_of(
-    g: BipartiteGraph, p: FourPath, side: Side = Side.PRIMARY,
-) -> list[tuple[int, SixCycleClass]]:
-    """All closing nodes of a path with the class of the resulting 6-cycle."""
-    adj_a, _ = _adjacency_sets(g, side)
-    v0, v2 = p.ends
-    candidates = (adj_a[v0] & adj_a[v2]) - set(p.vias)
-    out = []
-    for w2 in sorted(candidates):
-        bump = 1 if w2 in adj_a[p.center] else 0
-        cls = SixCycleClass(p.extra_edges + bump)
-        out.append((w2, cls))
-    return out
 
 
 def _bits(mask: int) -> list[int]:
@@ -363,125 +278,25 @@ def census(g: BipartiteGraph, side: Side = Side.PRIMARY) -> MotifCensus:
     )
 
 
-def opsahl(g: BipartiteGraph, side: Side = Side.PRIMARY) -> OpsahlStats:
+def opsahl(c: MotifCensus) -> OpsahlStats:
     """Reference closure measure: closed 4-paths over all 4-paths.
 
-    Deliberately computed by a separate traversal (center first, then
-    via pairs) so it can cross-check the census path counts.
+    Opsahl's ratio (Social Networks 35, 2013), read from the census path
+    layer: a node's 4-paths are its path counts summed over the three
+    classes, and its closed ones are those with at least one closure.
     """
-    adj_a, adj_w = _adjacency_sets(g, side)
-    na = g.node_count(side)
-    per_tau = [0] * na
-    per_closed = [0] * na
-    for i in range(na):
-        vias = sorted(adj_a[i])
-        for ai in range(len(vias)):
-            a = vias[ai]
-            left = adj_w[a] - {i}
-            for bi in range(ai + 1, len(vias)):
-                b = vias[bi]
-                right = adj_w[b] - {i}
-                per_tau[i] += len(left) * len(right) - len(left & right)
-                for v0 in left:
-                    ends0 = adj_a[v0]
-                    for v2 in right:
-                        if v2 == v0:
-                            continue
-                        if (ends0 & adj_a[v2]) - {a, b}:
-                            per_closed[i] += 1
+    per_tau = tuple(sum(row) for row in c.path_counts)
+    per_closed = c.path_closed_any
     tau = sum(per_tau)
     closed = sum(per_closed)
     per_c = tuple(
-        Fraction(c, t) if t else None for c, t in zip(per_closed, per_tau)
+        Fraction(k, t) if t else None for k, t in zip(per_closed, per_tau)
     )
     return OpsahlStats(
         tau_star=tau,
         tau_star_closed=closed,
         c_star=Fraction(closed, tau) if tau else None,
-        per_node_tau=tuple(per_tau),
-        per_node_closed=tuple(per_closed),
+        per_node_tau=per_tau,
+        per_node_closed=per_closed,
         per_node_c=per_c,
-    )
-
-
-def brute_force_census(g: BipartiteGraph, side: Side = Side.PRIMARY) -> MotifCensus:
-    """Census by exhaustive 5-tuple iteration; test oracle, small graphs only.
-
-    Enumerates every ordered node 5-tuple, keeps the valid 4-paths via
-    explicit canonicalization, then assembles configurations by
-    grouping paths on their 5-node support.  Intentionally simple and
-    slow.
-    """
-    na = g.node_count(side)
-    ns = g.node_count(side.other())
-    if na > 16 or ns > 16:
-        raise TooLarge(f"brute force limited to 16 nodes per side, got {na}x{ns}")
-    adj_a, _ = _adjacency_sets(g, side)
-
-    found: set[FourPath] = set()
-    for v0 in range(na):
-        for w0 in range(ns):
-            if w0 not in adj_a[v0]:
-                continue
-            for v1 in range(na):
-                if v1 == v0 or w0 not in adj_a[v1]:
-                    continue
-                for w1 in range(ns):
-                    if w1 == w0 or w1 not in adj_a[v1]:
-                        continue
-                    for v2 in range(na):
-                        if v2 in (v0, v1) or w1 not in adj_a[v2]:
-                            continue
-                        found.add(canonical_four_path(g, v0, w0, v1, w1, v2, side))
-
-    paths = [[0, 0, 0] for _ in range(na)]
-    path_closed = [[0, 0, 0, 0] for _ in range(na)]
-    pairs = [[0, 0, 0, 0] for _ in range(na)]
-    path_any = [0] * na
-    by_support: dict[tuple, list[FourPath]] = {}
-    for p in found:
-        paths[p.center][p.extra_edges] += 1
-        closures = closures_of(g, p, side)
-        classes = set()
-        for _, cls in closures:
-            pairs[p.center][cls] += 1
-            classes.add(cls)
-        for cls in classes:
-            path_closed[p.center][cls] += 1
-        if closures:
-            path_any[p.center] += 1
-        key = (frozenset({p.center, *p.ends}), frozenset(p.vias))
-        by_support.setdefault(key, []).append(p)
-
-    configs = [[0, 0, 0] for _ in range(na)]
-    config_closed = [[0, 0, 0, 0] for _ in range(na)]
-    config_totals = [0, 0, 0]
-    closed_totals = [0, 0, 0, 0]
-    for (vs, ws), members in by_support.items():
-        induced = sum(1 for v in vs for w in ws if w in adj_a[v])
-        cls = induced - 4
-        assert all(p.extra_edges == cls for p in members)
-        centers = {p.center for p in members}
-        assert len(centers) == cls + 1
-        config_totals[cls] += 1
-        closed_to = set()
-        for p in members:
-            for _, c in closures_of(g, p, side):
-                closed_to.add(c)
-        for c in closed_to:
-            closed_totals[c] += 1
-        for z in centers:
-            configs[z][cls] += 1
-            for c in closed_to:
-                config_closed[z][c] += 1
-
-    return MotifCensus(
-        path_counts=tuple(tuple(r) for r in paths),
-        path_closed=tuple(tuple(r) for r in path_closed),
-        closure_pairs=tuple(tuple(r) for r in pairs),
-        path_closed_any=tuple(path_any),
-        config_counts=tuple(tuple(r) for r in configs),
-        config_closed=tuple(tuple(r) for r in config_closed),
-        config_totals=tuple(config_totals),
-        config_closed_totals=tuple(closed_totals),
     )

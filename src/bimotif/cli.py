@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import __version__
-from .census import NotAPath, TooLarge, census, opsahl
+from .census import census, opsahl
 from .coefficients import (
     SEMANTICS,
     InvalidNode,
@@ -74,7 +74,7 @@ _PARSE_ERRORS = (
     UnicodeDecodeError,
     json.JSONDecodeError,
 )
-_VALIDATION_ERRORS = (BipartiteViolation, TooLarge, InvalidNode, NotAPath, AllUndefined)
+_VALIDATION_ERRORS = (BipartiteViolation, InvalidNode, AllUndefined)
 _CONFIG_ERRORS = (MissingCI, InvalidConfig, DegenerateMidpoint)
 
 _ARROWS = {"below": "↓", "inside": "=", "above": "↑", None: "n/a"}
@@ -234,7 +234,7 @@ def _write_json(out_dir: Path, obj: dict) -> None:
 def _analysis_sections(g: BipartiteGraph, side: Side, semantics: str):
     c = census(g, side)
     gp = global_profile(c, semantics)
-    ops = opsahl(g, side)
+    ops = opsahl(c)
     labels = g.labels(side)
     degrees = g.degree_sequence(side)
     nodes = []

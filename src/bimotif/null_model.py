@@ -19,9 +19,7 @@ an error.
 from __future__ import annotations
 
 import math
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -148,20 +146,7 @@ def density_rewire(g: BipartiteGraph, seed: int) -> BipartiteGraph:
     return from_indexed_edges(g.primary_labels, g.secondary_labels, edges)
 
 
-def _worker_count(runs: int) -> int:
-    raw = os.environ.get("BIMOTIF_THREADS")
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise InvalidConfig(f"BIMOTIF_THREADS must be an integer, got {raw!r}")
-    if cap < 1:
-        raise InvalidConfig("BIMOTIF_THREADS must be >= 1")
-    return min(cap, runs)
-
-
-def _aggregate(values: list[float], n_total: int) -> ClassStats:
+def _aggregate(values: list[float]) -> ClassStats:
     # sort first so the float sums cannot depend on replica order
     vals = sorted(values)
     n = len(vals)
@@ -180,9 +165,8 @@ def run_ensemble(g: BipartiteGraph, cfg: EnsembleConfig) -> EnsembleStats:
     """Generate replicas, profile each, and aggregate per class.
 
     Replica r uses seed replica_seed(cfg.seed, r), so results are
-    reproducible and independent of evaluation order.  BIMOTIF_THREADS
-    caps worker threads (default 1); the aggregation sorts values, so
-    any schedule yields bit-identical stats.
+    reproducible and a shorter run is a prefix of a longer one; the
+    aggregation sorts values before summing.
     """
 
     def one(r: int) -> tuple[Optional[float], ...]:
@@ -194,17 +178,12 @@ def run_ensemble(g: BipartiteGraph, cfg: EnsembleConfig) -> EnsembleStats:
         prof = global_profile(census(rg, cfg.side), cfg.semantics)
         return tuple(None if v is None else float(v) for v in prof.cc)
 
-    workers = _worker_count(cfg.runs)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, range(cfg.runs)))
-    else:
-        rows = [one(r) for r in range(cfg.runs)]
+    rows = [one(r) for r in range(cfg.runs)]
 
     classes = []
     for k in range(4):
         defined = [row[k] for row in rows if row[k] is not None]
-        classes.append(_aggregate(defined, cfg.runs))
+        classes.append(_aggregate(defined))
     return EnsembleStats(
         config=cfg,
         classes=tuple(classes),

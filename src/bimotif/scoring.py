@@ -48,7 +48,7 @@ class DegenerateMidpoint(BimotifError):
 
 
 class MissingCI(BimotifError):
-    """No confidence-interval source was provided."""
+    """No usable confidence-interval source was provided."""
 
 
 @dataclass(frozen=True)
@@ -253,9 +253,9 @@ def load_ci_bands(path: str | Path) -> tuple[Optional[Side], tuple[Optional[CIBa
     """Read interval midpoints from a JSON file.
 
     Accepts either a midpoint file {"side": ..., "ci_midpoints": [4]}
-    with optional "ci_low"/"ci_high" arrays, or a previously written
-    ensemble report (its per-class stats are reused).  Numbers are
-    parsed exactly, not through binary floats.
+    with optional 4-entry "ci_low"/"ci_high" arrays, or a previously
+    written ensemble report (its per-class stats are reused).  Numbers
+    are parsed exactly, not through binary floats.
     """
     text = Path(path).read_text(encoding="utf-8")
     obj = json.loads(text, parse_float=Fraction)
@@ -266,14 +266,18 @@ def load_ci_bands(path: str | Path) -> tuple[Optional[Side], tuple[Optional[CIBa
         if raw_side is None and isinstance(obj.get("config"), dict):
             raw_side = obj["config"].get("side")
     if raw_side is not None:
-        side = Side(raw_side)
+        try:
+            side = Side(raw_side)
+        except ValueError:
+            raise MissingCI(f"unknown side {raw_side!r} in {path}") from None
 
     if isinstance(obj, dict) and "ci_midpoints" in obj:
         mids = obj["ci_midpoints"]
-        if not isinstance(mids, list) or len(mids) != 4:
-            raise MissingCI("ci_midpoints must hold exactly 4 entries")
         lows = obj.get("ci_low", [None] * 4)
         highs = obj.get("ci_high", [None] * 4)
+        for key, values in (("ci_midpoints", mids), ("ci_low", lows), ("ci_high", highs)):
+            if not isinstance(values, list) or len(values) != 4:
+                raise MissingCI(f"{key} must hold exactly 4 entries")
         bands = []
         for m, lo, hi in zip(mids, lows, highs):
             if m is None:

@@ -1,11 +1,6 @@
-import sys
-from pathlib import Path
-
 import pytest
 
 from bimotif import load_southern_women
-
-sys.path.insert(0, str(Path(__file__).parent))
 
 
 @pytest.fixture(scope="session")

@@ -2,21 +2,17 @@ import random
 
 import pytest
 
-from bimotif import (
+from bimotif import Side, SixCycleClass, census, mirror, opsahl
+from graphs import c6, divisor_gadget, k33, random_bipartite, ring_plus_chords
+from oracles import (
     NotAPath,
-    Side,
-    SixCycleClass,
     TooLarge,
     brute_force_census,
     canonical_four_path,
-    census,
     classify_four_path,
     closures_of,
-    mirror,
-    opsahl,
+    naive_opsahl,
 )
-from graphs import c6, divisor_gadget, k33, random_bipartite, ring_plus_chords
-from oracles import naive_opsahl
 
 
 def test_c6_census():
@@ -145,12 +141,12 @@ def test_brute_force_guard():
 
 
 def test_opsahl_trivial_cases():
-    assert opsahl(c6()).c_star == 1
+    assert opsahl(census(c6())).c_star == 1
     # a bare 4-path has nothing to close it
     from bimotif import from_edge_list
 
     path_graph, _ = from_edge_list([("a", "x"), ("b", "x"), ("b", "y"), ("c", "y")])
-    stats = opsahl(path_graph)
+    stats = opsahl(census(path_graph))
     assert stats.tau_star == 1
     assert stats.c_star == 0
 
@@ -160,7 +156,7 @@ def test_opsahl_matches_naive_recount():
     for _ in range(10):
         g = random_bipartite(rng, 10, 10, rng.uniform(0.2, 0.5))
         for side in (Side.PRIMARY, Side.SECONDARY):
-            stats = opsahl(g, side)
+            stats = opsahl(census(g, side))
             tau, closed, per_tau, per_closed = naive_opsahl(g, side)
             assert stats.tau_star == tau
             assert stats.tau_star_closed == closed
@@ -169,13 +165,15 @@ def test_opsahl_matches_naive_recount():
 
 
 def test_path_counts_partition_tau(davis):
+    # the census path classes split each node's 4-paths, as recounted naively
     for side in (Side.PRIMARY, Side.SECONDARY):
         cen = census(davis, side)
-        stats = opsahl(davis, side)
-        assert sum(cen.path_totals) == stats.tau_star
-        for i in range(cen.node_count):
-            assert sum(cen.path_counts[i]) == stats.per_node_tau[i]
-        assert cen.path_closed_any_total == stats.tau_star_closed
+        stats = opsahl(cen)
+        tau, closed, per_tau, per_closed = naive_opsahl(davis, side)
+        assert sum(cen.path_totals) == stats.tau_star == tau
+        assert cen.path_closed_any_total == stats.tau_star_closed == closed
+        assert [sum(row) for row in cen.path_counts] == list(stats.per_node_tau) == per_tau
+        assert list(stats.per_node_closed) == per_closed
 
 
 def test_path_and_config_counts_are_linked(davis):

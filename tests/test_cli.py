@@ -1,12 +1,15 @@
 import csv
 import json
+from fractions import Fraction
 from importlib.resources import files
 
 import pytest
 
+from bimotif import Side
 from bimotif.cli import main
 from expected_values import INFLUENTIAL_PRIMARY, MIDPOINTS_PRIMARY
 from graphs import RING_EDGES
+from oracles import naive_opsahl
 
 WOMEN = str(files("bimotif") / "data" / "southern_women.csv")
 
@@ -47,6 +50,25 @@ def test_analyze_bundled_fixture(tmp_path):
     assert len(rows) == 19
     assert rows[1][0] == "Evelyn"
     assert rows[1][2] == "0.3957"
+
+
+def test_analyze_reference_measure_matches_naive_recount(tmp_path, davis):
+    def ratio(closed, tau):
+        return float(Fraction(closed, tau)) if tau else None
+
+    for side in ("primary", "secondary"):
+        out = tmp_path / side
+        assert main(["analyze", "--input", WOMEN, "--side", side, "--out", str(out)]) == 0
+        obj = read_json(out)
+        tau, closed, per_tau, per_closed = naive_opsahl(davis, Side(side))
+        assert obj["opsahl"] == {
+            "tau_star": tau,
+            "tau_star_closed": closed,
+            "c_star": ratio(closed, tau),
+        }
+        assert [n["opsahl_c"] for n in obj["nodes"]] == [
+            ratio(k, t) for k, t in zip(per_closed, per_tau)
+        ]
 
 
 def test_analyze_c6_secondary(tmp_path):
@@ -264,4 +286,22 @@ def test_exit_code_ci_side_mismatch(tmp_path):
         "--ci-file", str(ci),
         "--out", str(tmp_path),
     ]
+    assert main(argv) == 3
+
+
+def test_exit_code_ci_bounds_short(tmp_path):
+    ci = tmp_path / "ci.json"
+    payload = {
+        "side": "primary",
+        "ci_midpoints": [float(m) for m in MIDPOINTS_PRIMARY],
+        "ci_low": [0.6, 0.5, 0.4],
+    }
+    ci.write_text(json.dumps(payload), encoding="utf-8")
+    argv = ["score", "--input", WOMEN, "--ci-file", str(ci), "--out", str(tmp_path / "out")]
+    assert main(argv) == 3
+
+
+def test_exit_code_ci_unknown_side(tmp_path):
+    ci = write_midpoints(tmp_path, side="sideways")
+    argv = ["score", "--input", WOMEN, "--ci-file", str(ci), "--out", str(tmp_path / "out")]
     assert main(argv) == 3

@@ -120,14 +120,6 @@ def test_ensemble_secondary_side(davis):
     assert all(c.defined_count == 6 for c in stats.classes)
 
 
-def test_threaded_run_matches_serial(davis, monkeypatch):
-    cfg = EnsembleConfig(runs=10, seed=6)
-    serial = run_ensemble(davis, cfg)
-    monkeypatch.setenv("BIMOTIF_THREADS", "3")
-    threaded = run_ensemble(davis, cfg)
-    assert threaded == serial
-
-
 def test_invalid_configs():
     with pytest.raises(InvalidConfig):
         EnsembleConfig(runs=1)
@@ -139,22 +131,13 @@ def test_invalid_configs():
         EnsembleConfig(semantics="loose")
 
 
-def test_invalid_thread_env(davis, monkeypatch):
-    monkeypatch.setenv("BIMOTIF_THREADS", "two")
-    with pytest.raises(InvalidConfig):
-        run_ensemble(davis, EnsembleConfig(runs=2, seed=0))
-    monkeypatch.setenv("BIMOTIF_THREADS", "0")
-    with pytest.raises(InvalidConfig):
-        run_ensemble(davis, EnsembleConfig(runs=2, seed=0))
-
-
 def test_aggregate_small_counts():
-    empty = _aggregate([], 5)
+    empty = _aggregate([])
     assert empty.defined_count == 0 and empty.mean is None
-    single = _aggregate([0.5], 5)
+    single = _aggregate([0.5])
     assert single.defined_count == 1
     assert single.mean == 0.5 and single.midpoint == 0.5
     assert single.std is None and single.ci_low is None
-    pair = _aggregate([0.25, 0.75], 5)
+    pair = _aggregate([0.25, 0.75])
     assert pair.mean == 0.5
     assert pair.ci_low < 0.5 < pair.ci_high
