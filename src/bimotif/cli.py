@@ -1,14 +1,17 @@
 """Command-line front end.
 
-Four subcommands share one pipeline: ``analyze`` computes the census
-and coefficients, ``ensemble`` runs the null model, ``score`` applies
-driving scores against supplied intervals, and ``report`` chains all
-three.  Every command writes a ``report.json`` into --out, plus
-``nodes.csv`` (analyze/score/report) and ``replicas.csv``
-(ensemble/report).
+Every subcommand runs the same pipeline, :func:`_run`: load the graph,
+read --ci-file if one is given, then run the stages the command names
+in order: ``analyze`` (census, coefficients, reference measure),
+``ensemble`` (null-model intervals) and ``score`` (driving scores
+against --ci-file or the fresh ensemble).  ``report`` runs all three.
+Files are written only after every stage has succeeded: a
+``report.json`` into --out, plus ``nodes.csv`` (analyze/score/report)
+and ``replicas.csv`` (ensemble/report).
 
-Exit codes: 0 success, 1 input parse error, 2 validation error,
-3 configuration error.  All randomness flows from --seed; outputs are
+Exit codes: 0 success, otherwise the failing error's ``exit_code``
+(1 input parse error, 2 validation error, 3 configuration error); an
+unreadable file exits 1.  All randomness flows from --seed; outputs are
 byte-identical across reruns with the same flags.
 """
 
@@ -27,7 +30,6 @@ from . import __version__
 from .census import census, opsahl
 from .coefficients import (
     SEMANTICS,
-    InvalidNode,
     format_value,
     global_profile,
     local_profile,
@@ -35,11 +37,6 @@ from .coefficients import (
 from .errors import BimotifError
 from .graph import (
     BipartiteGraph,
-    BipartiteViolation,
-    DimensionMismatch,
-    EmptyInput,
-    MalformedInput,
-    NonBinaryEntry,
     Side,
     detect_format,
     load_graph,
@@ -52,11 +49,8 @@ from .null_model import (
     run_ensemble,
 )
 from .scoring import (
-    AllUndefined,
-    CIBand,
-    DegenerateMidpoint,
     DrivingScoreReport,
-    MissingCI,
+    bands_from_classes,
     classify,
     load_ci_bands,
 )
@@ -64,18 +58,6 @@ from .scoring import (
 log = logging.getLogger("bimotif")
 
 SCHEMA_VERSION = 1
-
-_PARSE_ERRORS = (
-    EmptyInput,
-    NonBinaryEntry,
-    DimensionMismatch,
-    MalformedInput,
-    OSError,
-    UnicodeDecodeError,
-    json.JSONDecodeError,
-)
-_VALIDATION_ERRORS = (BipartiteViolation, InvalidNode, AllUndefined)
-_CONFIG_ERRORS = (MissingCI, InvalidConfig, DegenerateMidpoint)
 
 _ARROWS = {"below": "↓", "inside": "=", "above": "↑", None: "n/a"}
 
@@ -371,22 +353,6 @@ def _write_score_csv(out_dir: Path, report: DrivingScoreReport) -> None:
             w.writerow(row)
 
 
-def _stats_bands(stats: EnsembleStats) -> tuple[Optional[CIBand], ...]:
-    bands = []
-    for c in stats.classes:
-        if c.midpoint is None:
-            bands.append(None)
-        else:
-            bands.append(
-                CIBand(
-                    Fraction(c.midpoint),
-                    None if c.ci_low is None else Fraction(c.ci_low),
-                    None if c.ci_high is None else Fraction(c.ci_high),
-                )
-            )
-    return tuple(bands)
-
-
 def _file_bands(args, side: Side):
     file_side, bands = load_ci_bands(args.ci_file)
     if file_side is not None and file_side is not side:
@@ -396,89 +362,49 @@ def _file_bands(args, side: Side):
     return bands
 
 
-def _cmd_analyze(args, out_dir: Path) -> None:
+def _run(args, out_dir: Path) -> None:
+    """Load once, run the stages the command names, then write every file."""
     g, meta = _load(args)
     side = Side(args.side)
-    _, sections = _analysis_sections(g, side, args.semantics)
+    command = args.command
+    ci_source = getattr(args, "ci_file", None)
+    bands = None if ci_source is None else _file_bands(args, side)
     obj = _report_skeleton(args, meta)
-    obj.update(sections)
+    c = sections = stats = report = None
+    if command in ("analyze", "report"):
+        c, sections = _analysis_sections(g, side, args.semantics)
+        obj.update(sections)
+    if command in ("ensemble", "report"):
+        cfg = EnsembleConfig(
+            runs=args.runs,
+            seed=args.seed,
+            swaps_per_edge=args.swaps_per_edge,
+            side=side,
+            null_model=args.null_model,
+            semantics=args.semantics,
+        )
+        stats = run_ensemble(g, cfg)
+        if command == "ensemble":
+            obj["side"] = args.side
+        obj["ensemble"] = _stats_json(stats)
+    if command in ("score", "report"):
+        if bands is None:
+            bands, ci_source = bands_from_classes(obj["ensemble"]["classes"]), "ensemble"
+        report = classify(
+            g, bands, side=side, semantics=args.semantics,
+            literal_divisor=args.literal_divisor, census_result=c,
+        )
+        obj["ci"] = _bands_json(bands, ci_source)
+        # same content as the analyze stage's, so on report the key keeps its place
+        obj["global"] = {"semantics": args.semantics, **_profile_json(report.global_cc)}
+        obj["scores"] = _score_sections(report)
     _write_json(out_dir, obj)
-    _write_analyze_csv(out_dir, sections)
-
-
-def _cmd_ensemble(args, out_dir: Path) -> None:
-    g, meta = _load(args)
-    cfg = EnsembleConfig(
-        runs=args.runs,
-        seed=args.seed,
-        swaps_per_edge=args.swaps_per_edge,
-        side=Side(args.side),
-        null_model=args.null_model,
-        semantics=args.semantics,
-    )
-    stats = run_ensemble(g, cfg)
-    obj = _report_skeleton(args, meta)
-    obj["side"] = args.side
-    obj["ensemble"] = _stats_json(stats)
-    _write_json(out_dir, obj)
-    _write_replicas_csv(out_dir, stats)
-
-
-def _cmd_score(args, out_dir: Path) -> None:
-    g, meta = _load(args)
-    side = Side(args.side)
-    bands = _file_bands(args, side)
-    report = classify(
-        g, bands, side=side, semantics=args.semantics,
-        literal_divisor=args.literal_divisor,
-    )
-    obj = _report_skeleton(args, meta)
-    obj["ci"] = _bands_json(bands, args.ci_file)
-    obj["global"] = {"semantics": args.semantics, **_profile_json(report.global_cc)}
-    obj["scores"] = _score_sections(report)
-    _write_json(out_dir, obj)
-    _write_score_csv(out_dir, report)
-
-
-def _cmd_report(args, out_dir: Path) -> None:
-    g, meta = _load(args)
-    side = Side(args.side)
-    c, sections = _analysis_sections(g, side, args.semantics)
-    cfg = EnsembleConfig(
-        runs=args.runs,
-        seed=args.seed,
-        swaps_per_edge=args.swaps_per_edge,
-        side=side,
-        null_model=args.null_model,
-        semantics=args.semantics,
-    )
-    stats = run_ensemble(g, cfg)
-    if args.ci_file:
-        bands = _file_bands(args, side)
-        ci_source = args.ci_file
-    else:
-        bands = _stats_bands(stats)
-        ci_source = "ensemble"
-    report = classify(
-        g, bands, side=side, semantics=args.semantics,
-        literal_divisor=args.literal_divisor, census_result=c,
-    )
-    obj = _report_skeleton(args, meta)
-    obj.update(sections)
-    obj["ensemble"] = _stats_json(stats)
-    obj["ci"] = _bands_json(bands, ci_source)
-    obj["scores"] = _score_sections(report)
-    _write_json(out_dir, obj)
-    _write_score_csv(out_dir, report)
-    _write_replicas_csv(out_dir, stats)
-
-
-_COMMANDS = {
-    "analyze": _cmd_analyze,
-    "ensemble": _cmd_ensemble,
-    "score": _cmd_score,
-    "report": _cmd_report,
-}
+    if report is not None:
+        _write_score_csv(out_dir, report)
+    elif sections is not None:
+        _write_analyze_csv(out_dir, sections)
+    if stats is not None:
+        _write_replicas_csv(out_dir, stats)
 
 
 def main(argv=None) -> int:
@@ -490,19 +416,13 @@ def main(argv=None) -> int:
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        _COMMANDS[args.command](args, out_dir)
-    except _CONFIG_ERRORS as exc:
-        log.error("%s", exc)
-        return 3
-    except _VALIDATION_ERRORS as exc:
-        log.error("%s", exc)
-        return 2
-    except _PARSE_ERRORS as exc:
-        log.error("%s", exc)
-        return 1
+        _run(args, out_dir)
     except BimotifError as exc:
         log.error("%s", exc)
-        return 2
+        return exc.exit_code
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        log.error("%s", exc)
+        return 1
     return 0
 
 

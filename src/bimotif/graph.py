@@ -22,6 +22,8 @@ from .errors import BimotifError
 class EmptyInput(BimotifError):
     """Input contained no usable rows or an empty label."""
 
+    exit_code = 1
+
 
 class BipartiteViolation(BimotifError):
     """A label was used on both sides, or side integrity failed."""
@@ -30,13 +32,19 @@ class BipartiteViolation(BimotifError):
 class NonBinaryEntry(BimotifError):
     """A biadjacency entry was not 0 or 1."""
 
+    exit_code = 1
+
 
 class DimensionMismatch(BimotifError):
     """Matrix shape and label counts disagree."""
 
+    exit_code = 1
+
 
 class MalformedInput(BimotifError):
     """A text input line could not be parsed."""
+
+    exit_code = 1
 
 
 class Side(Enum):
@@ -193,6 +201,8 @@ def from_biadjacency(
         raise DimensionMismatch(
             f"{len(row_labels)} row labels for {len(matrix)} rows"
         )
+    if not all(row_labels) or not all(col_labels):
+        raise EmptyInput("empty row or column label in biadjacency matrix")
     if len(set(row_labels)) != len(row_labels):
         raise BipartiteViolation("duplicate primary label")
     if len(set(col_labels)) != len(col_labels):

@@ -38,6 +38,8 @@ _MASK64 = (1 << 64) - 1
 class InvalidConfig(BimotifError):
     """Ensemble configuration outside its allowed ranges."""
 
+    exit_code = 3
+
 
 @dataclass(frozen=True)
 class EnsembleConfig:

@@ -22,6 +22,7 @@ below it, inside it, or above it (with only a midpoint available,
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -46,9 +47,13 @@ class AllUndefined(BimotifError):
 class DegenerateMidpoint(BimotifError):
     """A score branch divided by zero with a nonzero numerator."""
 
+    exit_code = 3
+
 
 class MissingCI(BimotifError):
     """No usable confidence-interval source was provided."""
+
+    exit_code = 3
 
 
 @dataclass(frozen=True)
@@ -245,8 +250,44 @@ def classify(
     )
 
 
-def _frac(x) -> Optional[Fraction]:
-    return None if x is None else Fraction(x)
+def _number(x) -> Optional[Fraction]:
+    if x is None:
+        return None
+    if isinstance(x, bool) or not isinstance(x, (int, float, Fraction)):
+        raise MissingCI(f"interval values must be numbers or null, got {type(x).__name__}")
+    try:
+        finite = math.isfinite(x)
+    except OverflowError:  # exact, but beyond the float range of the outputs
+        finite = False
+    if not finite:
+        raise MissingCI("interval values must be finite and within the float range")
+    return Fraction(x)
+
+
+def _band(mid, low, high) -> Optional[CIBand]:
+    """One class's interval; None when its midpoint is null.
+
+    Each value must be null or a finite number, and each bound present
+    must lie on its side of the midpoint.  Midpoints are not limited to
+    [0, 1]: pair-count coefficients can exceed 1.
+    """
+    mid, low, high = _number(mid), _number(low), _number(high)
+    if mid is None:
+        return None
+    if (low is not None and low > mid) or (high is not None and high < mid):
+        raise MissingCI("interval bounds must satisfy low <= midpoint <= high")
+    return CIBand(mid, low, high)
+
+
+def bands_from_classes(classes) -> tuple[Optional[CIBand], ...]:
+    """Bands from per-class ensemble stats, as written under "classes"."""
+    if not (
+        isinstance(classes, list)
+        and len(classes) == 4
+        and all(isinstance(c, dict) for c in classes)
+    ):
+        raise MissingCI("expected stats for exactly 4 classes, one object each")
+    return tuple(_band(c.get("midpoint"), c.get("ci_low"), c.get("ci_high")) for c in classes)
 
 
 def load_ci_bands(path: str | Path) -> tuple[Optional[Side], tuple[Optional[CIBand], ...]]:
@@ -255,7 +296,8 @@ def load_ci_bands(path: str | Path) -> tuple[Optional[Side], tuple[Optional[CIBa
     Accepts either a midpoint file {"side": ..., "ci_midpoints": [4]}
     with optional 4-entry "ci_low"/"ci_high" arrays, or a previously
     written ensemble report (its per-class stats are reused).  Numbers
-    are parsed exactly, not through binary floats.
+    are parsed exactly, not through binary floats.  Anything else, or a
+    band that fails the checks of :func:`_band`, raises MissingCI.
     """
     text = Path(path).read_text(encoding="utf-8")
     obj = json.loads(text, parse_float=Fraction)
@@ -269,7 +311,7 @@ def load_ci_bands(path: str | Path) -> tuple[Optional[Side], tuple[Optional[CIBa
         try:
             side = Side(raw_side)
         except ValueError:
-            raise MissingCI(f"unknown side {raw_side!r} in {path}") from None
+            raise MissingCI(f"side must be 'primary' or 'secondary' in {path}") from None
 
     if isinstance(obj, dict) and "ci_midpoints" in obj:
         mids = obj["ci_midpoints"]
@@ -278,13 +320,7 @@ def load_ci_bands(path: str | Path) -> tuple[Optional[Side], tuple[Optional[CIBa
         for key, values in (("ci_midpoints", mids), ("ci_low", lows), ("ci_high", highs)):
             if not isinstance(values, list) or len(values) != 4:
                 raise MissingCI(f"{key} must hold exactly 4 entries")
-        bands = []
-        for m, lo, hi in zip(mids, lows, highs):
-            if m is None:
-                bands.append(None)
-            else:
-                bands.append(CIBand(Fraction(m), _frac(lo), _frac(hi)))
-        return side, tuple(bands)
+        return side, tuple(_band(m, lo, hi) for m, lo, hi in zip(mids, lows, highs))
 
     classes = None
     if isinstance(obj, dict):
@@ -293,21 +329,6 @@ def load_ci_bands(path: str | Path) -> tuple[Optional[Side], tuple[Optional[CIBa
         elif "classes" in obj:
             classes = obj["classes"]
     if classes is not None:
-        if len(classes) != 4:
-            raise MissingCI("expected stats for exactly 4 classes")
-        bands = []
-        for entry in classes:
-            mid = entry.get("midpoint")
-            if mid is None:
-                bands.append(None)
-            else:
-                bands.append(
-                    CIBand(
-                        Fraction(mid),
-                        _frac(entry.get("ci_low")),
-                        _frac(entry.get("ci_high")),
-                    )
-                )
-        return side, tuple(bands)
+        return side, bands_from_classes(classes)
 
     raise MissingCI(f"no usable interval data in {path}")

@@ -1,17 +1,24 @@
 import csv
 import json
+import re
 from fractions import Fraction
 from importlib.resources import files
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from bimotif import Side
+import bimotif
+from bimotif import BimotifError, Side
 from bimotif.cli import main
 from expected_values import INFLUENTIAL_PRIMARY, MIDPOINTS_PRIMARY
 from graphs import RING_EDGES
 from oracles import naive_opsahl
 
 WOMEN = str(files("bimotif") / "data" / "southern_women.csv")
+README = Path(__file__).resolve().parents[1] / "README.md"
+OUTPUTS = ("report.json", "nodes.csv", "replicas.csv")
 
 
 def write_c6(tmp_path):
@@ -198,7 +205,7 @@ def test_report_composes_everything(tmp_path):
     assert obj["config"]["null_model"] == "density"
 
 
-def test_report_with_external_ci_file(tmp_path):
+def test_score_against_ensemble_report(tmp_path):
     ens_out = tmp_path / "ens"
     argv = [
         "ensemble",
@@ -219,6 +226,37 @@ def test_report_with_external_ci_file(tmp_path):
     obj = read_json(score_out)
     assert obj["ci"]["source"].endswith("report.json")
     assert all(b is not None for b in obj["ci"]["bands"])
+
+
+def test_report_scores_against_ci_file(tmp_path):
+    out = tmp_path / "out"
+    ci = write_midpoints(tmp_path)
+    argv = [
+        "report",
+        "--input", WOMEN,
+        "--runs", "5",
+        "--seed", "2",
+        "--ci-file", str(ci),
+        "--out", str(out),
+    ]
+    assert main(argv) == 0
+    obj = read_json(out)
+    assert obj["ci"]["source"] == str(ci)
+    assert [b["midpoint"] for b in obj["ci"]["bands"]] == [float(m) for m in MIDPOINTS_PRIMARY]
+    assert set(obj["scores"]["influential"]) == INFLUENTIAL_PRIMARY
+    assert obj["ensemble"]["runs"] == 5
+    assert len(obj["ensemble"]["replica_values"]) == 5
+    assert (out / "replicas.csv").exists()
+
+
+def test_failed_report_writes_nothing(tmp_path):
+    out = tmp_path / "out"
+    argv = ["report", "--input", WOMEN, "--runs", "5", "--seed", "2", "--out", str(out)]
+    assert main(argv) == 0
+    before = {name: (out / name).read_bytes() for name in OUTPUTS}
+    ci = write_midpoints(tmp_path, side="secondary")
+    assert main(argv + ["--ci-file", str(ci)]) == 3
+    assert {name: (out / name).read_bytes() for name in OUTPUTS} == before
 
 
 def test_semantics_flag_changes_output(tmp_path):
@@ -305,3 +343,134 @@ def test_exit_code_ci_unknown_side(tmp_path):
     ci = write_midpoints(tmp_path, side="sideways")
     argv = ["score", "--input", WOMEN, "--ci-file", str(ci), "--out", str(tmp_path / "out")]
     assert main(argv) == 3
+
+
+def _score_argv(tmp_path, ci_text, *extra):
+    ci = tmp_path / "ci.json"
+    ci.write_text(ci_text, encoding="utf-8")
+    return ["score", "--input", WOMEN, "--ci-file", str(ci), "--out", str(tmp_path / "out"), *extra]
+
+
+@pytest.mark.parametrize(
+    "ci_text",
+    [
+        '{"ci_midpoints": [NaN, 0.5, 0.4, 0.3]}',
+        '{"ci_midpoints": [Infinity, 0.5, 0.4, 0.3]}',
+        '{"ci_midpoints": [1e400, 0.5, 0.4, 0.3]}',
+        '{"ci_midpoints": ["abc", 0.5, 0.4, 0.3]}',
+        '{"ci_midpoints": [[1], 0.5, 0.4, 0.3]}',
+        '{"ci_midpoints": ["0.6", 0.5, 0.4, 0.3]}',
+        '{"ci_midpoints": [true, 0.5, 0.4, 0.3]}',
+        '{"ci_midpoints": [0.6, 0.5, 0.4, 0.3], "ci_low": [0.7, null, null, null]}',
+        '{"ci_midpoints": [0.6, 0.5, 0.4, 0.3], "ci_high": [null, 0.4, null, null]}',
+        '{"side": 1e5000, "ci_midpoints": [0.6, 0.5, 0.4, 0.3]}',
+        '{"classes": [1, 2, 3, 4]}',
+        '{"classes": {"a": 1, "b": 2, "c": 3, "d": 4}}',
+        '{"classes": 2}',
+        '{"ensemble": {"classes": [{"midpoint": NaN}, {}, {}, {}]}}',
+    ],
+    ids=[
+        "nan-midpoint",
+        "infinite-midpoint",
+        "out-of-float-range-midpoint",
+        "string-midpoint",
+        "list-midpoint",
+        "numeric-string-midpoint",
+        "bool-midpoint",
+        "low-above-midpoint",
+        "high-below-midpoint",
+        "huge-number-side",
+        "classes-of-numbers",
+        "classes-object",
+        "classes-number",
+        "ensemble-class-nan",
+    ],
+)
+def test_exit_code_bad_interval_values(tmp_path, caplog, ci_text):
+    assert main(_score_argv(tmp_path, ci_text)) == 3
+    (record,) = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert "\n" not in record.getMessage()
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command, text, extra, code",
+    [
+        pytest.param("analyze", None, (), 1, id="OSError"),
+        pytest.param("analyze", "# nothing\n", (), 1, id="EmptyInput"),
+        pytest.param("analyze", "a\tb\tc\n", (), 1, id="MalformedInput"),
+        pytest.param("analyze", ",x,y\na,1,2\n", (), 1, id="NonBinaryEntry"),
+        pytest.param("analyze", ",x,y\na,1\n", (), 1, id="DimensionMismatch"),
+        pytest.param("analyze", "a\tb\nb\tc\n", (), 2, id="BipartiteViolation"),
+        pytest.param("score", "{", (), 1, id="JSONDecodeError"),
+        pytest.param("score", '{"ci_midpoints": [null, null, null, null]}', (), 2, id="AllUndefined"),
+        pytest.param("score", '{"foo": 1}', (), 3, id="MissingCI"),
+        pytest.param(
+            "score", '{"side": "secondary", "ci_midpoints": [0.5, 0.5, 0.5, 0.5]}', (), 3,
+            id="InvalidConfig",
+        ),
+        pytest.param(
+            "score", '{"ci_midpoints": [1, 1, 1, 1]}', ("--semantics", "pair-count"), 3,
+            id="DegenerateMidpoint",
+        ),
+    ],
+)
+def test_exit_code_table(tmp_path, command, text, extra, code):
+    """One input per error class the command line can reach.
+
+    ``analyze`` cases give the input file (None: missing); ``score``
+    cases give the interval file for the bundled network.
+    """
+    if command == "score":
+        argv = _score_argv(tmp_path, text, *extra)
+    else:
+        path = tmp_path / "input.txt"
+        if text is not None:
+            path.write_text(text, encoding="utf-8")
+        argv = ["analyze", "--input", str(path), "--out", str(tmp_path / "out")]
+    assert main(argv) == code
+
+
+def test_error_exit_codes_match_readme():
+    documented = {}
+    for line in README.read_text(encoding="utf-8").splitlines():
+        row = re.match(r"\| `(\d)` \|", line)
+        if row:
+            for name in re.findall(r"`([A-Z]\w+)`", line):
+                documented[name] = int(row.group(1))
+    exported = {
+        name
+        for name in bimotif.__all__
+        if isinstance(getattr(bimotif, name), type)
+        and issubclass(getattr(bimotif, name), BimotifError)
+    }
+    assert set(documented) == exported
+    for name, code in documented.items():
+        assert getattr(bimotif, name).exit_code == code, name
+
+
+_CI_KEYS = ("side", "config", "ci_midpoints", "ci_low", "ci_high", "ensemble", "classes", "midpoint")
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.sampled_from(["primary", "secondary"])
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, min_size=4, max_size=4)
+    | st.dictionaries(st.sampled_from(_CI_KEYS) | st.text(max_size=3), inner, max_size=5),
+    max_leaves=16,
+)
+
+
+@settings(
+    max_examples=200,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(value=_JSON_VALUES)
+def test_any_json_interval_file_exits_cleanly(tmp_path, value):
+    assert main(_score_argv(tmp_path, json.dumps(value))) in (0, 1, 2, 3)

@@ -153,6 +153,18 @@ def test_load_biadjacency(tmp_path):
         load_biadjacency(bad)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [",x,y\n,1,0\n", ",x,\na,1,0\n"],
+    ids=["empty-row-label", "empty-column-label"],
+)
+def test_load_biadjacency_rejects_empty_label(tmp_path, text):
+    f = tmp_path / "m.csv"
+    f.write_text(text, encoding="utf-8")
+    with pytest.raises(EmptyInput):
+        load_biadjacency(f)
+
+
 def test_detect_format(tmp_path):
     bi = tmp_path / "bi.csv"
     bi.write_text(",x,y\na,1,0\n", encoding="utf-8")
