@@ -21,6 +21,11 @@ Counting happens at two granularities:
 The configuration level is what the clustering coefficients use by
 default; the path level feeds the alternate closure policies and the
 reference measure.
+
+The traversal counts each quantity once: per-node configurations,
+path closures, (path, closure) pairs, closed paths, and configuration
+closures of classes 1-3.  Path counts, configuration totals and
+class-0 configuration closures are derived from those.
 """
 
 from __future__ import annotations
@@ -50,6 +55,10 @@ class MotifCensus:
     Path-level globals are sums of the per-node values; configuration
     totals are deduplicated (a configuration with several centers is
     counted once globally), so they are stored explicitly.
+
+    ``path_counts``, ``config_totals`` and class 0 of ``config_closed``
+    and ``config_closed_totals`` are derived from the counted fields,
+    and stored like them.
     """
 
     path_counts: tuple[tuple[int, int, int], ...]
@@ -132,13 +141,12 @@ def census(g: BipartiteGraph, side: Side = Side.PRIMARY) -> MotifCensus:
         for i in nbrs:
             adj_w[w] |= 1 << i
 
-    paths = [[0, 0, 0] for _ in range(na)]
     path_closed = [[0, 0, 0, 0] for _ in range(na)]
     pairs = [[0, 0, 0, 0] for _ in range(na)]
     path_any = [0] * na
     configs = [[0, 0, 0] for _ in range(na)]
+    # class-0 configuration closures (column 0) are derived after the loop
     config_closed = [[0, 0, 0, 0] for _ in range(na)]
-    config_totals = [0, 0, 0]
     closed_totals = [0, 0, 0, 0]
 
     for w0 in range(ns):
@@ -156,16 +164,10 @@ def census(g: BipartiteGraph, side: Side = Side.PRIMARY) -> MotifCensus:
             n0 = len(u0l)
             n1 = len(u1l)
 
-            config_totals[0] += nb * n0 * n1
-            config_totals[1] += comb(nb, 2) * (n0 + n1)
-            config_totals[2] += comb(nb, 3)
             for c in bl:
                 configs[c][0] += n0 * n1
                 configs[c][1] += (nb - 1) * (n0 + n1)
                 configs[c][2] += comb(nb - 1, 2)
-                paths[c][0] += n0 * n1
-                paths[c][1] += (nb - 1) * (n0 + n1)
-                paths[c][2] += 2 * comb(nb - 1, 2)
 
             # class 0: one center, one end on each branch, one path
             for x in u0l:
@@ -179,8 +181,6 @@ def census(g: BipartiteGraph, side: Side = Side.PRIMARY) -> MotifCensus:
                         up = common & adj_a[c]
                         path_any[c] += 1
                         if flat:
-                            closed_totals[0] += 1
-                            config_closed[c][0] += 1
                             path_closed[c][0] += 1
                             pairs[c][0] += flat.bit_count()
                         if up:
@@ -190,7 +190,8 @@ def census(g: BipartiteGraph, side: Side = Side.PRIMARY) -> MotifCensus:
                             pairs[c][1] += up.bit_count()
 
             # class 1: two centers and one end; two internal paths,
-            # one per choice of center
+            # one per choice of center.  A closing node adjacent to
+            # both centers lifts both paths, so they share one mask.
             if nb >= 2 and (n0 or n1):
                 ul = u0l + u1l
                 for i in range(nb):
@@ -200,80 +201,78 @@ def census(g: BipartiteGraph, side: Side = Side.PRIMARY) -> MotifCensus:
                         c2 = bl[j]
                         a2 = adj_a[c2]
                         for u in ul:
-                            au = adj_a[u]
-                            com1 = a2 & au & excl  # path centered at c1
-                            com2 = a1 & au & excl  # path centered at c2
-                            flat1 = com1 & ~a1
-                            up1 = com1 & a1
-                            flat2 = com2 & ~a2
-                            up2 = com2 & a2
-                            if com1:
-                                path_any[c1] += 1
-                            if com2:
-                                path_any[c2] += 1
-                            if flat1:
-                                path_closed[c1][1] += 1
-                                pairs[c1][1] += flat1.bit_count()
-                            if up1:
-                                path_closed[c1][2] += 1
-                                pairs[c1][2] += up1.bit_count()
-                            if flat2:
-                                path_closed[c2][1] += 1
-                                pairs[c2][1] += flat2.bit_count()
-                            if up2:
-                                path_closed[c2][2] += 1
-                                pairs[c2][2] += up2.bit_count()
+                            au = adj_a[u] & excl
+                            up = a1 & a2 & au
+                            flat1 = a2 & au & ~a1  # path centered at c1
+                            flat2 = a1 & au & ~a2  # path centered at c2
+                            for c, flat in ((c1, flat1), (c2, flat2)):
+                                if flat or up:
+                                    path_any[c] += 1
+                                if flat:
+                                    path_closed[c][1] += 1
+                                    pairs[c][1] += flat.bit_count()
+                                if up:
+                                    path_closed[c][2] += 1
+                                    pairs[c][2] += up.bit_count()
                             if flat1 or flat2:
                                 closed_totals[1] += 1
                                 config_closed[c1][1] += 1
                                 config_closed[c2][1] += 1
-                            if up1 or up2:
+                            if up:
                                 closed_totals[2] += 1
                                 config_closed[c1][2] += 1
                                 config_closed[c2][2] += 1
 
             # class 2: three centers; each center yields two paths that
-            # differ only in via orientation, so tallies go up in twos
+            # differ only in via orientation, so tallies go up in twos.
+            # A closing node adjacent to all three lifts every path.
             if nb >= 3:
                 for ti in range(nb):
+                    ax = adj_a[bl[ti]]
                     for tj in range(ti + 1, nb):
+                        ay = adj_a[bl[tj]]
                         for tk in range(tj + 1, nb):
+                            az = adj_a[bl[tk]]
                             triple = (bl[ti], bl[tj], bl[tk])
-                            any_flat = False
-                            any_up = False
-                            for z in triple:
-                                p, q = (t for t in triple if t != z)
-                                com = adj_a[p] & adj_a[q] & excl
-                                flat = com & ~adj_a[z]
-                                up = com & adj_a[z]
-                                if com:
+                            up = ax & ay & az & excl
+                            flats = (
+                                ay & az & excl & ~ax,
+                                ax & az & excl & ~ay,
+                                ax & ay & excl & ~az,
+                            )
+                            for z, flat in zip(triple, flats):
+                                if flat or up:
                                     path_any[z] += 2
                                 if flat:
-                                    any_flat = True
                                     path_closed[z][2] += 2
                                     pairs[z][2] += 2 * flat.bit_count()
                                 if up:
-                                    any_up = True
                                     path_closed[z][3] += 2
                                     pairs[z][3] += 2 * up.bit_count()
-                            if any_flat:
+                            if any(flats):
                                 closed_totals[2] += 1
-                            if any_up:
-                                closed_totals[3] += 1
-                            for z in triple:
-                                if any_flat:
+                                for z in triple:
                                     config_closed[z][2] += 1
-                                if any_up:
+                            if up:
+                                closed_totals[3] += 1
+                                for z in triple:
                                     config_closed[z][3] += 1
 
+    # A class-0 configuration has one center and one path, so it closes
+    # to class 0 exactly when that path does.  A class-e configuration
+    # is anchored at each of its e+1 centers, so the per-node sums count
+    # it e+1 times.  Each center has one path per configuration in
+    # classes 0 and 1, and two in class 2.
+    flat_closed = [r[0] for r in path_closed]
+    closed_totals[0] = sum(flat_closed)
     return MotifCensus(
-        path_counts=tuple(tuple(r) for r in paths),
+        path_counts=tuple((r[0], r[1], 2 * r[2]) for r in configs),
         path_closed=tuple(tuple(r) for r in path_closed),
         closure_pairs=tuple(tuple(r) for r in pairs),
         path_closed_any=tuple(path_any),
         config_counts=tuple(tuple(r) for r in configs),
-        config_closed=tuple(tuple(r) for r in config_closed),
-        config_totals=tuple(config_totals),
+        config_closed=tuple((k, *r[1:]) for k, r in zip(flat_closed, config_closed)),
+        config_totals=tuple(sum(r[e] for r in configs) // (e + 1) for e in range(3)),
         config_closed_totals=tuple(closed_totals),
     )
 

@@ -224,13 +224,19 @@ def from_biadjacency(
     return _assemble(row_labels, col_labels, edges)
 
 
-def _data_lines(text: str) -> list[str]:
-    """Non-blank lines with comment lines removed."""
+def _data_lines(path: str | Path) -> list[str]:
+    """The file's non-blank lines, comment lines removed; EmptyInput if none.
+
+    A leading UTF-8 byte-order mark, as spreadsheet exports write, is
+    dropped rather than read into the first label.
+    """
     out = []
-    for line in text.splitlines():
+    for line in Path(path).read_text(encoding="utf-8-sig").splitlines():
         stripped = line.strip()
         if stripped and not stripped.startswith("#"):
             out.append(line)
+    if not out:
+        raise EmptyInput(f"no data rows in {path}")
     return out
 
 
@@ -240,10 +246,7 @@ def load_edge_list(path: str | Path) -> tuple[BipartiteGraph, int]:
     The delimiter is detected from the first data line and must be used
     consistently.  Lines starting with ``#`` are ignored.
     """
-    text = Path(path).read_text(encoding="utf-8")
-    lines = _data_lines(text)
-    if not lines:
-        raise EmptyInput(f"no data rows in {path}")
+    lines = _data_lines(path)
     delim = "\t" if "\t" in lines[0] else ","
     rows = []
     for line in lines:
@@ -262,18 +265,17 @@ def load_biadjacency(path: str | Path) -> BipartiteGraph:
     First row: blank cell, then secondary labels.  Each later row: a
     primary label followed by 0/1 entries.
     """
-    text = Path(path).read_text(encoding="utf-8")
-    lines = _data_lines(text)
-    if not lines:
-        raise EmptyInput(f"no data rows in {path}")
-    reader = csv.reader(io.StringIO("\n".join(lines)))
-    header = next(reader)
+    lines = _data_lines(path)
+    try:
+        header, *rows = csv.reader(io.StringIO("\n".join(lines)))
+    except csv.Error as exc:  # e.g. a cell longer than csv.field_size_limit()
+        raise MalformedInput(f"unreadable biadjacency CSV: {exc}") from None
     if len(header) < 2 or header[0].strip():
         raise MalformedInput("first biadjacency row must start with a blank cell")
     col_labels = [c.strip() for c in header[1:]]
     row_labels = []
     matrix = []
-    for row in reader:
+    for row in rows:
         if not row:
             continue
         row_labels.append(row[0].strip())
@@ -295,11 +297,7 @@ def detect_format(path: str | Path) -> str:
     A line starting with an empty CSV field can only be a biadjacency
     header, anything else is treated as an edge row.
     """
-    text = Path(path).read_text(encoding="utf-8")
-    lines = _data_lines(text)
-    if not lines:
-        raise EmptyInput(f"no data rows in {path}")
-    first = lines[0]
+    first = _data_lines(path)[0]
     if "\t" not in first and first.split(",")[0].strip() == "":
         return "biadjacency"
     return "edgelist"

@@ -22,8 +22,9 @@ below it, inside it, or above it (with only a midpoint available,
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -251,15 +252,18 @@ def classify(
 
 
 def _number(x) -> Optional[Fraction]:
+    """A file value (Decimal) or a fresh ensemble stat (float) as a Fraction.
+
+    The range is checked first, so a huge exponent fails before
+    Fraction builds ``10**exponent``.
+    """
     if x is None:
         return None
-    if isinstance(x, bool) or not isinstance(x, (int, float, Fraction)):
+    if isinstance(x, float):
+        x = Decimal(x)
+    if not isinstance(x, Decimal):
         raise MissingCI(f"interval values must be numbers or null, got {type(x).__name__}")
-    try:
-        finite = math.isfinite(x)
-    except OverflowError:  # exact, but beyond the float range of the outputs
-        finite = False
-    if not finite:
+    if not x.is_finite() or (x and not sys.float_info.min <= x.copy_abs() <= sys.float_info.max):
         raise MissingCI("interval values must be finite and within the float range")
     return Fraction(x)
 
@@ -300,7 +304,7 @@ def load_ci_bands(path: str | Path) -> tuple[Optional[Side], tuple[Optional[CIBa
     band that fails the checks of :func:`_band`, raises MissingCI.
     """
     text = Path(path).read_text(encoding="utf-8")
-    obj = json.loads(text, parse_float=Fraction)
+    obj = json.loads(text, parse_float=Decimal, parse_int=Decimal)
     side = None
     raw_side = None
     if isinstance(obj, dict):

@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bimotif import Side, SixCycleClass, census, mirror, opsahl
+from bimotif import Side, SixCycleClass, census, from_indexed_edges, mirror, opsahl
 from graphs import c6, divisor_gadget, k33, random_bipartite, ring_plus_chords
 from oracles import (
     NotAPath,
@@ -125,6 +127,27 @@ def test_census_equals_brute_force_small_batch():
         g = random_bipartite(rng, rng.randint(3, 10), rng.randint(3, 10), rng.uniform(0.15, 0.55))
         for side in (Side.PRIMARY, Side.SECONDARY):
             assert census(g, side) == brute_force_census(g, side)
+
+
+@st.composite
+def _small_graphs(draw):
+    """Up to 8 nodes per side; the edge count, and so the density, is drawn first."""
+    na = draw(st.integers(1, 8))
+    ns = draw(st.integers(1, 8))
+    m = draw(st.integers(0, na * ns))
+    cells = draw(st.permutations(range(na * ns)))[:m]
+    return from_indexed_edges(
+        [f"p{i}" for i in range(na)],
+        [f"s{j}" for j in range(ns)],
+        [divmod(c, ns) for c in cells],
+    )
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(g=_small_graphs())
+def test_census_equals_brute_force_property(g):
+    for side in (Side.PRIMARY, Side.SECONDARY):
+        assert census(g, side) == brute_force_census(g, side)
 
 
 def test_side_symmetry():

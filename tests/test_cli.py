@@ -364,6 +364,10 @@ def _score_argv(tmp_path, ci_text, *extra):
         '{"ci_midpoints": [0.6, 0.5, 0.4, 0.3], "ci_low": [0.7, null, null, null]}',
         '{"ci_midpoints": [0.6, 0.5, 0.4, 0.3], "ci_high": [null, 0.4, null, null]}',
         '{"side": 1e5000, "ci_midpoints": [0.6, 0.5, 0.4, 0.3]}',
+        '{"ci_midpoints": [1e20000000, 0.5, 0.4, 0.3]}',
+        '{"ci_midpoints": [1e-999999999, 0.5, 0.4, 0.3]}',
+        '{"ci_midpoints": [%s, 0.5, 0.4, 0.3]}' % ("9" * 5000),
+        '{"side": %s, "ci_midpoints": [0.6, 0.5, 0.4, 0.3]}' % ("9" * 5000),
         '{"classes": [1, 2, 3, 4]}',
         '{"classes": {"a": 1, "b": 2, "c": 3, "d": 4}}',
         '{"classes": 2}',
@@ -380,6 +384,10 @@ def _score_argv(tmp_path, ci_text, *extra):
         "low-above-midpoint",
         "high-below-midpoint",
         "huge-number-side",
+        "huge-exponent-midpoint",
+        "tiny-exponent-midpoint",
+        "long-integer-midpoint",
+        "long-integer-side",
         "classes-of-numbers",
         "classes-object",
         "classes-number",
@@ -474,3 +482,26 @@ _JSON_VALUES = st.recursive(
 @given(value=_JSON_VALUES)
 def test_any_json_interval_file_exits_cleanly(tmp_path, value):
     assert main(_score_argv(tmp_path, json.dumps(value))) in (0, 1, 2, 3)
+
+
+_INPUT_PIECES = ["0", "1", "2", "a", "b", "x", " ", "\t", ",", "#", '"', "\x00", "\ufeff", "\r", "\n"]
+
+
+@settings(
+    max_examples=200,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(text=st.lists(st.sampled_from(_INPUT_PIECES), max_size=40).map("".join))
+def test_any_network_file_exits_cleanly(tmp_path, text):
+    path = tmp_path / "input.txt"
+    path.write_text(text, encoding="utf-8", newline="")
+    for fmt in ("auto", "edgelist", "biadjacency"):
+        for side in ("primary", "secondary"):
+            argv = [
+                "analyze", "--input", str(path), "--format", fmt,
+                "--side", side, "--out", str(tmp_path / "out"),
+            ]
+            assert main(argv) in (0, 1, 2, 3)

@@ -1,3 +1,5 @@
+import csv
+
 import pytest
 
 from bimotif import (
@@ -163,6 +165,27 @@ def test_load_biadjacency_rejects_empty_label(tmp_path, text):
     f.write_text(text, encoding="utf-8")
     with pytest.raises(EmptyInput):
         load_biadjacency(f)
+
+
+def test_load_biadjacency_rejects_oversized_cell(tmp_path):
+    f = tmp_path / "m.csv"
+    f.write_text(",x\na," + "1" * (csv.field_size_limit() + 1) + "\n", encoding="utf-8")
+    with pytest.raises(MalformedInput):
+        load_biadjacency(f)
+
+
+@pytest.mark.parametrize(
+    "text, fmt",
+    [("\ufeffa\tx\nb\tx\n", "edgelist"), ("\ufeff,x\na,1\nb,1\n", "biadjacency")],
+    ids=["edgelist", "biadjacency"],
+)
+def test_load_graph_ignores_byte_order_mark(tmp_path, text, fmt):
+    f = tmp_path / "bom.txt"
+    f.write_text(text, encoding="utf-8")
+    assert detect_format(f) == fmt
+    g, _ = load_graph(f)
+    assert g.primary_labels == ("a", "b")
+    assert g.secondary_labels == ("x",)
 
 
 def test_detect_format(tmp_path):
