@@ -25,7 +25,6 @@ from .graph import (
     DimensionMismatch,
     EmptyInput,
     MalformedInput,
-    NodeRef,
     NonBinaryEntry,
     Side,
     detect_format,
@@ -69,7 +68,6 @@ __all__ = [
     "__version__",
     "BimotifError",
     "Side",
-    "NodeRef",
     "BipartiteGraph",
     "from_edge_list",
     "from_biadjacency",

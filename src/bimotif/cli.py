@@ -7,7 +7,8 @@ in order: ``analyze`` (census, coefficients, reference measure),
 against --ci-file or the fresh ensemble).  ``report`` runs all three.
 Files are written only after every stage has succeeded: a
 ``report.json`` into --out, plus ``nodes.csv`` (analyze/score/report)
-and ``replicas.csv`` (ensemble/report).
+and ``replicas.csv`` (ensemble/report).  Each is written under a
+temporary name first and replaced whole once all of them are written.
 
 Exit codes: 0 success, otherwise the failing error's ``exit_code``
 (1 input parse error, 2 validation error, 3 configuration error); an
@@ -21,6 +22,7 @@ import argparse
 import csv
 import json
 import logging
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -206,11 +208,9 @@ def _report_skeleton(args, meta: dict) -> dict:
     }
 
 
-def _write_json(out_dir: Path, obj: dict) -> None:
-    path = out_dir / "report.json"
-    with path.open("w", encoding="utf-8", newline="\n") as f:
-        json.dump(obj, f, indent=2, allow_nan=False)
-        f.write("\n")
+def _write_json(f, obj: dict) -> None:
+    json.dump(obj, f, indent=2, allow_nan=False)
+    f.write("\n")
 
 
 def _analysis_sections(g: BipartiteGraph, side: Side, semantics: str):
@@ -242,12 +242,11 @@ def _analysis_sections(g: BipartiteGraph, side: Side, semantics: str):
     return c, sections
 
 
-def _write_analyze_csv(out_dir: Path, sections: dict) -> None:
-    with (out_dir / "nodes.csv").open("w", encoding="utf-8", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["label", "degree", "cc0", "cc1", "cc2", "cc3"])
-        for n in sections["nodes"]:
-            w.writerow([n["label"], n["degree"], *n["cc_display"]])
+def _write_analyze_csv(f, sections: dict) -> None:
+    w = csv.writer(f)
+    w.writerow(["label", "degree", "cc0", "cc1", "cc2", "cc3"])
+    for n in sections["nodes"]:
+        w.writerow([n["label"], n["degree"], *n["cc_display"]])
 
 
 def _stats_json(stats: EnsembleStats) -> dict:
@@ -271,18 +270,17 @@ def _stats_json(stats: EnsembleStats) -> dict:
     }
 
 
-def _write_replicas_csv(out_dir: Path, stats: EnsembleStats) -> None:
-    with (out_dir / "replicas.csv").open("w", encoding="utf-8", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["replica", "cc0", "cc1", "cc2", "cc3"])
-        for r, row in enumerate(stats.replica_values):
-            w.writerow(
-                [r]
-                + [
-                    "n/a" if v is None else format_value(Fraction(v))
-                    for v in row
-                ]
-            )
+def _write_replicas_csv(f, stats: EnsembleStats) -> None:
+    w = csv.writer(f)
+    w.writerow(["replica", "cc0", "cc1", "cc2", "cc3"])
+    for r, row in enumerate(stats.replica_values):
+        w.writerow(
+            [r]
+            + [
+                "n/a" if v is None else format_value(Fraction(v))
+                for v in row
+            ]
+        )
 
 
 def _bands_json(bands, source: Optional[str]) -> dict:
@@ -327,30 +325,50 @@ def _score_sections(report: DrivingScoreReport) -> dict:
     }
 
 
-def _write_score_csv(out_dir: Path, report: DrivingScoreReport) -> None:
-    with (out_dir / "nodes.csv").open("w", encoding="utf-8", newline="") as f:
-        f.write(f"# ds_global={format_value(report.ds_global)}\n")
-        w = csv.writer(f)
-        w.writerow(
-            [
-                "label",
-                "degree",
-                "cc0", "dir0",
-                "cc1", "dir1",
-                "cc2", "dir2",
-                "cc3", "dir3",
-                "ds",
-                "influential",
-            ]
-        )
-        for n in report.nodes:
-            row = [n.label, n.degree]
-            for v, d in zip(n.local_cc, n.directions):
-                row.append(format_value(v))
-                row.append(_ARROWS[d])
-            row.append(format_value(n.ds))
-            row.append("true" if n.influential else "false")
-            w.writerow(row)
+def _write_score_csv(f, report: DrivingScoreReport) -> None:
+    f.write(f"# ds_global={format_value(report.ds_global)}\n")
+    w = csv.writer(f)
+    w.writerow(
+        [
+            "label",
+            "degree",
+            "cc0", "dir0",
+            "cc1", "dir1",
+            "cc2", "dir2",
+            "cc3", "dir3",
+            "ds",
+            "influential",
+        ]
+    )
+    for n in report.nodes:
+        row = [n.label, n.degree]
+        for v, d in zip(n.local_cc, n.directions):
+            row.append(format_value(v))
+            row.append(_ARROWS[d])
+        row.append(format_value(n.ds))
+        row.append("true" if n.influential else "false")
+        w.writerow(row)
+
+
+def _write_files(out_dir: Path, files) -> None:
+    """Write each (name, writer, data) under a temporary name, then move all into place.
+
+    A run that fails while writing leaves an earlier run's files whole
+    and removes the temporaries it made.
+    """
+    temps = []
+    try:
+        for name, write, data in files:
+            tmp = out_dir / f".{name}.{os.getpid()}.tmp"
+            temps.append(tmp)
+            with open(tmp, "w", encoding="utf-8", newline="") as f:
+                write(f, data)
+        for tmp, (name, _, _) in zip(temps, files):
+            os.replace(tmp, out_dir / name)
+    except BaseException:
+        for tmp in temps:
+            tmp.unlink(missing_ok=True)
+        raise
 
 
 def _file_bands(args, side: Side):
@@ -398,13 +416,14 @@ def _run(args, out_dir: Path) -> None:
         # same content as the analyze stage's, so on report the key keeps its place
         obj["global"] = {"semantics": args.semantics, **_profile_json(report.global_cc)}
         obj["scores"] = _score_sections(report)
-    _write_json(out_dir, obj)
+    files = [("report.json", _write_json, obj)]
     if report is not None:
-        _write_score_csv(out_dir, report)
+        files.append(("nodes.csv", _write_score_csv, report))
     elif sections is not None:
-        _write_analyze_csv(out_dir, sections)
+        files.append(("nodes.csv", _write_analyze_csv, sections))
     if stats is not None:
-        _write_replicas_csv(out_dir, stats)
+        files.append(("replicas.csv", _write_replicas_csv, stats))
+    _write_files(out_dir, files)
 
 
 def main(argv=None) -> int:

@@ -51,21 +51,21 @@ class ClusteringProfile:
     cc: tuple[Optional[Fraction], Optional[Fraction], Optional[Fraction], Optional[Fraction]]
     numerators: tuple[int, int, int, int]
     denominators: tuple[int, int, int, int]
-    scope: Union[str, int]
-    semantics: str
 
     def rounded(self) -> tuple[str, str, str, str]:
         """Display strings, 4 decimal places, "n/a" when undefined."""
         return tuple(format_value(v) for v in self.cc)
 
 
-def format_value(x: Optional[Fraction], places: int = 4) -> str:
+_QUANTUM = Decimal(1).scaleb(-4)  # display precision: 4 decimal places
+
+
+def format_value(x: Optional[Fraction]) -> str:
     """Render a rational for tables: round half away from zero, trim zeros."""
     if x is None:
         return "n/a"
-    quantum = Decimal(1).scaleb(-places)
     d = (Decimal(x.numerator) / Decimal(x.denominator)).quantize(
-        quantum, rounding=ROUND_HALF_UP
+        _QUANTUM, rounding=ROUND_HALF_UP
     )
     s = str(d)
     if "." in s:
@@ -93,8 +93,7 @@ def _semantic_counts(c: MotifCensus, semantics: str, scope: Union[str, int]):
     return c.path_counts[i], c.closure_pairs[i]
 
 
-def _profile(counts: Sequence[int], closed: Sequence[int],
-             scope: Union[str, int], semantics: str) -> ClusteringProfile:
+def _profile(counts: Sequence[int], closed: Sequence[int]) -> ClusteringProfile:
     n0, n1, n2 = counts
     denominators = (n0, n0 + n1, n1 + n2, n2)
     numerators = tuple(closed)
@@ -102,22 +101,16 @@ def _profile(counts: Sequence[int], closed: Sequence[int],
         Fraction(num, den) if den else None
         for num, den in zip(numerators, denominators)
     )
-    return ClusteringProfile(
-        cc=cc,
-        numerators=numerators,
-        denominators=denominators,
-        scope=scope,
-        semantics=semantics,
-    )
+    return ClusteringProfile(cc=cc, numerators=numerators, denominators=denominators)
 
 
 def global_profile(c: MotifCensus, semantics: str = "configuration") -> ClusteringProfile:
     """Whole-network coefficients from a census."""
     counts, closed = _semantic_counts(c, semantics, "global")
-    return _profile(counts, closed, "global", semantics)
+    return _profile(counts, closed)
 
 
 def local_profile(c: MotifCensus, i: int, semantics: str = "configuration") -> ClusteringProfile:
     """Coefficients restricted to structures anchored at node ``i``."""
     counts, closed = _semantic_counts(c, semantics, i)
-    return _profile(counts, closed, i, semantics)
+    return _profile(counts, closed)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import BimotifError
 
@@ -58,14 +58,6 @@ class Side(Enum):
 
 
 @dataclass(frozen=True)
-class NodeRef:
-    """A node identified by its side and dense index within that side."""
-
-    side: Side
-    index: int
-
-
-@dataclass(frozen=True)
 class BipartiteGraph:
     """A simple, immutable two-mode graph.
 
@@ -91,13 +83,6 @@ class BipartiteGraph:
         if side is Side.PRIMARY:
             return self.adjacency_primary
         return self.adjacency_secondary
-
-    def neighbors(self, v: NodeRef) -> tuple[int, ...]:
-        """Sorted opposite-side indices adjacent to ``v``."""
-        adj = self.adjacency(v.side)
-        if not 0 <= v.index < len(adj):
-            raise IndexError(f"no node {v.index} on the {v.side.value} side")
-        return adj[v.index]
 
     def degree_sequence(self, side: Side) -> tuple[int, ...]:
         return tuple(len(nbrs) for nbrs in self.adjacency(side))
@@ -224,20 +209,25 @@ def from_biadjacency(
     return _assemble(row_labels, col_labels, edges)
 
 
-def _data_lines(path: str | Path) -> list[str]:
+def _data_lines(path: str | Path) -> Iterator[str]:
     """The file's non-blank lines, comment lines removed; EmptyInput if none.
 
-    A leading UTF-8 byte-order mark, as spreadsheet exports write, is
-    dropped rather than read into the first label.
+    Lines are read lazily, so format detection decodes only the start of
+    the file.  Each physical line is split again with ``str.splitlines``,
+    so lines break where they would in the whole text.  A leading UTF-8
+    byte-order mark, as spreadsheet exports write, is dropped rather
+    than read into the first label.
     """
-    out = []
-    for line in Path(path).read_text(encoding="utf-8-sig").splitlines():
-        stripped = line.strip()
-        if stripped and not stripped.startswith("#"):
-            out.append(line)
-    if not out:
+    found = False
+    with open(path, encoding="utf-8-sig") as f:
+        for physical in f:
+            for line in physical.splitlines():
+                stripped = line.strip()
+                if stripped and not stripped.startswith("#"):
+                    found = True
+                    yield line
+    if not found:
         raise EmptyInput(f"no data rows in {path}")
-    return out
 
 
 def load_edge_list(path: str | Path) -> tuple[BipartiteGraph, int]:
@@ -246,7 +236,7 @@ def load_edge_list(path: str | Path) -> tuple[BipartiteGraph, int]:
     The delimiter is detected from the first data line and must be used
     consistently.  Lines starting with ``#`` are ignored.
     """
-    lines = _data_lines(path)
+    lines = list(_data_lines(path))
     delim = "\t" if "\t" in lines[0] else ","
     rows = []
     for line in lines:
@@ -265,7 +255,7 @@ def load_biadjacency(path: str | Path) -> BipartiteGraph:
     First row: blank cell, then secondary labels.  Each later row: a
     primary label followed by 0/1 entries.
     """
-    lines = _data_lines(path)
+    lines = list(_data_lines(path))
     try:
         header, *rows = csv.reader(io.StringIO("\n".join(lines)))
     except csv.Error as exc:  # e.g. a cell longer than csv.field_size_limit()
@@ -297,7 +287,7 @@ def detect_format(path: str | Path) -> str:
     A line starting with an empty CSV field can only be a biadjacency
     header, anything else is treated as an edge row.
     """
-    first = _data_lines(path)[0]
+    first = next(_data_lines(path))
     if "\t" not in first and first.split(",")[0].strip() == "":
         return "biadjacency"
     return "edgelist"

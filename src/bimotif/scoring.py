@@ -6,12 +6,11 @@ CI_k of its ensemble confidence interval:
     g_k = (CI_k - cc_k) / CI_k        when cc_k <  CI_k
     g_k = (cc_k - CI_k) / (1 - CI_k)  when cc_k >= CI_k
 
-and averages the defined components.  The per-node score uses the same
-normalized distance but signed: positive when the node sits on the
-same side of CI_k as the whole network, negative when it pulls the
-other way.  Nodes with a score above the global score are classified
-as influential; nodes with a negative score drive against the
-clustering behaviour.
+and averages the defined components.  A node's component f_k is its
+own g_k, negated when the node sits on the other side of CI_k from the
+whole network; the global score is thus the network scored against
+itself.  Nodes scoring above the global score are influential; nodes
+with a negative score drive against the clustering behaviour.
 
 Scores are exact Fractions until presentation.  Per-class direction
 flags compare the local coefficient with the confidence interval:
@@ -70,7 +69,6 @@ class CIBand:
 class NodeScore:
     """Scoring outcome for one analysis-side node."""
 
-    index: int
     label: str
     degree: int
     local_cc: tuple[Optional[Fraction], ...]
@@ -86,7 +84,6 @@ class DrivingScoreReport:
     """Global score, per-node scores and the influence classification."""
 
     side: Side
-    bands: tuple[Optional[CIBand], ...]
     global_cc: ClusteringProfile
     ds_global: Fraction
     nodes: tuple[NodeScore, ...]
@@ -118,17 +115,12 @@ def g_component(cc_k: Rational, ci_k: Rational) -> Fraction:
 
 
 def f_component(cc_global: Rational, cc_local: Rational, ci_k: Rational) -> Fraction:
-    """Signed per-node component; negative when the node opposes the network."""
-    cc_global = Fraction(cc_global)
-    cc_local = Fraction(cc_local)
+    """The node's g_component, negated when it opposes the network's side of CI_k."""
     ci_k = Fraction(ci_k)
-    if cc_global < ci_k:
-        if cc_local < ci_k:
-            return _branch(ci_k - cc_local, ci_k)
-        return -_branch(cc_local - ci_k, 1 - ci_k)
-    if cc_local >= ci_k:
-        return _branch(cc_local - ci_k, 1 - ci_k)
-    return -_branch(ci_k - cc_local, ci_k)
+    g = g_component(cc_local, ci_k)
+    if (Fraction(cc_global) < ci_k) != (Fraction(cc_local) < ci_k):
+        return -g
+    return g
 
 
 def _cc4(values) -> tuple[Optional[Fraction], ...]:
@@ -137,28 +129,34 @@ def _cc4(values) -> tuple[Optional[Fraction], ...]:
     return tuple(None if v is None else Fraction(v) for v in values)
 
 
-def _midpoints(bands) -> tuple[Optional[Fraction], ...]:
-    out = []
-    for b in bands:
-        if b is None:
-            out.append(None)
-        elif isinstance(b, CIBand):
-            out.append(b.midpoint)
-        else:
-            out.append(Fraction(b))
-    return tuple(out)
+def _bands(bands) -> tuple[Optional[CIBand], ...]:
+    """Bands as CIBands; a raw number is a band with only its midpoint."""
+    return tuple(
+        b if (b is None or isinstance(b, CIBand)) else CIBand(midpoint=Fraction(b))
+        for b in bands
+    )
+
+
+def _node_score(local, global_cc, bands, literal_divisor) -> tuple[Optional[Fraction], int]:
+    """(ds_node score, count of classes with global, local and band all defined)."""
+    comps = [
+        f_component(g, l, b.midpoint)
+        for g, l, b in zip(global_cc, local, bands)
+        if g is not None and l is not None and b is not None
+    ]
+    if not comps:
+        return None, 0
+    divisor = 4 if literal_divisor else len(comps)
+    return sum(comps, Fraction(0)) / divisor, len(comps)
 
 
 def ds_global(global_cc, ci) -> Fraction:
-    """Mean g_component over classes defined on both sides of the comparison."""
+    """Mean g_component over the defined classes: the network scored against itself."""
     cc = _cc4(global_cc)
-    mids = _midpoints(ci)
-    comps = [
-        g_component(c, m) for c, m in zip(cc, mids) if c is not None and m is not None
-    ]
-    if not comps:
+    score, _ = _node_score(cc, cc, _bands(ci), literal_divisor=False)
+    if score is None:
         raise AllUndefined("no class has both a coefficient and a midpoint")
-    return sum(comps, Fraction(0)) / len(comps)
+    return score
 
 
 def ds_node(local_cc, global_cc, ci, literal_divisor: bool = False) -> Optional[Fraction]:
@@ -167,18 +165,7 @@ def ds_node(local_cc, global_cc, ci, literal_divisor: bool = False) -> Optional[
     With literal_divisor=True undefined components contribute zero and
     the divisor stays 4.
     """
-    local = _cc4(local_cc)
-    cc = _cc4(global_cc)
-    mids = _midpoints(ci)
-    comps = [
-        f_component(g, l, m)
-        for g, l, m in zip(cc, local, mids)
-        if g is not None and l is not None and m is not None
-    ]
-    if not comps:
-        return None
-    divisor = 4 if literal_divisor else len(comps)
-    return sum(comps, Fraction(0)) / divisor
+    return _node_score(_cc4(local_cc), _cc4(global_cc), _bands(ci), literal_divisor)[0]
 
 
 def direction_of(local: Optional[Fraction], band: Optional[CIBand]) -> Optional[str]:
@@ -207,44 +194,33 @@ def classify(
     A node is influential when its score is defined and exceeds the
     global score; it is an anti-driver when its score is negative.
     """
-    bands = tuple(
-        b if (b is None or isinstance(b, CIBand)) else CIBand(midpoint=Fraction(b))
-        for b in bands
-    )
+    bands = _bands(bands)
     c = census_result if census_result is not None else census(g, side)
     gp = global_profile(c, semantics)
     ds_g = ds_global(gp, bands)
     labels = g.labels(side)
     degrees = g.degree_sequence(side)
-    mids = _midpoints(bands)
     nodes = []
     for i in range(c.node_count):
         lp = local_profile(c, i, semantics)
-        comps_defined = sum(
-            1
-            for gk, lk, mk in zip(gp.cc, lp.cc, mids)
-            if gk is not None and lk is not None and mk is not None
-        )
-        ds = ds_node(lp, gp, bands, literal_divisor)
+        ds, defined = _node_score(lp.cc, gp.cc, bands, literal_divisor)
         directions = tuple(
             direction_of(lk, b) for lk, b in zip(lp.cc, bands)
         )
         nodes.append(
             NodeScore(
-                index=i,
                 label=labels[i],
                 degree=degrees[i],
                 local_cc=lp.cc,
                 directions=directions,
                 ds=ds,
-                defined_component_count=comps_defined,
+                defined_component_count=defined,
                 influential=ds is not None and ds > ds_g,
                 anti_driver=ds is not None and ds < 0,
             )
         )
     return DrivingScoreReport(
         side=side,
-        bands=bands,
         global_cc=gp,
         ds_global=ds_g,
         nodes=tuple(nodes),

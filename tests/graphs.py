@@ -2,6 +2,8 @@
 
 import random
 
+from hypothesis import strategies as st
+
 from bimotif import BipartiteGraph, from_edge_list, from_indexed_edges
 
 RING_EDGES = [
@@ -53,6 +55,20 @@ def divisor_gadget() -> BipartiteGraph:
 def random_bipartite(rng: random.Random, na: int, ns: int, density: float) -> BipartiteGraph:
     m = max(1, round(density * na * ns))
     cells = rng.sample(range(na * ns), m)
+    return from_indexed_edges(
+        [f"p{i}" for i in range(na)],
+        [f"s{j}" for j in range(ns)],
+        [divmod(c, ns) for c in cells],
+    )
+
+
+@st.composite
+def small_graphs(draw, max_side: int) -> BipartiteGraph:
+    """Up to ``max_side`` nodes per side; the edge count, and so the density, is drawn first."""
+    na = draw(st.integers(1, max_side))
+    ns = draw(st.integers(1, max_side))
+    m = draw(st.integers(0, na * ns))
+    cells = draw(st.permutations(range(na * ns)))[:m]
     return from_indexed_edges(
         [f"p{i}" for i in range(na)],
         [f"s{j}" for j in range(ns)],

@@ -2,10 +2,9 @@ import random
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from bimotif import Side, SixCycleClass, census, from_indexed_edges, mirror, opsahl
-from graphs import c6, divisor_gadget, k33, random_bipartite, ring_plus_chords
+from bimotif import Side, SixCycleClass, census, mirror, opsahl
+from graphs import c6, divisor_gadget, k33, random_bipartite, ring_plus_chords, small_graphs
 from oracles import (
     NotAPath,
     TooLarge,
@@ -129,22 +128,8 @@ def test_census_equals_brute_force_small_batch():
             assert census(g, side) == brute_force_census(g, side)
 
 
-@st.composite
-def _small_graphs(draw):
-    """Up to 8 nodes per side; the edge count, and so the density, is drawn first."""
-    na = draw(st.integers(1, 8))
-    ns = draw(st.integers(1, 8))
-    m = draw(st.integers(0, na * ns))
-    cells = draw(st.permutations(range(na * ns)))[:m]
-    return from_indexed_edges(
-        [f"p{i}" for i in range(na)],
-        [f"s{j}" for j in range(ns)],
-        [divmod(c, ns) for c in cells],
-    )
-
-
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
-@given(g=_small_graphs())
+@given(g=small_graphs(max_side=8))
 def test_census_equals_brute_force_property(g):
     for side in (Side.PRIMARY, Side.SECONDARY):
         assert census(g, side) == brute_force_census(g, side)

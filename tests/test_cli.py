@@ -259,6 +259,22 @@ def test_failed_report_writes_nothing(tmp_path):
     assert {name: (out / name).read_bytes() for name in OUTPUTS} == before
 
 
+def test_failed_write_keeps_earlier_files_whole(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    argv = ["report", "--input", WOMEN, "--runs", "5", "--out", str(out)]
+    assert main(argv + ["--seed", "2"]) == 0
+    before = {name: (out / name).read_bytes() for name in OUTPUTS}
+
+    def write_then_fail(f, stats):
+        f.write("replica,cc0,cc1\n0,")
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(bimotif.cli, "_write_replicas_csv", write_then_fail)
+    # another seed, so an overwritten report.json or nodes.csv would differ
+    assert main(argv + ["--seed", "3"]) == 1
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 def test_semantics_flag_changes_output(tmp_path):
     outs = {}
     for semantics in ("configuration", "pair-count"):

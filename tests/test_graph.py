@@ -7,7 +7,6 @@ from bimotif import (
     DimensionMismatch,
     EmptyInput,
     MalformedInput,
-    NodeRef,
     NonBinaryEntry,
     Side,
     detect_format,
@@ -104,13 +103,6 @@ def test_mirror_swaps_roles(davis):
     assert m.primary_labels == davis.secondary_labels
     assert m.adjacency_primary == davis.adjacency_secondary
     assert mirror(m) == davis
-
-
-def test_neighbors_by_ref(davis):
-    flora = davis.primary_labels.index("Flora")
-    assert len(davis.neighbors(NodeRef(Side.PRIMARY, flora))) == 2
-    with pytest.raises(IndexError):
-        davis.neighbors(NodeRef(Side.PRIMARY, 99))
 
 
 def test_bundled_fixture_shape(davis):

@@ -3,8 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bimotif import (
+    SEMANTICS,
     AllUndefined,
     CIBand,
     DegenerateMidpoint,
@@ -33,7 +36,7 @@ from expected_values import (
     NOORDIN_MIDPOINTS,
     NOORDIN_ROWS,
 )
-from graphs import k33
+from graphs import k33, small_graphs
 from oracles import f_branches, g_branches
 
 
@@ -174,6 +177,50 @@ def test_classify_zero_scores_when_bands_match_locals():
         assert node.ds == 0
         assert not node.influential
         assert not node.anti_driver
+
+
+_MIDPOINTS = st.integers(1, 99).map(lambda n: Fraction(n, 100))
+
+
+@st.composite
+def _ci_bands(draw) -> CIBand:
+    mid = draw(_MIDPOINTS)
+    low = draw(st.none() | st.fractions(max_value=mid))
+    high = draw(st.none() | st.fractions(min_value=mid))
+    return CIBand(mid, low, high)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(
+    g=small_graphs(max_side=6),
+    bands=st.lists(st.none() | _MIDPOINTS | _ci_bands(), min_size=4, max_size=4),
+)
+def test_aggregation_matches_branch_oracles(g, bands):
+    mids = [b.midpoint if isinstance(b, CIBand) else b for b in bands]
+    c = census(g)
+    for semantics in SEMANTICS:
+        gp = global_profile(c, semantics)
+        on_global = [k for k in range(4) if gp.cc[k] is not None and mids[k] is not None]
+        if not on_global:
+            with pytest.raises(AllUndefined):
+                ds_global(gp, bands)
+            with pytest.raises(AllUndefined):
+                classify(g, bands, semantics=semantics)
+            continue
+        expected_global = sum(g_branches(gp.cc[k], mids[k]) for k in on_global) / len(on_global)
+        assert ds_global(gp, bands) == expected_global
+        for literal in (False, True):
+            report = classify(g, bands, semantics=semantics, literal_divisor=literal)
+            assert report.ds_global == expected_global
+            for i, node in enumerate(report.nodes):
+                local = local_profile(c, i, semantics).cc
+                assert node.local_cc == local
+                defined = [k for k in on_global if local[k] is not None]
+                assert node.defined_component_count == len(defined)
+                total = sum((f_branches(gp.cc[k], local[k], mids[k]) for k in defined), Fraction(0))
+                expected = total / (4 if literal else len(defined)) if defined else None
+                assert node.ds == expected
+                assert ds_node(local, gp, bands, literal) == expected
 
 
 def test_load_ci_bands_midpoint_file(tmp_path):
