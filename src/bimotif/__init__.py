@@ -9,7 +9,7 @@ four clustering coefficients with :func:`global_profile` and
 
 __version__ = "0.1.0"
 
-from .census import MotifCensus, OpsahlStats, SixCycleClass, census, opsahl
+from .census import CensusTooLarge, MotifCensus, OpsahlStats, SixCycleClass, census, opsahl
 from .coefficients import (
     SEMANTICS,
     ClusteringProfile,
@@ -88,6 +88,7 @@ __all__ = [
     "OpsahlStats",
     "census",
     "opsahl",
+    "CensusTooLarge",
     "SEMANTICS",
     "ClusteringProfile",
     "global_profile",

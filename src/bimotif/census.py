@@ -1,6 +1,6 @@
 """4-path and 6-cycle census for two-mode graphs.
 
-The analysis walks every 4-path (v0-w0-v1-w1-v2) whose three outer
+The analysis counts every 4-path (v0-w0-v1-w1-v2) whose three outer
 nodes sit on the analysis side, classifies it by how many of the two
 possible extra edges (v0-w1, v2-w0) are present, and looks for closing
 nodes w2 adjacent to both ends.  A closure turns the path into a
@@ -22,21 +22,75 @@ The configuration level is what the clustering coefficients use by
 default; the path level feeds the alternate closure policies and the
 reference measure.
 
-The traversal counts each quantity once: per-node configurations,
-path closures, (path, closure) pairs, closed paths, and configuration
-closures of classes 1-3.  Path counts, configuration totals and
-class-0 configuration closures are derived from those.
+Region algebra.  Every count is a sum over triples of analysis nodes:
+a center c and an unordered pair of ends {i, j}.  With N the
+neighbourhoods, A the biadjacency and D = A·Aᵀ the co-degrees, write
+x = D_ci, y = D_cj, z = D_ij and t = |N_c ∩ N_i ∩ N_j|.  The four
+regions a = x − t, b = y − t, f = z − t and t decide everything:
+
+* c has ab class-0 paths with these ends, t(a+b) class-1 paths and
+  t(t−1) class-2 paths.  Each class-0 and class-1 path is one
+  configuration at c; a class-2 configuration has two paths at c, so
+  there are C(t, 2) of them.
+* A path of class e closes flat through the f region (f closing nodes)
+  and up through the t region less its own vias (t − e nodes).
+* A class-1 configuration of the term tb has the centers c and j; it
+  closes to class 1 when f > 0 or a > 0, and the ta term likewise with
+  b.  Both close to class 2 when t > 1.  A class-2 configuration closes
+  to class 2 when a, b or f is positive, and to class 3 when t > 2.
+
+:func:`_terms` states these per-triple counts g(a, b, f, t) once.  The
+kernel sums each g over all triples in three parts:
+
+1. The sum of g(x, y, z, 0) over every triple.  At t = 0 only xy,
+   xy·[z > 0] and xyz survive, and per center they are closed forms in
+   matrix products over the opposite side, taken a block of analysis
+   rows at a time.
+2. For each opposite node w, the sum over the triples inside N(w) of
+   g(·, 1) − g(·, 0), so a triple with t ≥ 1 is counted t times.  Per
+   w these are row sums over the co-degree block of N(w) and one
+   product of two such blocks: a hub costs one d×d block, not C(d, 3)
+   triples.
+3. For each triple with t ≥ 2, g(t) − g(0) − t·(g(1) − g(0)).  These
+   triples are listed explicitly, each once as p < q < r with every
+   two of them sharing at least two neighbours, and evaluated in
+   batches.
+
+All arithmetic is on integers, in int64 or in floating-point products
+whose values are integers small enough to be exact;
+:func:`_check_exact` refuses a graph whose degrees could break that.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
-from math import comb
 from typing import Optional
 
+import numpy as np
+
+from .errors import BimotifError
 from .graph import BipartiteGraph, Side
+
+# Analysis rows per block of the t = 0 products.
+_ROW_BLOCK = 16
+# Array entries per stacked block in parts 2 and 3.
+_STACK = 1 << 13
+# Candidate triples per evaluated batch (part 3).
+_TRIPLE_BATCH = 512
+# Integers up to these bounds are exact in float64 and float32.
+_EXACT64 = 1 << 53
+_EXACT32 = 1 << 24
+
+# Rows of the per-triple counts, see _terms.
+(_K0, _K1, _K2, _P0, _U0, _V1, _U1, _V2, _K3,
+ _Q0, _Q1, _Q2, _Q3, _ANY, _S1, _S2) = range(16)
+
+
+class CensusTooLarge(BimotifError):
+    """The graph is too large for the census to count exactly or in memory."""
 
 
 class SixCycleClass(IntEnum):
@@ -56,9 +110,8 @@ class MotifCensus:
     totals are deduplicated (a configuration with several centers is
     counted once globally), so they are stored explicitly.
 
-    ``path_counts``, ``config_totals`` and class 0 of ``config_closed``
-    and ``config_closed_totals`` are derived from the counted fields,
-    and stored like them.
+    Every field is assembled from the per-node sums of the counts in
+    :func:`_terms`.
     """
 
     path_counts: tuple[tuple[int, int, int], ...]
@@ -110,170 +163,307 @@ class OpsahlStats:
     per_node_c: tuple[Optional[Fraction], ...]
 
 
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
+def _terms(a, b, f, t):
+    """Per-triple counts for the regions a, b, f, t of one center, one row each."""
+    ab = a * b
+    ts = t * (a + b)  # class-1 paths
+    tt = t * (t - 1)  # class-2 paths
+    flat = f > 0
+    rows = np.empty((16,) + ab.shape, dtype=np.int64)
+    rows[_K0] = ab  # class-0 configurations
+    rows[_K1] = ts  # class-1 configurations
+    rows[_K2] = tt // 2  # class-2 configurations
+    rows[_P0] = ab * flat  # class-0 paths closed flat
+    rows[_U0] = ab * (t > 0)  # class-0 paths closed up
+    rows[_V1] = ts * flat  # class-1 paths closed flat
+    rows[_U1] = ts * (t > 1)  # class-1 paths closed up
+    rows[_V2] = tt * flat  # class-2 paths closed flat
+    rows[_K3] = tt // 2 * (t > 2)  # class-2 configurations closed up
+    rows[_Q0] = ab * f  # (path, closing node) pairs of class 0-3
+    rows[_Q1] = ab * t + ts * f
+    rows[_Q2] = tt * (a + b + f)
+    rows[_Q3] = tt * (t - 2)
+    rows[_ANY] = ab * (f + t > 0) + ts * (f + t > 1) + tt * (f + t > 2)  # paths closed
+    rows[_S1] = t * (b * (flat | (a > 0)) + a * (flat | (b > 0)))  # class-1 configurations closed flat
+    rows[_S2] = tt // 2 * (flat | (a > 0) | (b > 0))  # class-2 configurations closed flat
+    return rows
+
+
+def _check_exact(na: int, max_degree: int, max_opposite_degree: int) -> None:
+    """Raise :class:`CensusTooLarge` unless every count stays an exact integer.
+
+    A center has at most ``reach`` = min(na, max_degree · max_opposite_degree)
+    other analysis nodes within two steps, and every region size is at most
+    max_degree.  So every per-center sum, and every partial sum on the way
+    to it, is within a small factor (under 2¹⁰) of
+    max_degree³ · (reach + 1)²; below 2⁵³ that is exact in float64 and
+    cannot overflow int64.  The common-neighbour counts kept in float32
+    are at most max_opposite_degree, exact below 2²⁴.
+    """
+    reach = min(na, max_degree * max_opposite_degree)
+    if (max_degree ** 3 * (reach + 1) ** 2 >= _EXACT64
+            or max_opposite_degree >= _EXACT32):
+        raise CensusTooLarge(
+            f"graph too large to count exactly: {na} analysis nodes, maximum "
+            f"degrees {max_degree} and {max_opposite_degree}"
+        )
+
+
+def _popcount(words):
+    return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
+
+
+def _words(bits):
+    """Rows of a boolean matrix as bit sets packed into uint64 words."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    words = np.zeros((len(bits), -(-packed.shape[1] // 8)), dtype=np.uint64)
+    words.view(np.uint8)[:, :packed.shape[1]] = packed
+    return words
+
+
+def _overlaps(a, b):
+    """|a_i ∩ b_j| for bit-set rows a (..., n, w) and b (..., m, w), as (..., n, m)."""
+    out = np.zeros(a.shape[:-1] + b.shape[-2:-1], dtype=np.int64)
+    for k in range(a.shape[-1]):
+        out += np.bitwise_count(a[..., :, None, k] & b[..., None, :, k])
     return out
+
+
+def _rows_used(block, ns):
+    """Rows of A for a block of bit-set rows, as float64, restricted to the columns they use."""
+    rows = np.unpackbits(block.view(np.uint8), axis=1, count=ns, bitorder="little")
+    used = np.flatnonzero(rows.any(0))
+    return rows[:, used].astype(np.float64), used
+
+
+def _add_closed_forms(acc, words, opposite_words) -> None:
+    """Part 1: add the sum of g(x, y, z, 0) over all end pairs of each center.
+
+    Per center c, with r1 and s2 the sums of D_ci and D_ci² over i ≠ c:
+    the sum of xy is (r1² − s2)/2, of xyz is ((D³)_cc − Σ_i D_ci²·deg_i
+    − 2·deg_c·s2)/2, and of xy·[z > 0] is ((D·K·D)_cc − 2·deg_c·r1)/2 with
+    K = [D > 0] off the diagonal.  (D³)_cc = |Aᵀ·A·a_c|² and
+    (D·K·D)_cc = a_cᵀ·(Aᵀ·K·A)·a_c, so no na×na array is formed.
+    """
+    na, ns = len(words), len(opposite_words)
+    gram = np.empty((ns, ns), dtype=np.float32)  # AᵀA: common neighbours of opposite nodes
+    for lo in range(0, ns, _ROW_BLOCK):
+        gram[lo:lo + _ROW_BLOCK] = _overlaps(opposite_words[lo:lo + _ROW_BLOCK], opposite_words)
+    deg = _popcount(words)
+    sq, wdeg, reach = (np.empty(na, dtype=np.int64) for _ in range(3))
+    cube, shared_quad = np.empty(na), np.empty(na)
+    shared_pairs = np.zeros((ns, ns))  # Aᵀ·K·A
+    for lo in range(0, na, _ROW_BLOCK):
+        block = words[lo:lo + _ROW_BLOCK]
+        n = len(block)
+        rows, used = _rows_used(block, ns)
+        y = rows @ gram[used].astype(np.float64)
+        cube[lo:lo + n] = (y * y).sum(1)
+        co = _overlaps(block, words)  # rows of D
+        co2 = co * co
+        sq[lo:lo + n] = co2.sum(1)
+        wdeg[lo:lo + n] = co2 @ deg
+        reach[lo:lo + n] = co.sum(1)
+        shared = co > 0
+        shared[np.arange(n), np.arange(lo, lo + n)] = False
+        # row c of K·A: the neighbours of each opposite node within two steps of c
+        near = _overlaps(_words(shared), opposite_words).astype(np.float64)
+        shared_pairs[used] += rows.T @ near
+    for lo in range(0, na, _ROW_BLOCK):
+        rows, used = _rows_used(words[lo:lo + _ROW_BLOCK], ns)
+        shared_quad[lo:lo + len(rows)] = ((rows @ shared_pairs[np.ix_(used, used)]) * rows).sum(1)
+    r1 = reach - deg
+    s2 = sq - deg * deg
+    xy_shared = (shared_quad.astype(np.int64) - 2 * deg * r1) // 2
+    acc[_K0] += (r1 * r1 - s2) // 2
+    acc[_P0] += xy_shared
+    acc[_ANY] += xy_shared
+    acc[_Q0] += (cube.astype(np.int64) - wdeg - 2 * deg * s2) // 2
+
+
+def _stacks(hoods):
+    """Consecutive runs of ``hoods`` (sorted by size) whose padded d×d blocks fit _STACK."""
+    run = []
+    for nbrs in hoods:
+        if run and (len(run) + 1) * len(nbrs) ** 2 > _STACK:
+            yield run
+            run = []
+        run.append(nbrs)
+    if run:
+        yield run
+
+
+def _add_single_shares(acc, words, opposite) -> None:
+    """Part 2: add g(·, 1) − g(·, 0) over the triples inside each N(w).
+
+    Per w of degree d: X is the co-degree block of N(w), Ā = X − 1 and
+    F = [X ≥ 2] off the diagonal.  For a triple (c; i, j) inside N(w),
+    taken with t = 1, a = Ā_ci, b = Ā_cj, f = Ā_ij, [a > 0] = F_ci and
+    [f > 0] = F_ij, so every sum over the end pairs of c is a row sum
+    of Ā, F and the product ĀF.  Neighbourhoods are stacked in order
+    of size and padded with node na, which has no neighbours: its
+    entries of X are 0, so Ā and F are 0 there too.
+    """
+    na = len(words)
+    padded = np.vstack([words, np.zeros((1, words.shape[1]), dtype=np.uint64)])
+    cols = (_K0, _K1, _P0, _U0, _V1, _Q0, _Q1, _ANY, _S1)
+    for run in _stacks(sorted((n for n in opposite if len(n) >= 3), key=len)):
+        width = len(run[-1])
+        members = np.full((len(run), width), na)
+        for k, nbrs in enumerate(run):
+            members[k, :len(nbrs)] = nbrs
+        d = np.array([len(n) for n in run])[:, None]
+        pairs = (d - 1) * (d - 2) // 2  # end pairs of each center
+        block = padded[members]
+        abar = _overlaps(block, block)
+        diag = np.arange(width)
+        abar[:, diag, diag] = 1
+        flat = (abar >= 2).astype(np.int64)
+        abar -= 1
+        np.maximum(abar, 0, out=abar)
+        prod = abar @ flat
+        r = abar.sum(2)
+        q = flat.sum(2)
+        aa = np.einsum("kij,kij->ki", abar, abar)
+        af = np.einsum("kij,kij->ki", abar, flat)
+        aq = prod.sum(2)
+        u_ab = (r * r - aa) // 2  # ab
+        u_s = (d - 2) * r  # a + b
+        u_f = r.sum(1, keepdims=True) // 2 - r  # f
+        u_sflat = aq - af  # (a + b)[f > 0]
+        u_sf = np.einsum("kij,kj->ki", abar, r) - aa  # (a + b)f
+        u_xy = u_ab + u_s + pairs
+        delta = np.stack([
+            -(u_s + pairs),
+            u_s,
+            np.einsum("kij,kij->ki", prod, abar) // 2 - u_xy,
+            u_ab,
+            u_sflat,
+            -(u_ab + u_sf + u_s + u_f + pairs),
+            u_ab + u_sf,
+            u_sflat - u_s - pairs,
+            aq + r * q - 2 * af - np.einsum("kij,kij->ki", prod, flat),
+        ])
+        real = members < na
+        centers = members[real]
+        for col, values in zip(cols, delta):
+            np.add.at(acc[col], centers, values[real])
+
+
+def _deep_triples(words):
+    """(triples p < q < r, their t) for every triple with t ≥ 2.
+
+    Any two nodes of such a triple share at least two neighbours.  For
+    a block of first nodes p, the pairs p < q that do are matched, a
+    chunk at a time, against every later node that does so with some p
+    of the block.
+    """
+    na = len(words)
+    for lo in range(0, na, _ROW_BLOCK):
+        twice = np.triu(_overlaps(words[lo:lo + _ROW_BLOCK], words) >= 2, lo + 1)
+        p, q = np.nonzero(twice)
+        p += lo
+        later = np.flatnonzero(twice.any(0))
+        step = max(1, _STACK // max(1, len(later)))
+        for k in range(0, len(p), step):
+            ps, qs = p[k:k + step], q[k:k + step]
+            t = _overlaps(words[ps] & words[qs], words[later])  # |N_p ∩ N_q ∩ N_r|
+            i, r = np.nonzero((t >= 2) & (later > qs[:, None]))
+            yield np.stack([ps[i], qs[i], later[r]], axis=1), t[i, r]
+
+
+def _batches(chunks):
+    """Re-cut chunks of equal-length arrays into batches of _TRIPLE_BATCH rows."""
+    held, count = [], 0
+    for chunk in chunks:
+        held.append(chunk)
+        count += len(chunk[0])
+        while count >= _TRIPLE_BATCH:
+            joined = tuple(map(np.concatenate, zip(*held)))
+            yield tuple(a[:_TRIPLE_BATCH] for a in joined)
+            held = [tuple(a[_TRIPLE_BATCH:] for a in joined)]
+            count -= _TRIPLE_BATCH
+    if count:
+        yield tuple(map(np.concatenate, zip(*held)))
+
+
+def _add_deep_triples(acc, words) -> None:
+    """Part 3: add g(t) − g(0) − t·(g(1) − g(0)) for every triple with t ≥ 2."""
+    for tri, t in _batches(_deep_triples(words)):
+        rows = words[tri]
+        pq = _popcount(rows[:, 0] & rows[:, 1])
+        pr = _popcount(rows[:, 0] & rows[:, 2])
+        qr = _popcount(rows[:, 1] & rows[:, 2])
+        # centers p, q, r in turn: (x, y, z) = (D_ci, D_cj, D_ij)
+        x = np.concatenate([pq, pq, pr])
+        y = np.concatenate([pr, qr, qr])
+        z = np.concatenate([qr, pr, pq])
+        t = np.tile(t, 3)
+        zero = _terms(x, y, z, np.zeros_like(t))
+        deep = _terms(x - t, y - t, z - t, t)
+        deep -= zero
+        one = _terms(x - 1, y - 1, z - 1, np.ones_like(t))
+        one -= zero
+        one *= t
+        deep -= one
+        centers = tri.T.ravel()
+        for row, values in zip(acc, deep):
+            np.add.at(row, centers, values)
+
+
+def _per_node(columns) -> tuple:
+    return tuple(map(tuple, np.stack(columns, axis=1).tolist()))
+
+
+def _count(adj, opposite):
+    """The per-center sums of every row of :func:`_terms`, as a 16×na array."""
+    na, ns = len(adj), len(opposite)
+    bits = np.zeros((na, ns), dtype=bool)
+    bits[np.repeat(np.arange(na), [len(n) for n in adj]),
+         list(itertools.chain.from_iterable(adj))] = True
+    words, opposite_words = _words(bits), _words(bits.T)
+    del bits
+    acc = np.zeros((16, na), dtype=np.int64)
+    _add_closed_forms(acc, words, opposite_words)
+    _add_single_shares(acc, words, opposite)
+    _add_deep_triples(acc, words)
+    return acc
 
 
 def census(g: BipartiteGraph, side: Side = Side.PRIMARY) -> MotifCensus:
     """Count paths, configurations and their closures for one side.
 
-    Single pass over pairs of opposite-side nodes.  For a pair
-    (w0, w1): B holds the analysis nodes adjacent to both (the possible
-    centers), U0/U1 those adjacent to only one (the possible ends).
-    Every configuration on the pair is then one of: center + one end
-    from each U (class 0), two centers + one end (class 1), or three
-    centers (class 2).
+    Sums the per-triple counts of :func:`_terms` over every center and
+    pair of ends, in the three parts the module docstring describes.
+    Raises :class:`CensusTooLarge` when the counts could not be exact,
+    or when the arrays do not fit in memory.
     """
-    na = g.node_count(side)
-    adj_a = [0] * na
-    for i, nbrs in enumerate(g.adjacency(side)):
-        for w in nbrs:
-            adj_a[i] |= 1 << w
-    other = g.adjacency(side.other())
-    ns = len(other)
-    adj_w = [0] * ns
-    for w, nbrs in enumerate(other):
-        for i in nbrs:
-            adj_w[w] |= 1 << i
+    adj = g.adjacency(side)
+    opposite = g.adjacency(side.other())
+    na, ns = len(adj), len(opposite)
+    _check_exact(na, max(map(len, adj), default=0), max(map(len, opposite), default=0))
+    try:
+        acc = _count(adj, opposite)
+    except MemoryError:
+        raise CensusTooLarge(
+            f"graph too large to count in memory: {na} analysis and {ns} opposite nodes"
+        ) from None
 
-    path_closed = [[0, 0, 0, 0] for _ in range(na)]
-    pairs = [[0, 0, 0, 0] for _ in range(na)]
-    path_any = [0] * na
-    configs = [[0, 0, 0] for _ in range(na)]
-    # class-0 configuration closures (column 0) are derived after the loop
-    config_closed = [[0, 0, 0, 0] for _ in range(na)]
-    closed_totals = [0, 0, 0, 0]
-
-    for w0 in range(ns):
-        m0 = adj_w[w0]
-        for w1 in range(w0 + 1, ns):
-            m1 = adj_w[w1]
-            both = m0 & m1
-            if not both:
-                continue
-            excl = ~((1 << w0) | (1 << w1))
-            bl = _bits(both)
-            u0l = _bits(m0 & ~m1)
-            u1l = _bits(m1 & ~m0)
-            nb = len(bl)
-            n0 = len(u0l)
-            n1 = len(u1l)
-
-            for c in bl:
-                configs[c][0] += n0 * n1
-                configs[c][1] += (nb - 1) * (n0 + n1)
-                configs[c][2] += comb(nb - 1, 2)
-
-            # class 0: one center, one end on each branch, one path
-            for x in u0l:
-                ax = adj_a[x]
-                for y in u1l:
-                    common = ax & adj_a[y] & excl
-                    if not common:
-                        continue
-                    for c in bl:
-                        flat = common & ~adj_a[c]
-                        up = common & adj_a[c]
-                        path_any[c] += 1
-                        if flat:
-                            path_closed[c][0] += 1
-                            pairs[c][0] += flat.bit_count()
-                        if up:
-                            closed_totals[1] += 1
-                            config_closed[c][1] += 1
-                            path_closed[c][1] += 1
-                            pairs[c][1] += up.bit_count()
-
-            # class 1: two centers and one end; two internal paths,
-            # one per choice of center.  A closing node adjacent to
-            # both centers lifts both paths, so they share one mask.
-            if nb >= 2 and (n0 or n1):
-                ul = u0l + u1l
-                for i in range(nb):
-                    c1 = bl[i]
-                    a1 = adj_a[c1]
-                    for j in range(i + 1, nb):
-                        c2 = bl[j]
-                        a2 = adj_a[c2]
-                        for u in ul:
-                            au = adj_a[u] & excl
-                            up = a1 & a2 & au
-                            flat1 = a2 & au & ~a1  # path centered at c1
-                            flat2 = a1 & au & ~a2  # path centered at c2
-                            for c, flat in ((c1, flat1), (c2, flat2)):
-                                if flat or up:
-                                    path_any[c] += 1
-                                if flat:
-                                    path_closed[c][1] += 1
-                                    pairs[c][1] += flat.bit_count()
-                                if up:
-                                    path_closed[c][2] += 1
-                                    pairs[c][2] += up.bit_count()
-                            if flat1 or flat2:
-                                closed_totals[1] += 1
-                                config_closed[c1][1] += 1
-                                config_closed[c2][1] += 1
-                            if up:
-                                closed_totals[2] += 1
-                                config_closed[c1][2] += 1
-                                config_closed[c2][2] += 1
-
-            # class 2: three centers; each center yields two paths that
-            # differ only in via orientation, so tallies go up in twos.
-            # A closing node adjacent to all three lifts every path.
-            if nb >= 3:
-                for ti in range(nb):
-                    ax = adj_a[bl[ti]]
-                    for tj in range(ti + 1, nb):
-                        ay = adj_a[bl[tj]]
-                        for tk in range(tj + 1, nb):
-                            az = adj_a[bl[tk]]
-                            triple = (bl[ti], bl[tj], bl[tk])
-                            up = ax & ay & az & excl
-                            flats = (
-                                ay & az & excl & ~ax,
-                                ax & az & excl & ~ay,
-                                ax & ay & excl & ~az,
-                            )
-                            for z, flat in zip(triple, flats):
-                                if flat or up:
-                                    path_any[z] += 2
-                                if flat:
-                                    path_closed[z][2] += 2
-                                    pairs[z][2] += 2 * flat.bit_count()
-                                if up:
-                                    path_closed[z][3] += 2
-                                    pairs[z][3] += 2 * up.bit_count()
-                            if any(flats):
-                                closed_totals[2] += 1
-                                for z in triple:
-                                    config_closed[z][2] += 1
-                            if up:
-                                closed_totals[3] += 1
-                                for z in triple:
-                                    config_closed[z][3] += 1
-
-    # A class-0 configuration has one center and one path, so it closes
-    # to class 0 exactly when that path does.  A class-e configuration
-    # is anchored at each of its e+1 centers, so the per-node sums count
-    # it e+1 times.  Each center has one path per configuration in
-    # classes 0 and 1, and two in class 2.
-    flat_closed = [r[0] for r in path_closed]
-    closed_totals[0] = sum(flat_closed)
+    sums = [sum(row) for row in acc.tolist()]
     return MotifCensus(
-        path_counts=tuple((r[0], r[1], 2 * r[2]) for r in configs),
-        path_closed=tuple(tuple(r) for r in path_closed),
-        closure_pairs=tuple(tuple(r) for r in pairs),
-        path_closed_any=tuple(path_any),
-        config_counts=tuple(tuple(r) for r in configs),
-        config_closed=tuple((k, *r[1:]) for k, r in zip(flat_closed, config_closed)),
-        config_totals=tuple(sum(r[e] for r in configs) // (e + 1) for e in range(3)),
-        config_closed_totals=tuple(closed_totals),
+        path_counts=_per_node([acc[_K0], acc[_K1], 2 * acc[_K2]]),
+        path_closed=_per_node([acc[_P0], acc[_U0] + acc[_V1], acc[_U1] + acc[_V2], 2 * acc[_K3]]),
+        closure_pairs=_per_node([acc[_Q0], acc[_Q1], acc[_Q2], acc[_Q3]]),
+        path_closed_any=tuple(acc[_ANY].tolist()),
+        config_counts=_per_node([acc[_K0], acc[_K1], acc[_K2]]),
+        config_closed=_per_node([acc[_P0], acc[_U0] + acc[_S1], acc[_U1] + acc[_S2], acc[_K3]]),
+        config_totals=(sums[_K0], sums[_K1] // 2, sums[_K2] // 3),
+        config_closed_totals=(
+            sums[_P0],
+            sums[_U0] + sums[_S1] // 2,
+            sums[_U1] // 2 + sums[_S2] // 3,
+            sums[_K3] // 3,
+        ),
     )
 
 

@@ -62,6 +62,17 @@ def random_bipartite(rng: random.Random, na: int, ns: int, density: float) -> Bi
     )
 
 
+def hub_graph(rng: random.Random, na: int, ns: int, density: float) -> BipartiteGraph:
+    """A random graph whose secondary s0 meets every primary node and s1 every other one."""
+    cells = {divmod(c, ns) for c in rng.sample(range(na * ns), round(density * na * ns))}
+    cells |= {(i, 0) for i in range(na)} | {(i, 1) for i in range(0, na, 2)}
+    return from_indexed_edges(
+        [f"p{i}" for i in range(na)],
+        [f"s{j}" for j in range(ns)],
+        sorted(cells),
+    )
+
+
 @st.composite
 def small_graphs(draw, max_side: int) -> BipartiteGraph:
     """Up to ``max_side`` nodes per side; the edge count, and so the density, is drawn first."""

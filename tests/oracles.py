@@ -2,10 +2,14 @@
 
 Everything here is written as directly as possible, with loop
 structures chosen to be different from the library's kernels.
+``pairwise_census`` is the package's earlier census kernel, a walk over
+pairs of opposite-side nodes; it is fast enough for graphs beyond the
+brute-force guard.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from bimotif import BipartiteGraph, MotifCensus, Side, SixCycleClass
 
@@ -172,6 +176,176 @@ def brute_force_census(g: BipartiteGraph, side: Side = Side.PRIMARY) -> MotifCen
         config_counts=tuple(tuple(r) for r in configs),
         config_closed=tuple(tuple(r) for r in config_closed),
         config_totals=tuple(config_totals),
+        config_closed_totals=tuple(closed_totals),
+    )
+
+
+def _bits(mask: int) -> list[int]:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def pairwise_census(g: BipartiteGraph, side: Side = Side.PRIMARY) -> MotifCensus:
+    """Count paths, configurations and their closures for one side.
+
+    The package's earlier kernel, kept as a fast oracle for graphs
+    beyond the brute-force guard.
+
+    Single pass over pairs of opposite-side nodes.  For a pair
+    (w0, w1): B holds the analysis nodes adjacent to both (the possible
+    centers), U0/U1 those adjacent to only one (the possible ends).
+    Every configuration on the pair is then one of: center + one end
+    from each U (class 0), two centers + one end (class 1), or three
+    centers (class 2).
+    """
+    na = g.node_count(side)
+    adj_a = [0] * na
+    for i, nbrs in enumerate(g.adjacency(side)):
+        for w in nbrs:
+            adj_a[i] |= 1 << w
+    other = g.adjacency(side.other())
+    ns = len(other)
+    adj_w = [0] * ns
+    for w, nbrs in enumerate(other):
+        for i in nbrs:
+            adj_w[w] |= 1 << i
+
+    path_closed = [[0, 0, 0, 0] for _ in range(na)]
+    pairs = [[0, 0, 0, 0] for _ in range(na)]
+    path_any = [0] * na
+    configs = [[0, 0, 0] for _ in range(na)]
+    # class-0 configuration closures (column 0) are derived after the loop
+    config_closed = [[0, 0, 0, 0] for _ in range(na)]
+    closed_totals = [0, 0, 0, 0]
+
+    for w0 in range(ns):
+        m0 = adj_w[w0]
+        for w1 in range(w0 + 1, ns):
+            m1 = adj_w[w1]
+            both = m0 & m1
+            if not both:
+                continue
+            excl = ~((1 << w0) | (1 << w1))
+            bl = _bits(both)
+            u0l = _bits(m0 & ~m1)
+            u1l = _bits(m1 & ~m0)
+            nb = len(bl)
+            n0 = len(u0l)
+            n1 = len(u1l)
+
+            for c in bl:
+                configs[c][0] += n0 * n1
+                configs[c][1] += (nb - 1) * (n0 + n1)
+                configs[c][2] += comb(nb - 1, 2)
+
+            # class 0: one center, one end on each branch, one path
+            for x in u0l:
+                ax = adj_a[x]
+                for y in u1l:
+                    common = ax & adj_a[y] & excl
+                    if not common:
+                        continue
+                    for c in bl:
+                        flat = common & ~adj_a[c]
+                        up = common & adj_a[c]
+                        path_any[c] += 1
+                        if flat:
+                            path_closed[c][0] += 1
+                            pairs[c][0] += flat.bit_count()
+                        if up:
+                            closed_totals[1] += 1
+                            config_closed[c][1] += 1
+                            path_closed[c][1] += 1
+                            pairs[c][1] += up.bit_count()
+
+            # class 1: two centers and one end; two internal paths,
+            # one per choice of center.  A closing node adjacent to
+            # both centers lifts both paths, so they share one mask.
+            if nb >= 2 and (n0 or n1):
+                ul = u0l + u1l
+                for i in range(nb):
+                    c1 = bl[i]
+                    a1 = adj_a[c1]
+                    for j in range(i + 1, nb):
+                        c2 = bl[j]
+                        a2 = adj_a[c2]
+                        for u in ul:
+                            au = adj_a[u] & excl
+                            up = a1 & a2 & au
+                            flat1 = a2 & au & ~a1  # path centered at c1
+                            flat2 = a1 & au & ~a2  # path centered at c2
+                            for c, flat in ((c1, flat1), (c2, flat2)):
+                                if flat or up:
+                                    path_any[c] += 1
+                                if flat:
+                                    path_closed[c][1] += 1
+                                    pairs[c][1] += flat.bit_count()
+                                if up:
+                                    path_closed[c][2] += 1
+                                    pairs[c][2] += up.bit_count()
+                            if flat1 or flat2:
+                                closed_totals[1] += 1
+                                config_closed[c1][1] += 1
+                                config_closed[c2][1] += 1
+                            if up:
+                                closed_totals[2] += 1
+                                config_closed[c1][2] += 1
+                                config_closed[c2][2] += 1
+
+            # class 2: three centers; each center yields two paths that
+            # differ only in via orientation, so tallies go up in twos.
+            # A closing node adjacent to all three lifts every path.
+            if nb >= 3:
+                for ti in range(nb):
+                    ax = adj_a[bl[ti]]
+                    for tj in range(ti + 1, nb):
+                        ay = adj_a[bl[tj]]
+                        for tk in range(tj + 1, nb):
+                            az = adj_a[bl[tk]]
+                            triple = (bl[ti], bl[tj], bl[tk])
+                            up = ax & ay & az & excl
+                            flats = (
+                                ay & az & excl & ~ax,
+                                ax & az & excl & ~ay,
+                                ax & ay & excl & ~az,
+                            )
+                            for z, flat in zip(triple, flats):
+                                if flat or up:
+                                    path_any[z] += 2
+                                if flat:
+                                    path_closed[z][2] += 2
+                                    pairs[z][2] += 2 * flat.bit_count()
+                                if up:
+                                    path_closed[z][3] += 2
+                                    pairs[z][3] += 2 * up.bit_count()
+                            if any(flats):
+                                closed_totals[2] += 1
+                                for z in triple:
+                                    config_closed[z][2] += 1
+                            if up:
+                                closed_totals[3] += 1
+                                for z in triple:
+                                    config_closed[z][3] += 1
+
+    # A class-0 configuration has one center and one path, so it closes
+    # to class 0 exactly when that path does.  A class-e configuration
+    # is anchored at each of its e+1 centers, so the per-node sums count
+    # it e+1 times.  Each center has one path per configuration in
+    # classes 0 and 1, and two in class 2.
+    flat_closed = [r[0] for r in path_closed]
+    closed_totals[0] = sum(flat_closed)
+    return MotifCensus(
+        path_counts=tuple((r[0], r[1], 2 * r[2]) for r in configs),
+        path_closed=tuple(tuple(r) for r in path_closed),
+        closure_pairs=tuple(tuple(r) for r in pairs),
+        path_closed_any=tuple(path_any),
+        config_counts=tuple(tuple(r) for r in configs),
+        config_closed=tuple((k, *r[1:]) for k, r in zip(flat_closed, config_closed)),
+        config_totals=tuple(sum(r[e] for r in configs) // (e + 1) for e in range(3)),
         config_closed_totals=tuple(closed_totals),
     )
 

@@ -1,10 +1,20 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 
-from bimotif import Side, SixCycleClass, census, mirror, opsahl
-from graphs import c6, divisor_gadget, k33, random_bipartite, ring_plus_chords, small_graphs
+from bimotif import CensusTooLarge, Side, SixCycleClass, census, mirror, opsahl
+from bimotif.census import _check_exact
+from graphs import (
+    c6,
+    divisor_gadget,
+    hub_graph,
+    k33,
+    random_bipartite,
+    ring_plus_chords,
+    small_graphs,
+)
 from oracles import (
     NotAPath,
     TooLarge,
@@ -13,6 +23,7 @@ from oracles import (
     classify_four_path,
     closures_of,
     naive_opsahl,
+    pairwise_census,
 )
 
 
@@ -133,6 +144,55 @@ def test_census_equals_brute_force_small_batch():
 def test_census_equals_brute_force_property(g):
     for side in (Side.PRIMARY, Side.SECONDARY):
         assert census(g, side) == brute_force_census(g, side)
+
+
+@pytest.mark.parametrize(
+    "na, ns, density",
+    [(17, 17, 1.0), (20, 23, 0.8), (17, 40, 0.6), (40, 17, 0.5), (40, 40, 0.3), (33, 29, 0.05)],
+)
+def test_census_equals_pairwise_oracle(na, ns, density):
+    # beyond the brute-force guard: the earlier kernel is the reference
+    g = random_bipartite(random.Random(na * ns), na, ns, density)
+    for side in (Side.PRIMARY, Side.SECONDARY):
+        assert census(g, side) == pairwise_census(g, side)
+
+
+def test_census_equals_pairwise_oracle_hubs_and_wide_rows():
+    rng = random.Random(6)
+    hubs = hub_graph(rng, 60, 40, 0.04)
+    # 150 opposite-side nodes: rows of three 64-bit words
+    wide = random_bipartite(rng, 24, 150, 0.08)
+    for g in (hubs, wide):
+        for side in (Side.PRIMARY, Side.SECONDARY):
+            assert census(g, side) == pairwise_census(g, side)
+
+
+@pytest.mark.parametrize(
+    "na, max_degree, max_opposite_degree, exact",
+    [
+        (0, 0, 0, True),
+        (1000, 10, 133, True),  # the shape of the hub-heavy benchmark input
+        (1022, 2048, 1, True),  # 2048³ · 1023² < 2⁵³
+        (1023, 2048, 1, False),  # 2048³ · 1024² = 2⁵³
+        (3, 1, 2**24 - 1, True),  # common-neighbour counts kept in float32
+        (3, 1, 2**24, False),
+    ],
+)
+def test_exactness_guard(na, max_degree, max_opposite_degree, exact):
+    if exact:
+        _check_exact(na, max_degree, max_opposite_degree)
+    else:
+        with pytest.raises(CensusTooLarge, match="too large to count exactly"):
+            _check_exact(na, max_degree, max_opposite_degree)
+
+
+def test_census_out_of_memory_is_census_too_large(monkeypatch):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(sys.modules["bimotif.census"], "_add_closed_forms", exhausted)
+    with pytest.raises(CensusTooLarge, match="too large to count in memory"):
+        census(c6())
 
 
 def test_side_symmetry():

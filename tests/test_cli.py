@@ -1,6 +1,10 @@
 import csv
 import json
+import os
+import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from importlib.resources import files
 from pathlib import Path
@@ -13,7 +17,7 @@ import bimotif
 from bimotif import BimotifError, Side
 from bimotif.cli import main
 from expected_values import INFLUENTIAL_PRIMARY, MIDPOINTS_PRIMARY
-from graphs import RING_EDGES
+from graphs import RING_EDGES, random_bipartite
 from oracles import naive_opsahl
 
 WOMEN = str(files("bimotif") / "data" / "southern_women.csv")
@@ -127,6 +131,25 @@ def test_replicas_independent_of_out_dir(tmp_path):
         ]
         assert main(argv) == 0
     assert (outs[0] / "replicas.csv").read_bytes() == (outs[1] / "replicas.csv").read_bytes()
+
+
+def test_analyze_independent_of_blas_threads(tmp_path):
+    # the census sums exact integers, so the summation order of a
+    # multi-threaded matrix product cannot change a count
+    g = random_bipartite(random.Random(40), 40, 40, 0.3)
+    path = tmp_path / "g.tsv"
+    path.write_text("".join(f"{a}\t{b}\n" for a, b in g.to_edge_list()), encoding="utf-8")
+    out = tmp_path / "out"
+    src = str(Path(bimotif.__file__).resolve().parents[1])
+    reports = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+        subprocess.run(
+            [sys.executable, "-m", "bimotif.cli", "analyze", "--input", str(path), "--out", str(out)],
+            env=env, check=True, timeout=120,
+        )
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_ensemble_outputs(tmp_path):
@@ -453,6 +476,16 @@ def test_exit_code_table(tmp_path, command, text, extra, code):
             path.write_text(text, encoding="utf-8")
         argv = ["analyze", "--input", str(path), "--out", str(tmp_path / "out")]
     assert main(argv) == code
+
+
+def test_exit_code_census_too_large(tmp_path, caplog, monkeypatch):
+    # shrink the exactness bound instead of building a huge graph
+    monkeypatch.setattr(sys.modules["bimotif.census"], "_EXACT64", 1000)
+    assert main(["analyze", "--input", WOMEN, "--out", str(tmp_path / "out")]) == 2
+    (record,) = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert "too large to count exactly" in record.getMessage()
+    assert "\n" not in record.getMessage()
+    assert not (tmp_path / "out" / "report.json").exists()
 
 
 def test_error_exit_codes_match_readme():
