@@ -44,8 +44,7 @@ kernel sums each g over all triples in three parts:
 
 1. The sum of g(x, y, z, 0) over every triple.  At t = 0 only xy,
    xy·[z > 0] and xyz survive, and per center they are closed forms in
-   matrix products over the opposite side, taken a block of analysis
-   rows at a time.
+   matrix products over the opposite side.
 2. For each opposite node w, the sum over the triples inside N(w) of
    g(·, 1) − g(·, 0), so a triple with t ≥ 1 is counted t times.  Per
    w these are row sums over the co-degree block of N(w) and one
@@ -53,8 +52,12 @@ kernel sums each g over all triples in three parts:
    triples.
 3. For each triple with t ≥ 2, g(t) − g(0) − t·(g(1) − g(0)).  These
    triples are listed explicitly, each once as p < q < r with every
-   two of them sharing at least two neighbours, and evaluated in
-   batches.
+   two of them sharing at least two neighbours, and evaluated a chunk
+   at a time as they are listed.
+
+Parts 1 and 3 run in one pass over blocks of analysis rows: each
+block's rows of D are computed once and feed both.  Part 2 is a
+separate pass over the opposite side's neighbourhoods.
 
 All arithmetic is on integers, in int64 or in floating-point products
 whose values are integers small enough to be exact;
@@ -74,12 +77,10 @@ import numpy as np
 from .errors import BimotifError
 from .graph import BipartiteGraph, Side
 
-# Analysis rows per block of the t = 0 products.
-_ROW_BLOCK = 16
+# Analysis rows per block of D (parts 1 and 3).
+_ROW_BLOCK = 32
 # Array entries per stacked block in parts 2 and 3.
-_STACK = 1 << 13
-# Candidate triples per evaluated batch (part 3).
-_TRIPLE_BATCH = 512
+_STACK = 1 << 12
 # Integers up to these bounds are exact in float64 and float32.
 _EXACT64 = 1 << 53
 _EXACT32 = 1 << 24
@@ -197,8 +198,10 @@ def _check_exact(na: int, max_degree: int, max_opposite_degree: int) -> None:
     max_degree.  So every per-center sum, and every partial sum on the way
     to it, is within a small factor (under 2¹⁰) of
     max_degree³ · (reach + 1)²; below 2⁵³ that is exact in float64 and
-    cannot overflow int64.  The common-neighbour counts kept in float32
-    are at most max_opposite_degree, exact below 2²⁴.
+    cannot overflow int64.  This covers part 2's product ĀF, whose
+    entries are at most d · max_degree for a neighbourhood of d ≤ reach + 1
+    nodes.  The common-neighbour counts kept in float32 are at most
+    max_opposite_degree, exact below 2²⁴.
     """
     reach = min(na, max_degree * max_opposite_degree)
     if (max_degree ** 3 * (reach + 1) ** 2 >= _EXACT64
@@ -236,14 +239,19 @@ def _rows_used(block, ns):
     return rows[:, used].astype(np.float64), used
 
 
-def _add_closed_forms(acc, words, opposite_words) -> None:
-    """Part 1: add the sum of g(x, y, z, 0) over all end pairs of each center.
+def _add_row_blocks(acc, words, opposite_words) -> None:
+    """Parts 1 and 3, a block of analysis rows at a time.
 
-    Per center c, with r1 and s2 the sums of D_ci and D_ci² over i ≠ c:
-    the sum of xy is (r1² − s2)/2, of xyz is ((D³)_cc − Σ_i D_ci²·deg_i
-    − 2·deg_c·s2)/2, and of xy·[z > 0] is ((D·K·D)_cc − 2·deg_c·r1)/2 with
-    K = [D > 0] off the diagonal.  (D³)_cc = |Aᵀ·A·a_c|² and
-    (D·K·D)_cc = a_cᵀ·(Aᵀ·K·A)·a_c, so no na×na array is formed.
+    Each block's rows of D are computed once: part 3 lists the block's
+    triples with t ≥ 2 from them, and part 1 takes its sums over them.
+
+    Part 1 adds the sum of g(x, y, z, 0) over all end pairs of each
+    center.  Per center c, with r1 and s2 the sums of D_ci and D_ci²
+    over i ≠ c: the sum of xy is (r1² − s2)/2, of xyz is ((D³)_cc −
+    Σ_i D_ci²·deg_i − 2·deg_c·s2)/2, and of xy·[z > 0] is ((D·K·D)_cc −
+    2·deg_c·r1)/2 with K = [D > 0] off the diagonal.  (D³)_cc =
+    |Aᵀ·A·a_c|² and (D·K·D)_cc = a_cᵀ·(Aᵀ·K·A)·a_c, so no na×na array
+    is formed.
     """
     na, ns = len(words), len(opposite_words)
     gram = np.empty((ns, ns), dtype=np.float32)  # AᵀA: common neighbours of opposite nodes
@@ -257,18 +265,18 @@ def _add_closed_forms(acc, words, opposite_words) -> None:
         block = words[lo:lo + _ROW_BLOCK]
         n = len(block)
         rows, used = _rows_used(block, ns)
-        y = rows @ gram[used].astype(np.float64)
-        cube[lo:lo + n] = (y * y).sum(1)
+        cube[lo:lo + n] = np.square(rows @ gram[used].astype(np.float64)).sum(1)
         co = _overlaps(block, words)  # rows of D
-        co2 = co * co
-        sq[lo:lo + n] = co2.sum(1)
-        wdeg[lo:lo + n] = co2 @ deg
+        _add_deep_triples(acc, words, lo, co)
+        sq[lo:lo + n] = np.einsum("ij,ij->i", co, co)
+        wdeg[lo:lo + n] = np.einsum("ij,ij,j->i", co, co, deg)
         reach[lo:lo + n] = co.sum(1)
         shared = co > 0
         shared[np.arange(n), np.arange(lo, lo + n)] = False
         # row c of K·A: the neighbours of each opposite node within two steps of c
         near = _overlaps(_words(shared), opposite_words).astype(np.float64)
         shared_pairs[used] += rows.T @ near
+        del co  # so that two blocks' rows of D are never held at once
     for lo in range(0, na, _ROW_BLOCK):
         rows, used = _rows_used(words[lo:lo + _ROW_BLOCK], ns)
         shared_quad[lo:lo + len(rows)] = ((rows @ shared_pairs[np.ix_(used, used)]) * rows).sum(1)
@@ -302,7 +310,9 @@ def _add_single_shares(acc, words, opposite) -> None:
     [f > 0] = F_ij, so every sum over the end pairs of c is a row sum
     of Ā, F and the product ĀF.  Neighbourhoods are stacked in order
     of size and padded with node na, which has no neighbours: its
-    entries of X are 0, so Ā and F are 0 there too.
+    entries of X are 0, so Ā and F are 0 there too.  The blocks are
+    float64, so that ĀF is a BLAS product; every value is an integer
+    within the bound :func:`_check_exact` enforces.
     """
     na = len(words)
     padded = np.vstack([words, np.zeros((1, words.shape[1]), dtype=np.uint64)])
@@ -315,10 +325,10 @@ def _add_single_shares(acc, words, opposite) -> None:
         d = np.array([len(n) for n in run])[:, None]
         pairs = (d - 1) * (d - 2) // 2  # end pairs of each center
         block = padded[members]
-        abar = _overlaps(block, block)
+        abar = _overlaps(block, block).astype(np.float64)
         diag = np.arange(width)
         abar[:, diag, diag] = 1
-        flat = (abar >= 2).astype(np.int64)
+        flat = (abar >= 2).astype(np.float64)
         abar -= 1
         np.maximum(abar, 0, out=abar)
         prod = abar @ flat
@@ -343,70 +353,47 @@ def _add_single_shares(acc, words, opposite) -> None:
             u_ab + u_sf,
             u_sflat - u_s - pairs,
             aq + r * q - 2 * af - np.einsum("kij,kij->ki", prod, flat),
-        ])
+        ]).astype(np.int64)
         real = members < na
         centers = members[real]
         for col, values in zip(cols, delta):
             np.add.at(acc[col], centers, values[real])
 
 
-def _deep_triples(words):
-    """(triples p < q < r, their t) for every triple with t ≥ 2.
+def _add_deep_triples(acc, words, lo, co) -> None:
+    """Part 3 for one row block: add g(t) − g(0) − t·(g(1) − g(0)) for every triple with t ≥ 2.
 
-    Any two nodes of such a triple share at least two neighbours.  For
-    a block of first nodes p, the pairs p < q that do are matched, a
-    chunk at a time, against every later node that does so with some p
-    of the block.
+    Such a triple is taken once, as p < q < r with p in the block.  Any
+    two of its nodes share at least two neighbours, so the pairs p < q
+    come from the block's rows ``co`` of D, and they are matched, a
+    chunk at a time, against every later node that shares two with some
+    p of the block.
     """
-    na = len(words)
-    for lo in range(0, na, _ROW_BLOCK):
-        twice = np.triu(_overlaps(words[lo:lo + _ROW_BLOCK], words) >= 2, lo + 1)
-        p, q = np.nonzero(twice)
-        p += lo
-        later = np.flatnonzero(twice.any(0))
-        step = max(1, _STACK // max(1, len(later)))
-        for k in range(0, len(p), step):
-            ps, qs = p[k:k + step], q[k:k + step]
-            t = _overlaps(words[ps] & words[qs], words[later])  # |N_p ∩ N_q ∩ N_r|
-            i, r = np.nonzero((t >= 2) & (later > qs[:, None]))
-            yield np.stack([ps[i], qs[i], later[r]], axis=1), t[i, r]
-
-
-def _batches(chunks):
-    """Re-cut chunks of equal-length arrays into batches of _TRIPLE_BATCH rows."""
-    held, count = [], 0
-    for chunk in chunks:
-        held.append(chunk)
-        count += len(chunk[0])
-        while count >= _TRIPLE_BATCH:
-            joined = tuple(map(np.concatenate, zip(*held)))
-            yield tuple(a[:_TRIPLE_BATCH] for a in joined)
-            held = [tuple(a[_TRIPLE_BATCH:] for a in joined)]
-            count -= _TRIPLE_BATCH
-    if count:
-        yield tuple(map(np.concatenate, zip(*held)))
-
-
-def _add_deep_triples(acc, words) -> None:
-    """Part 3: add g(t) − g(0) − t·(g(1) − g(0)) for every triple with t ≥ 2."""
-    for tri, t in _batches(_deep_triples(words)):
-        rows = words[tri]
-        pq = _popcount(rows[:, 0] & rows[:, 1])
-        pr = _popcount(rows[:, 0] & rows[:, 2])
-        qr = _popcount(rows[:, 1] & rows[:, 2])
+    twice = np.triu(co >= 2, lo + 1)
+    p, q = np.nonzero(twice)
+    later = np.flatnonzero(twice.any(0))
+    step = max(1, _STACK // max(1, len(later)))
+    for k in range(0, len(p), step):
+        ps, qs = p[k:k + step], q[k:k + step]
+        t = _overlaps(words[ps + lo] & words[qs], words[later])  # |N_p ∩ N_q ∩ N_r|
+        i, r = np.nonzero((t >= 2) & (later > qs[:, None]))
+        ps, qs, rs, t = ps[i], qs[i], later[r], np.tile(t[i, r], 3)
+        pq, pr = co[ps, qs], co[ps, rs]
+        ps += lo
+        qr = _popcount(words[qs] & words[rs])
         # centers p, q, r in turn: (x, y, z) = (D_ci, D_cj, D_ij)
         x = np.concatenate([pq, pq, pr])
         y = np.concatenate([pr, qr, qr])
         z = np.concatenate([qr, pr, pq])
-        t = np.tile(t, 3)
-        zero = _terms(x, y, z, np.zeros_like(t))
+        # g(t) − g(0) − t·(g(1) − g(0)) = g(t) + (t − 1)·g(0) − t·g(1)
         deep = _terms(x - t, y - t, z - t, t)
-        deep -= zero
-        one = _terms(x - 1, y - 1, z - 1, np.ones_like(t))
-        one -= zero
-        one *= t
-        deep -= one
-        centers = tri.T.ravel()
+        term = _terms(x, y, z, 0)
+        term *= t - 1
+        deep += term
+        term = _terms(x - 1, y - 1, z - 1, 1)
+        term *= t
+        deep -= term
+        centers = np.concatenate([ps, qs, rs])
         for row, values in zip(acc, deep):
             np.add.at(row, centers, values)
 
@@ -424,9 +411,8 @@ def _count(adj, opposite):
     words, opposite_words = _words(bits), _words(bits.T)
     del bits
     acc = np.zeros((16, na), dtype=np.int64)
-    _add_closed_forms(acc, words, opposite_words)
+    _add_row_blocks(acc, words, opposite_words)
     _add_single_shares(acc, words, opposite)
-    _add_deep_triples(acc, words)
     return acc
 
 

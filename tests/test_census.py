@@ -4,7 +4,7 @@ import sys
 import pytest
 from hypothesis import given, settings
 
-from bimotif import CensusTooLarge, Side, SixCycleClass, census, mirror, opsahl
+from bimotif import CensusTooLarge, Side, SixCycleClass, census, from_indexed_edges, mirror, opsahl
 from bimotif.census import _check_exact
 from graphs import (
     c6,
@@ -162,9 +162,41 @@ def test_census_equals_pairwise_oracle_hubs_and_wide_rows():
     hubs = hub_graph(rng, 60, 40, 0.04)
     # 150 opposite-side nodes: rows of three 64-bit words
     wide = random_bipartite(rng, 24, 150, 0.08)
-    for g in (hubs, wide):
+    # hubs of degree 120 and 130, each a d×d block larger than one stack
+    big_hubs = hub_graph(rng, 120, 6, 0.1), hub_graph(rng, 130, 8, 0.05)
+    for g in (hubs, wide, *big_hubs):
         for side in (Side.PRIMARY, Side.SECONDARY):
             assert census(g, side) == pairwise_census(g, side)
+
+
+@pytest.mark.parametrize("row_block, stack", [(3, 7), (5, 40)])
+def test_census_equals_pairwise_oracle_across_block_boundaries(row_block, stack):
+    # with blocks this small every graph spans several row blocks, stacks and part-3 chunks
+    rng = random.Random(row_block * stack)
+    graphs = [
+        random_bipartite(rng, rng.randint(4, 24), rng.randint(3, 24), rng.uniform(0.1, 0.7))
+        for _ in range(14)
+    ] + [
+        hub_graph(rng, rng.randint(8, 30), rng.randint(4, 12), rng.uniform(0.05, 0.3))
+        for _ in range(6)
+    ]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sys.modules["bimotif.census"], "_ROW_BLOCK", row_block)
+        mp.setattr(sys.modules["bimotif.census"], "_STACK", stack)
+        for g in graphs:
+            for side in (Side.PRIMARY, Side.SECONDARY):
+                assert census(g, side) == pairwise_census(g, side)
+
+
+def test_census_of_large_star_is_zero():
+    # one opposite node with 1,000 neighbours: no 4-path, and a d×d block of 10⁶ entries
+    g = from_indexed_edges([f"p{i}" for i in range(1000)], ["hub"], [(i, 0) for i in range(1000)])
+    for side in (Side.PRIMARY, Side.SECONDARY):
+        cen = census(g, side)
+        rows = cen.path_counts + cen.path_closed + cen.closure_pairs + cen.config_counts + cen.config_closed
+        assert not any(map(any, rows))
+        assert not any(cen.path_closed_any)
+        assert not any(cen.config_totals + cen.config_closed_totals)
 
 
 @pytest.mark.parametrize(
@@ -190,7 +222,7 @@ def test_census_out_of_memory_is_census_too_large(monkeypatch):
     def exhausted(*args):
         raise MemoryError
 
-    monkeypatch.setattr(sys.modules["bimotif.census"], "_add_closed_forms", exhausted)
+    monkeypatch.setattr(sys.modules["bimotif.census"], "_add_row_blocks", exhausted)
     with pytest.raises(CensusTooLarge, match="too large to count in memory"):
         census(c6())
 

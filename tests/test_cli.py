@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import json
 import os
 import random
@@ -21,7 +22,8 @@ from graphs import RING_EDGES, random_bipartite
 from oracles import naive_opsahl
 
 WOMEN = str(files("bimotif") / "data" / "southern_women.csv")
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 OUTPUTS = ("report.json", "nodes.csv", "replicas.csv")
 
 
@@ -504,6 +506,19 @@ def test_error_exit_codes_match_readme():
     assert set(documented) == exported
     for name, code in documented.items():
         assert getattr(bimotif, name).exit_code == code, name
+
+
+def test_benchmark_trace_hooks_exist():
+    # bench/traced.py wraps these module attributes by name; a missing one breaks `--trace 1`
+    spec = importlib.util.spec_from_file_location("traced", ROOT / "bench" / "traced.py")
+    traced = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(traced)
+    for module, names in (
+        (sys.modules["bimotif.cli"], traced.CLI_NAMES),
+        (sys.modules["bimotif.null_model"], traced.NULL_MODEL_NAMES),
+    ):
+        for name in names:
+            assert hasattr(module, name), f"{module.__name__}.{name}"
 
 
 _CI_KEYS = ("side", "config", "ci_midpoints", "ci_low", "ci_high", "ensemble", "classes", "midpoint")
