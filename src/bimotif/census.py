@@ -52,12 +52,20 @@ kernel sums each g over all triples in three parts:
    triples.
 3. For each triple with t ≥ 2, g(t) − g(0) − t·(g(1) − g(0)).  These
    triples are listed explicitly, each once as p < q < r with every
-   two of them sharing at least two neighbours, and evaluated a chunk
+   two of them sharing at least two neighbours, and evaluated a step
    at a time as they are listed.
 
 Parts 1 and 3 run in one pass over blocks of analysis rows: each
 block's rows of D are computed once and feed both.  Part 2 is a
 separate pass over the opposite side's neighbourhoods.
+
+Every array carries a leading replica axis, so one kernel call counts a
+chunk of graphs with the same node counts: a row block of parts 1 and 3
+is the same rows of every graph in the chunk, and part 2 stacks the
+neighbourhoods of all of them, with node indices offset per graph.
+:func:`census` is the chunk of one and keeps the per-node rows;
+:func:`census_totals` returns each graph's global totals.  Both read
+the same per-center sums, and :func:`_totals` turns them into totals.
 
 All arithmetic is on integers, in int64 or in floating-point products
 whose values are integers small enough to be exact;
@@ -70,7 +78,7 @@ import itertools
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -88,6 +96,9 @@ _EXACT32 = 1 << 24
 # Rows of the per-triple counts, see _terms.
 (_K0, _K1, _K2, _P0, _U0, _V1, _U1, _V2, _K3,
  _Q0, _Q1, _Q2, _Q3, _ANY, _S1, _S2) = range(16)
+# The rows that can be nonzero at t = 0 and at t = 1.
+_AT_T0 = [_K0, _P0, _Q0, _ANY]
+_AT_T1 = [_K0, _K1, _P0, _U0, _V1, _Q0, _Q1, _ANY, _S1]
 
 
 class CensusTooLarge(BimotifError):
@@ -101,6 +112,18 @@ class SixCycleClass(IntEnum):
     SPARSE = 1
     HIGH = 2
     COMPLETE = 3
+
+
+@dataclass(frozen=True)
+class CensusTotals:
+    """The global counts of one census, which are all the global coefficients read."""
+
+    path_totals: tuple[int, int, int]
+    path_closed_totals: tuple[int, int, int, int]
+    closure_pair_totals: tuple[int, int, int, int]
+    path_closed_any_total: int
+    config_totals: tuple[int, int, int]
+    config_closed_totals: tuple[int, int, int, int]
 
 
 @dataclass(frozen=True)
@@ -164,30 +187,34 @@ class OpsahlStats:
     per_node_c: tuple[Optional[Fraction], ...]
 
 
-def _terms(a, b, f, t):
-    """Per-triple counts for the regions a, b, f, t of one center, one row each."""
+def _terms(a, b, f, t, rows=range(16)):
+    """Per-triple counts for the regions a, b, f, t of one center: the given rows, one each."""
     ab = a * b
     ts = t * (a + b)  # class-1 paths
     tt = t * (t - 1)  # class-2 paths
     flat = f > 0
-    rows = np.empty((16,) + ab.shape, dtype=np.int64)
-    rows[_K0] = ab  # class-0 configurations
-    rows[_K1] = ts  # class-1 configurations
-    rows[_K2] = tt // 2  # class-2 configurations
-    rows[_P0] = ab * flat  # class-0 paths closed flat
-    rows[_U0] = ab * (t > 0)  # class-0 paths closed up
-    rows[_V1] = ts * flat  # class-1 paths closed flat
-    rows[_U1] = ts * (t > 1)  # class-1 paths closed up
-    rows[_V2] = tt * flat  # class-2 paths closed flat
-    rows[_K3] = tt // 2 * (t > 2)  # class-2 configurations closed up
-    rows[_Q0] = ab * f  # (path, closing node) pairs of class 0-3
-    rows[_Q1] = ab * t + ts * f
-    rows[_Q2] = tt * (a + b + f)
-    rows[_Q3] = tt * (t - 2)
-    rows[_ANY] = ab * (f + t > 0) + ts * (f + t > 1) + tt * (f + t > 2)  # paths closed
-    rows[_S1] = t * (b * (flat | (a > 0)) + a * (flat | (b > 0)))  # class-1 configurations closed flat
-    rows[_S2] = tt // 2 * (flat | (a > 0) | (b > 0))  # class-2 configurations closed flat
-    return rows
+    counts = {
+        _K0: lambda: ab,  # class-0 configurations
+        _K1: lambda: ts,  # class-1 configurations
+        _K2: lambda: tt // 2,  # class-2 configurations
+        _P0: lambda: ab * flat,  # class-0 paths closed flat
+        _U0: lambda: ab * (t > 0),  # class-0 paths closed up
+        _V1: lambda: ts * flat,  # class-1 paths closed flat
+        _U1: lambda: ts * (t > 1),  # class-1 paths closed up
+        _V2: lambda: tt * flat,  # class-2 paths closed flat
+        _K3: lambda: tt // 2 * (t > 2),  # class-2 configurations closed up
+        _Q0: lambda: ab * f,  # (path, closing node) pairs of class 0-3
+        _Q1: lambda: ab * t + ts * f,
+        _Q2: lambda: tt * (a + b + f),
+        _Q3: lambda: tt * (t - 2),
+        _ANY: lambda: ab * (f + t > 0) + ts * (f + t > 1) + tt * (f + t > 2),  # paths closed
+        _S1: lambda: t * (b * (flat | (a > 0)) + a * (flat | (b > 0))),  # class-1 configurations closed flat
+        _S2: lambda: tt // 2 * (flat | (a > 0) | (b > 0)),  # class-2 configurations closed flat
+    }
+    out = np.empty((len(rows),) + ab.shape, dtype=np.int64)
+    for k, row in enumerate(rows):
+        out[k] = counts[row]()
+    return out
 
 
 def _check_exact(na: int, max_degree: int, max_opposite_degree: int) -> None:
@@ -217,10 +244,10 @@ def _popcount(words):
 
 
 def _words(bits):
-    """Rows of a boolean matrix as bit sets packed into uint64 words."""
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    words = np.zeros((len(bits), -(-packed.shape[1] // 8)), dtype=np.uint64)
-    words.view(np.uint8)[:, :packed.shape[1]] = packed
+    """Rows of a boolean array (..., n, m) as bit sets packed into uint64 words."""
+    packed = np.packbits(bits, axis=-1, bitorder="little")
+    words = np.zeros(packed.shape[:-1] + (-(-packed.shape[-1] // 8),), dtype=np.uint64)
+    words.view(np.uint8)[..., :packed.shape[-1]] = packed
     return words
 
 
@@ -233,14 +260,14 @@ def _overlaps(a, b):
 
 
 def _rows_used(block, ns):
-    """Rows of A for a block of bit-set rows, as float64, restricted to the columns they use."""
-    rows = np.unpackbits(block.view(np.uint8), axis=1, count=ns, bitorder="little")
-    used = np.flatnonzero(rows.any(0))
-    return rows[:, used].astype(np.float64), used
+    """Rows of A for a block of bit-set rows, as float64, restricted to the columns any of them uses."""
+    rows = np.unpackbits(block.view(np.uint8), axis=-1, count=ns, bitorder="little")
+    used = np.flatnonzero(rows.any((0, 1)))
+    return rows[..., used].astype(np.float64), used
 
 
 def _add_row_blocks(acc, words, opposite_words) -> None:
-    """Parts 1 and 3, a block of analysis rows at a time.
+    """Parts 1 and 3, a block of analysis rows of every graph in the chunk at a time.
 
     Each block's rows of D are computed once: part 3 lists the block's
     triples with t ≥ 2 from them, and part 1 takes its sums over them.
@@ -253,33 +280,35 @@ def _add_row_blocks(acc, words, opposite_words) -> None:
     |Aᵀ·A·a_c|² and (D·K·D)_cc = a_cᵀ·(Aᵀ·K·A)·a_c, so no na×na array
     is formed.
     """
-    na, ns = len(words), len(opposite_words)
-    gram = np.empty((ns, ns), dtype=np.float32)  # AᵀA: common neighbours of opposite nodes
+    chunk, na, _ = words.shape
+    ns = opposite_words.shape[1]
+    gram = np.empty((chunk, ns, ns), dtype=np.float32)  # AᵀA: common neighbours of opposite nodes
     for lo in range(0, ns, _ROW_BLOCK):
-        gram[lo:lo + _ROW_BLOCK] = _overlaps(opposite_words[lo:lo + _ROW_BLOCK], opposite_words)
+        gram[:, lo:lo + _ROW_BLOCK] = _overlaps(opposite_words[:, lo:lo + _ROW_BLOCK], opposite_words)
     deg = _popcount(words)
-    sq, wdeg, reach = (np.empty(na, dtype=np.int64) for _ in range(3))
-    cube, shared_quad = np.empty(na), np.empty(na)
-    shared_pairs = np.zeros((ns, ns))  # Aᵀ·K·A
+    sq, wdeg, reach = (np.empty((chunk, na), dtype=np.int64) for _ in range(3))
+    cube, shared_quad = np.empty((chunk, na)), np.empty((chunk, na))
+    shared_pairs = np.zeros((chunk, ns, ns))  # Aᵀ·K·A
     for lo in range(0, na, _ROW_BLOCK):
-        block = words[lo:lo + _ROW_BLOCK]
-        n = len(block)
+        block = words[:, lo:lo + _ROW_BLOCK]
+        n = block.shape[1]
         rows, used = _rows_used(block, ns)
-        cube[lo:lo + n] = np.square(rows @ gram[used].astype(np.float64)).sum(1)
+        cube[:, lo:lo + n] = np.square(rows @ gram[:, used].astype(np.float64)).sum(-1)
         co = _overlaps(block, words)  # rows of D
         _add_deep_triples(acc, words, lo, co)
-        sq[lo:lo + n] = np.einsum("ij,ij->i", co, co)
-        wdeg[lo:lo + n] = np.einsum("ij,ij,j->i", co, co, deg)
-        reach[lo:lo + n] = co.sum(1)
+        sq[:, lo:lo + n] = np.einsum("rij,rij->ri", co, co)
+        wdeg[:, lo:lo + n] = np.einsum("rij,rij,rj->ri", co, co, deg)
+        reach[:, lo:lo + n] = co.sum(-1)
         shared = co > 0
-        shared[np.arange(n), np.arange(lo, lo + n)] = False
+        shared[:, np.arange(n), np.arange(lo, lo + n)] = False
         # row c of K·A: the neighbours of each opposite node within two steps of c
         near = _overlaps(_words(shared), opposite_words).astype(np.float64)
-        shared_pairs[used] += rows.T @ near
+        shared_pairs[:, used] += rows.transpose(0, 2, 1) @ near
         del co  # so that two blocks' rows of D are never held at once
     for lo in range(0, na, _ROW_BLOCK):
-        rows, used = _rows_used(words[lo:lo + _ROW_BLOCK], ns)
-        shared_quad[lo:lo + len(rows)] = ((rows @ shared_pairs[np.ix_(used, used)]) * rows).sum(1)
+        rows, used = _rows_used(words[:, lo:lo + _ROW_BLOCK], ns)
+        shared_quad[:, lo:lo + rows.shape[1]] = (
+            (rows @ shared_pairs[:, used[:, None], used]) * rows).sum(-1)
     r1 = reach - deg
     s2 = sq - deg * deg
     xy_shared = (shared_quad.astype(np.int64) - 2 * deg * r1) // 2
@@ -301,25 +330,27 @@ def _stacks(hoods):
         yield run
 
 
-def _add_single_shares(acc, words, opposite) -> None:
+def _add_single_shares(acc, words, hoods) -> None:
     """Part 2: add g(·, 1) − g(·, 0) over the triples inside each N(w).
 
-    Per w of degree d: X is the co-degree block of N(w), Ā = X − 1 and
-    F = [X ≥ 2] off the diagonal.  For a triple (c; i, j) inside N(w),
-    taken with t = 1, a = Ā_ci, b = Ā_cj, f = Ā_ij, [a > 0] = F_ci and
-    [f > 0] = F_ij, so every sum over the end pairs of c is a row sum
-    of Ā, F and the product ĀF.  Neighbourhoods are stacked in order
-    of size and padded with node na, which has no neighbours: its
-    entries of X are 0, so Ā and F are 0 there too.  The blocks are
-    float64, so that ĀF is a BLAS product; every value is an integer
-    within the bound :func:`_check_exact` enforces.
+    ``words`` holds the analysis nodes of every graph in the chunk, one
+    graph after another, and ``hoods`` every N(w) of every graph, in
+    those node indices.  Per w of degree d: X is the co-degree block of
+    N(w), Ā = X − 1 and F = [X ≥ 2] off the diagonal.  For a triple
+    (c; i, j) inside N(w), taken with t = 1, a = Ā_ci, b = Ā_cj,
+    f = Ā_ij, [a > 0] = F_ci and [f > 0] = F_ij, so every sum over the
+    end pairs of c is a row sum of Ā, F and the product ĀF.
+    Neighbourhoods are stacked in order of size and padded with a node
+    past the last, which has no neighbours: its entries of X are 0, so
+    Ā and F are 0 there too.  The blocks are float64, so that ĀF is a
+    BLAS product; every value is an integer within the bound
+    :func:`_check_exact` enforces.
     """
-    na = len(words)
+    pad = len(words)
     padded = np.vstack([words, np.zeros((1, words.shape[1]), dtype=np.uint64)])
-    cols = (_K0, _K1, _P0, _U0, _V1, _Q0, _Q1, _ANY, _S1)
-    for run in _stacks(sorted((n for n in opposite if len(n) >= 3), key=len)):
+    for run in _stacks(sorted((n for n in hoods if len(n) >= 3), key=len)):
         width = len(run[-1])
-        members = np.full((len(run), width), na)
+        members = np.full((len(run), width), pad)
         for k, nbrs in enumerate(run):
             members[k, :len(nbrs)] = nbrs
         d = np.array([len(n) for n in run])[:, None]
@@ -354,9 +385,9 @@ def _add_single_shares(acc, words, opposite) -> None:
             u_sflat - u_s - pairs,
             aq + r * q - 2 * af - np.einsum("kij,kij->ki", prod, flat),
         ]).astype(np.int64)
-        real = members < na
+        real = members < pad
         centers = members[real]
-        for col, values in zip(cols, delta):
+        for col, values in zip(_AT_T1, delta):
             np.add.at(acc[col], centers, values[real])
 
 
@@ -365,77 +396,112 @@ def _add_deep_triples(acc, words, lo, co) -> None:
 
     Such a triple is taken once, as p < q < r with p in the block.  Any
     two of its nodes share at least two neighbours, so the pairs p < q
-    come from the block's rows ``co`` of D, and they are matched, a
-    chunk at a time, against every later node that shares two with some
-    p of the block.
+    come from the block's rows ``co`` of D, and they are matched, in
+    steps of at most _STACK candidates, against every later node that
+    shares two with some p of the block in some graph of the chunk.
     """
+    na = words.shape[1]
+    node_words = words.reshape(-1, words.shape[2])  # node k of graph g is row g·na + k
     twice = np.triu(co >= 2, lo + 1)
-    p, q = np.nonzero(twice)
-    later = np.flatnonzero(twice.any(0))
+    g, p, q = np.nonzero(twice)
+    later = np.flatnonzero(twice.any((0, 1)))
     step = max(1, _STACK // max(1, len(later)))
     for k in range(0, len(p), step):
-        ps, qs = p[k:k + step], q[k:k + step]
-        t = _overlaps(words[ps + lo] & words[qs], words[later])  # |N_p ∩ N_q ∩ N_r|
+        gs, ps, qs = g[k:k + step], p[k:k + step], q[k:k + step]
+        both = words[gs, ps + lo] & words[gs, qs]
+        candidates = gs[:, None] * na + later
+        t = np.zeros(candidates.shape, dtype=np.int64)  # |N_p ∩ N_q ∩ N_r|
+        for w in range(node_words.shape[1]):
+            t += np.bitwise_count(both[:, w, None] & node_words[:, w].take(candidates))
         i, r = np.nonzero((t >= 2) & (later > qs[:, None]))
-        ps, qs, rs, t = ps[i], qs[i], later[r], np.tile(t[i, r], 3)
-        pq, pr = co[ps, qs], co[ps, rs]
+        gs, ps, qs, rs, t = gs[i], ps[i], qs[i], later[r], np.tile(t[i, r], 3)
+        pq, pr = co[gs, ps, qs], co[gs, ps, rs]
         ps += lo
-        qr = _popcount(words[qs] & words[rs])
+        qr = _popcount(words[gs, qs] & words[gs, rs])
         # centers p, q, r in turn: (x, y, z) = (D_ci, D_cj, D_ij)
         x = np.concatenate([pq, pq, pr])
         y = np.concatenate([pr, qr, qr])
         z = np.concatenate([qr, pr, pq])
         # g(t) − g(0) − t·(g(1) − g(0)) = g(t) + (t − 1)·g(0) − t·g(1)
         deep = _terms(x - t, y - t, z - t, t)
-        term = _terms(x, y, z, 0)
+        term = _terms(x, y, z, 0, _AT_T0)
         term *= t - 1
-        deep += term
-        term = _terms(x - 1, y - 1, z - 1, 1)
+        deep[_AT_T0] += term
+        term = _terms(x - 1, y - 1, z - 1, 1, _AT_T1)
         term *= t
-        deep -= term
-        centers = np.concatenate([ps, qs, rs])
-        for row, values in zip(acc, deep):
+        deep[_AT_T1] -= term
+        centers = np.concatenate([ps, qs, rs]) + np.tile(gs, 3) * na
+        for row, values in zip(acc.reshape(16, -1), deep):
             np.add.at(row, centers, values)
+
+
+def _count(graphs, side):
+    """The per-center sums of every row of :func:`_terms`, as a 16 × graphs × na array."""
+    adjs = [g.adjacency(side) for g in graphs]
+    opposites = [g.adjacency(side.other()) for g in graphs]
+    chunk, na, ns = len(graphs), len(adjs[0]), len(opposites[0])
+    cells = np.zeros((chunk * na, ns), dtype=bool)
+    cells[np.repeat(np.arange(chunk * na), [len(n) for adj in adjs for n in adj]),
+          list(itertools.chain.from_iterable(itertools.chain.from_iterable(adjs)))] = True
+    bits = cells.reshape(chunk, na, ns)
+    words, opposite_words = _words(bits), _words(bits.transpose(0, 2, 1))
+    del bits, cells
+    acc = np.zeros((16, chunk, na), dtype=np.int64)
+    _add_row_blocks(acc, words, opposite_words)
+    hoods = [tuple(k * na + i for i in nbrs) for k, opposite in enumerate(opposites) for nbrs in opposite]
+    _add_single_shares(acc.reshape(16, -1), words.reshape(chunk * na, -1), hoods)
+    return acc
+
+
+def _census_sums(graphs: Sequence[BipartiteGraph], side: Side):
+    """:func:`_count` for graphs with equal node counts, each checked by :func:`_check_exact`."""
+    na, ns = graphs[0].node_count(side), graphs[0].node_count(side.other())
+    for g in graphs:
+        if (g.node_count(side), g.node_count(side.other())) != (na, ns):
+            raise ValueError("a census chunk needs graphs with equal node counts")
+        _check_exact(na, max(map(len, g.adjacency(side)), default=0),
+                     max(map(len, g.adjacency(side.other())), default=0))
+    try:
+        return _count(graphs, side)
+    except MemoryError:
+        raise CensusTooLarge(
+            f"graph too large to count in memory: {na} analysis and {ns} opposite nodes"
+        ) from None
+
+
+def _totals(rows) -> CensusTotals:
+    """Global totals from one graph's per-center sums (16 rows, one value per center)."""
+    s = [sum(row) for row in rows]
+    return CensusTotals(
+        path_totals=(s[_K0], s[_K1], 2 * s[_K2]),
+        path_closed_totals=(s[_P0], s[_U0] + s[_V1], s[_U1] + s[_V2], 2 * s[_K3]),
+        closure_pair_totals=(s[_Q0], s[_Q1], s[_Q2], s[_Q3]),
+        path_closed_any_total=s[_ANY],
+        config_totals=(s[_K0], s[_K1] // 2, s[_K2] // 3),
+        config_closed_totals=(
+            s[_P0],
+            s[_U0] + s[_S1] // 2,
+            s[_U1] // 2 + s[_S2] // 3,
+            s[_K3] // 3,
+        ),
+    )
 
 
 def _per_node(columns) -> tuple:
     return tuple(map(tuple, np.stack(columns, axis=1).tolist()))
 
 
-def _count(adj, opposite):
-    """The per-center sums of every row of :func:`_terms`, as a 16×na array."""
-    na, ns = len(adj), len(opposite)
-    bits = np.zeros((na, ns), dtype=bool)
-    bits[np.repeat(np.arange(na), [len(n) for n in adj]),
-         list(itertools.chain.from_iterable(adj))] = True
-    words, opposite_words = _words(bits), _words(bits.T)
-    del bits
-    acc = np.zeros((16, na), dtype=np.int64)
-    _add_row_blocks(acc, words, opposite_words)
-    _add_single_shares(acc, words, opposite)
-    return acc
-
-
 def census(g: BipartiteGraph, side: Side = Side.PRIMARY) -> MotifCensus:
     """Count paths, configurations and their closures for one side.
 
     Sums the per-triple counts of :func:`_terms` over every center and
-    pair of ends, in the three parts the module docstring describes.
-    Raises :class:`CensusTooLarge` when the counts could not be exact,
-    or when the arrays do not fit in memory.
+    pair of ends, in the three parts the module docstring describes; the
+    kernel runs on a chunk of one graph.  Raises :class:`CensusTooLarge`
+    when the counts could not be exact, or when the arrays do not fit in
+    memory.
     """
-    adj = g.adjacency(side)
-    opposite = g.adjacency(side.other())
-    na, ns = len(adj), len(opposite)
-    _check_exact(na, max(map(len, adj), default=0), max(map(len, opposite), default=0))
-    try:
-        acc = _count(adj, opposite)
-    except MemoryError:
-        raise CensusTooLarge(
-            f"graph too large to count in memory: {na} analysis and {ns} opposite nodes"
-        ) from None
-
-    sums = [sum(row) for row in acc.tolist()]
+    acc = _census_sums([g], side)[:, 0]
+    totals = _totals(acc.tolist())
     return MotifCensus(
         path_counts=_per_node([acc[_K0], acc[_K1], 2 * acc[_K2]]),
         path_closed=_per_node([acc[_P0], acc[_U0] + acc[_V1], acc[_U1] + acc[_V2], 2 * acc[_K3]]),
@@ -443,14 +509,20 @@ def census(g: BipartiteGraph, side: Side = Side.PRIMARY) -> MotifCensus:
         path_closed_any=tuple(acc[_ANY].tolist()),
         config_counts=_per_node([acc[_K0], acc[_K1], acc[_K2]]),
         config_closed=_per_node([acc[_P0], acc[_U0] + acc[_S1], acc[_U1] + acc[_S2], acc[_K3]]),
-        config_totals=(sums[_K0], sums[_K1] // 2, sums[_K2] // 3),
-        config_closed_totals=(
-            sums[_P0],
-            sums[_U0] + sums[_S1] // 2,
-            sums[_U1] // 2 + sums[_S2] // 3,
-            sums[_K3] // 3,
-        ),
+        config_totals=totals.config_totals,
+        config_closed_totals=totals.config_closed_totals,
     )
+
+
+def census_totals(graphs: Sequence[BipartiteGraph], side: Side = Side.PRIMARY) -> list[CensusTotals]:
+    """The global totals of each of ``graphs``, which must have equal node counts.
+
+    One kernel call counts them all, so many small graphs cost little
+    more than one; the totals equal those of :func:`census` on each
+    graph.  Raises :class:`CensusTooLarge` as :func:`census` does.
+    """
+    acc = _census_sums(graphs, side)
+    return [_totals(acc[:, k].tolist()) for k in range(len(graphs))]
 
 
 def opsahl(c: MotifCensus) -> OpsahlStats:

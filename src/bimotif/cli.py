@@ -188,7 +188,6 @@ def _config_echo(args, fmt: str) -> dict:
         "format": fmt,
         "side": args.side,
         "semantics": args.semantics,
-        "out": args.out,
         "runs": getattr(args, "runs", None),
         "seed": getattr(args, "seed", None),
         "swaps_per_edge": getattr(args, "swaps_per_edge", None),

@@ -34,7 +34,7 @@ from decimal import Decimal, ROUND_HALF_UP
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .census import MotifCensus
+from .census import CensusTotals, MotifCensus
 from .errors import BimotifError
 
 SEMANTICS = ("configuration", "at-least-one", "pair-count")
@@ -73,7 +73,7 @@ def format_value(x: Optional[Fraction]) -> str:
     return "0" if s == "-0" else s
 
 
-def _semantic_counts(c: MotifCensus, semantics: str, scope: Union[str, int]):
+def _semantic_counts(c: Union[MotifCensus, CensusTotals], semantics: str, scope: Union[str, int]):
     """(class counts, closed counts) for the chosen policy and scope."""
     if semantics not in SEMANTICS:
         raise ValueError(f"unknown semantics {semantics!r}")
@@ -104,8 +104,8 @@ def _profile(counts: Sequence[int], closed: Sequence[int]) -> ClusteringProfile:
     return ClusteringProfile(cc=cc, numerators=numerators, denominators=denominators)
 
 
-def global_profile(c: MotifCensus, semantics: str = "configuration") -> ClusteringProfile:
-    """Whole-network coefficients from a census."""
+def global_profile(c: Union[MotifCensus, CensusTotals], semantics: str = "configuration") -> ClusteringProfile:
+    """Whole-network coefficients from a census or from its global totals alone."""
     counts, closed = _semantic_counts(c, semantics, "global")
     return _profile(counts, closed)
 

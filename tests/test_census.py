@@ -4,7 +4,17 @@ import sys
 import pytest
 from hypothesis import given, settings
 
-from bimotif import CensusTooLarge, Side, SixCycleClass, census, from_indexed_edges, mirror, opsahl
+from bimotif import (
+    CensusTooLarge,
+    CensusTotals,
+    Side,
+    SixCycleClass,
+    census,
+    census_totals,
+    from_indexed_edges,
+    mirror,
+    opsahl,
+)
 from bimotif.census import _check_exact
 from graphs import (
     c6,
@@ -186,6 +196,42 @@ def test_census_equals_pairwise_oracle_across_block_boundaries(row_block, stack)
         for g in graphs:
             for side in (Side.PRIMARY, Side.SECONDARY):
                 assert census(g, side) == pairwise_census(g, side)
+
+
+def _totals_of(cen):
+    return CensusTotals(
+        path_totals=cen.path_totals,
+        path_closed_totals=cen.path_closed_totals,
+        closure_pair_totals=cen.closure_pair_totals,
+        path_closed_any_total=cen.path_closed_any_total,
+        config_totals=cen.config_totals,
+        config_closed_totals=cen.config_closed_totals,
+    )
+
+
+@pytest.mark.parametrize("row_block, stack", [(32, 1 << 12), (3, 7), (5, 40)])
+def test_census_totals_of_a_chunk_equal_each_census(row_block, stack):
+    rng = random.Random(row_block * stack)
+    chunks = []
+    for na, ns in ((12, 9), (20, 6), (7, 15)):
+        chunk = [random_bipartite(rng, na, ns, rng.uniform(0.05, 0.6)) for _ in range(4)]
+        chunk += [hub_graph(rng, na, ns, rng.uniform(0.05, 0.3)) for _ in range(3)]
+        # a graph of degree-1 primaries: no two nodes on either side share two neighbours
+        sparse = from_indexed_edges([f"p{i}" for i in range(na)], [f"s{j}" for j in range(ns)],
+                                    [(i, i % ns) for i in range(na)])
+        chunk.insert(2, sparse)
+        chunks.append(chunk)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sys.modules["bimotif.census"], "_ROW_BLOCK", row_block)
+        mp.setattr(sys.modules["bimotif.census"], "_STACK", stack)
+        for chunk in chunks:
+            for side in (Side.PRIMARY, Side.SECONDARY):
+                each = [_totals_of(census(g, side)) for g in chunk]
+                # some graphs have triples with t ≥ 2 (class-2 configurations), others none
+                assert {t.config_totals[2] > 0 for t in each} == {True, False}
+                assert census_totals(chunk, side) == each
+    with pytest.raises(ValueError, match="equal node counts"):
+        census_totals([random_bipartite(rng, 4, 5, 0.5), random_bipartite(rng, 5, 4, 0.5)])
 
 
 def test_census_of_large_star_is_zero():

@@ -135,6 +135,15 @@ def test_replicas_independent_of_out_dir(tmp_path):
     assert (outs[0] / "replicas.csv").read_bytes() == (outs[1] / "replicas.csv").read_bytes()
 
 
+def test_report_independent_of_out_dir(tmp_path):
+    outs = [tmp_path / "a", tmp_path / "b" / "nested"]
+    for out in outs:
+        argv = ["report", "--input", WOMEN, "--runs", "5", "--seed", "7", "--out", str(out)]
+        assert main(argv) == 0
+    for name in OUTPUTS:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 def test_analyze_independent_of_blas_threads(tmp_path):
     # the census sums exact integers, so the summation order of a
     # multi-threaded matrix product cannot change a count
@@ -152,6 +161,22 @@ def test_analyze_independent_of_blas_threads(tmp_path):
         )
         reports.append((out / "report.json").read_bytes())
     assert reports[0] == reports[1]
+
+
+def test_report_independent_of_blas_threads(tmp_path):
+    # an ensemble chunk's part-1 products run through BLAS; the counts stay exact integers
+    src = str(Path(bimotif.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+        subprocess.run(
+            [sys.executable, "-m", "bimotif.cli", "report", "--input", WOMEN, "--runs", "50",
+             "--out", str(out)],
+            env=env, check=True, timeout=120,
+        )
+        outputs.append({name: (out / name).read_bytes() for name in OUTPUTS})
+    assert outputs[0] == outputs[1]
 
 
 def test_ensemble_outputs(tmp_path):
@@ -486,6 +511,40 @@ def test_exit_code_census_too_large(tmp_path, caplog, monkeypatch):
     assert main(["analyze", "--input", WOMEN, "--out", str(tmp_path / "out")]) == 2
     (record,) = [r for r in caplog.records if r.levelname == "ERROR"]
     assert "too large to count exactly" in record.getMessage()
+    assert "\n" not in record.getMessage()
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("cause", ["exactness", "memory"])
+def test_exit_code_census_too_large_in_ensemble_chunk(tmp_path, caplog, monkeypatch, cause):
+    census_module = sys.modules["bimotif.census"]
+    # seven Southern Women replicas per kernel call
+    monkeypatch.setattr(sys.modules["bimotif.null_model"], "_CHUNK_CELLS", 7 * 18 * 14)
+    if cause == "exactness":
+        # the input, with maximum degrees 8 and 14, passes; of the first chunk
+        # of seed 4, replicas 0 and 1 pass and replica 2, with a degree 9, does not
+        g = bimotif.load_southern_women()
+        degrees = [
+            max(map(len, bimotif.density_rewire(g, bimotif.replica_seed(4, r)).adjacency_primary))
+            for r in range(3)
+        ]
+        assert degrees == [6, 7, 9]
+        monkeypatch.setattr(census_module, "_EXACT64", 8 ** 3 * 19 ** 2 + 1)
+        message = "too large to count exactly"
+    else:
+        counted = census_module._add_row_blocks
+
+        def exhausted(acc, words, opposite_words):
+            if len(words) > 1:  # a chunk of several graphs, not the input
+                raise MemoryError
+            counted(acc, words, opposite_words)
+
+        monkeypatch.setattr(census_module, "_add_row_blocks", exhausted)
+        message = "too large to count in memory"
+    argv = ["report", "--input", WOMEN, "--runs", "20", "--seed", "4", "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    (record,) = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert message in record.getMessage()
     assert "\n" not in record.getMessage()
     assert not (tmp_path / "out" / "report.json").exists()
 

@@ -1,15 +1,20 @@
 import math
 import random
 import statistics
+import sys
 
 import pytest
 from scipy.stats import t as student_t
 
 from bimotif import (
+    NULL_MODELS,
+    SEMANTICS,
     EnsembleConfig,
     InvalidConfig,
     Side,
+    census,
     density_rewire,
+    global_profile,
     randomize,
     replica_seed,
     run_ensemble,
@@ -88,6 +93,39 @@ def test_ensemble_prefix_property(davis):
 def test_ensemble_repeat_is_bit_identical(davis):
     cfg = EnsembleConfig(runs=8, seed=3)
     assert run_ensemble(davis, cfg) == run_ensemble(davis, cfg)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 7])
+def test_chunked_ensemble_matches_census_per_replica(chunk):
+    # ten replicas, counted in chunks of `chunk` graphs per kernel call
+    g = random_bipartite(random.Random(chunk), 7, 6, 0.45)
+    null_model = sys.modules["bimotif.null_model"]
+    sizes = []
+
+    def recorded(graphs, side):
+        sizes.append(len(graphs))
+        return counted(graphs, side)
+
+    counted = null_model.census_totals
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(null_model, "_CHUNK_CELLS", chunk * 7 * 6)
+        mp.setattr(null_model, "census_totals", recorded)
+        for side in Side:
+            for model in NULL_MODELS:
+                for semantics in SEMANTICS:
+                    cfg = EnsembleConfig(runs=10, seed=5, swaps_per_edge=3, side=side,
+                                         null_model=model, semantics=semantics)
+                    sizes.clear()
+                    stats = run_ensemble(g, cfg)
+                    assert max(sizes) == chunk and sum(sizes) == 10
+                    for r, values in enumerate(stats.replica_values):
+                        rs = replica_seed(cfg.seed, r)
+                        if model == "degree":
+                            replica = randomize(g, rs, cfg.swaps_per_edge)
+                        else:
+                            replica = density_rewire(g, rs)
+                        cc = global_profile(census(replica, side), semantics).cc
+                        assert values == tuple(None if v is None else float(v) for v in cc)
 
 
 def test_ensemble_stats_match_plain_statistics(davis):
