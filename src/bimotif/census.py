@@ -49,7 +49,8 @@ kernel sums each g over all triples in three parts:
    g(·, 1) − g(·, 0), so a triple with t ≥ 1 is counted t times.  Per
    w these are row sums over the co-degree block of N(w) and one
    product of two such blocks: a hub costs one d×d block, not C(d, 3)
-   triples.
+   triples.  Neighbourhoods of one degree d are stacked, so that a
+   stack is a run of d×d blocks.
 3. For each triple with t ≥ 2, g(t) − g(0) − t·(g(1) − g(0)).  These
    triples are listed explicitly, each once as p < q < r with every
    two of them sharing at least two neighbours, and evaluated a step
@@ -61,11 +62,12 @@ separate pass over the opposite side's neighbourhoods.
 
 Every array carries a leading replica axis, so one kernel call counts a
 chunk of graphs with the same node counts: a row block of parts 1 and 3
-is the same rows of every graph in the chunk, and part 2 stacks the
-neighbourhoods of all of them, with node indices offset per graph.
-:func:`census` is the chunk of one and keeps the per-node rows;
-:func:`census_totals` returns each graph's global totals.  Both read
-the same per-center sums, and :func:`_totals` turns them into totals.
+is the same rows of every graph in the chunk, and a part-2 stack takes
+neighbourhoods of one degree from any of them, with node indices offset
+per graph.  :func:`census` is the chunk of one and keeps the per-node
+rows; :func:`census_totals` returns each graph's global totals.  Both
+read the same per-center sums, and :func:`_totals` turns them into
+totals.
 
 All arithmetic is on integers, in int64 or in floating-point products
 whose values are integers small enough to be exact;
@@ -87,7 +89,7 @@ from .graph import BipartiteGraph, Side
 
 # Analysis rows per block of D (parts 1 and 3).
 _ROW_BLOCK = 32
-# Array entries per stacked block in parts 2 and 3.
+# Array entries per step: a run of d×d blocks in part 2, pairs × candidates in part 3.
 _STACK = 1 << 12
 # Integers up to these bounds are exact in float64 and float32.
 _EXACT64 = 1 << 53
@@ -318,77 +320,66 @@ def _add_row_blocks(acc, words, opposite_words) -> None:
     acc[_Q0] += (cube.astype(np.int64) - wdeg - 2 * deg * s2) // 2
 
 
-def _stacks(hoods):
-    """Consecutive runs of ``hoods`` (sorted by size) whose padded d×d blocks fit _STACK."""
-    run = []
-    for nbrs in hoods:
-        if run and (len(run) + 1) * len(nbrs) ** 2 > _STACK:
-            yield run
-            run = []
-        run.append(nbrs)
-    if run:
-        yield run
-
-
-def _add_single_shares(acc, words, hoods) -> None:
+def _add_single_shares(acc, words, opposite_words) -> None:
     """Part 2: add g(·, 1) − g(·, 0) over the triples inside each N(w).
 
-    ``words`` holds the analysis nodes of every graph in the chunk, one
-    graph after another, and ``hoods`` every N(w) of every graph, in
-    those node indices.  Per w of degree d: X is the co-degree block of
-    N(w), Ā = X − 1 and F = [X ≥ 2] off the diagonal.  For a triple
-    (c; i, j) inside N(w), taken with t = 1, a = Ā_ci, b = Ā_cj,
-    f = Ā_ij, [a > 0] = F_ci and [f > 0] = F_ij, so every sum over the
-    end pairs of c is a row sum of Ā, F and the product ĀF.
-    Neighbourhoods are stacked in order of size and padded with a node
-    past the last, which has no neighbours: its entries of X are 0, so
-    Ā and F are 0 there too.  The blocks are float64, so that ĀF is a
-    BLAS product; every value is an integer within the bound
+    ``opposite_words`` holds every N(w) of every graph in the chunk as a
+    bit set over the analysis nodes.  Per w of degree d: X is the
+    co-degree block of N(w), Ā = X − 1 and F = [X ≥ 2] off the diagonal.
+    For a triple (c; i, j) inside N(w), taken with t = 1, a = Ā_ci,
+    b = Ā_cj, f = Ā_ij, [a > 0] = F_ci and [f > 0] = F_ij, so every sum
+    over the end pairs of c is a row sum of Ā, F and the product ĀF.
+    Only neighbourhoods of one degree are stacked, so every block of a
+    stack is d×d.  The blocks are float64, so that ĀF is a BLAS
+    product; every value is an integer within the bound
     :func:`_check_exact` enforces.
     """
-    pad = len(words)
-    padded = np.vstack([words, np.zeros((1, words.shape[1]), dtype=np.uint64)])
-    for run in _stacks(sorted((n for n in hoods if len(n) >= 3), key=len)):
-        width = len(run[-1])
-        members = np.full((len(run), width), pad)
-        for k, nbrs in enumerate(run):
-            members[k, :len(nbrs)] = nbrs
-        d = np.array([len(n) for n in run])[:, None]
+    chunk, na, width = words.shape
+    ns = opposite_words.shape[1]
+    acc = acc.reshape(16, chunk * na)
+    node_words = words.reshape(chunk * na, width)  # node k of graph g is row g·na + k
+    hoods = opposite_words.reshape(chunk * ns, opposite_words.shape[2])
+    deg = _popcount(hoods)
+    at_t1 = np.array(_AT_T1)[:, None, None]  # the row of acc for each row of delta
+    for d in np.unique(deg[deg >= 3]).tolist():
         pairs = (d - 1) * (d - 2) // 2  # end pairs of each center
-        block = padded[members]
-        abar = _overlaps(block, block).astype(np.float64)
-        diag = np.arange(width)
-        abar[:, diag, diag] = 1
-        flat = (abar >= 2).astype(np.float64)
-        abar -= 1
-        np.maximum(abar, 0, out=abar)
-        prod = abar @ flat
-        r = abar.sum(2)
-        q = flat.sum(2)
-        aa = np.einsum("kij,kij->ki", abar, abar)
-        af = np.einsum("kij,kij->ki", abar, flat)
-        aq = prod.sum(2)
-        u_ab = (r * r - aa) // 2  # ab
-        u_s = (d - 2) * r  # a + b
-        u_f = r.sum(1, keepdims=True) // 2 - r  # f
-        u_sflat = aq - af  # (a + b)[f > 0]
-        u_sf = np.einsum("kij,kj->ki", abar, r) - aa  # (a + b)f
-        u_xy = u_ab + u_s + pairs
-        delta = np.stack([
-            -(u_s + pairs),
-            u_s,
-            np.einsum("kij,kij->ki", prod, abar) // 2 - u_xy,
-            u_ab,
-            u_sflat,
-            -(u_ab + u_sf + u_s + u_f + pairs),
-            u_ab + u_sf,
-            u_sflat - u_s - pairs,
-            aq + r * q - 2 * af - np.einsum("kij,kij->ki", prod, flat),
-        ]).astype(np.int64)
-        real = members < pad
-        centers = members[real]
-        for col, values in zip(_AT_T1, delta):
-            np.add.at(acc[col], centers, values[real])
+        diag = np.arange(d)
+        of_degree = np.flatnonzero(deg == d)
+        _, cols = np.nonzero(np.unpackbits(hoods[of_degree].view(np.uint8), axis=-1, count=na,
+                                           bitorder="little"))
+        nodes = cols.reshape(len(of_degree), d) + (of_degree // ns * na)[:, None]
+        step = max(1, _STACK // (d * d))
+        for lo in range(0, len(of_degree), step):
+            members = nodes[lo:lo + step]
+            block = node_words[members]
+            abar = _overlaps(block, block).astype(np.float64)
+            abar[:, diag, diag] = 1
+            flat = (abar >= 2).astype(np.float64)
+            abar -= 1
+            prod = abar @ flat
+            r = abar.sum(2)
+            q = flat.sum(2)
+            aa = np.einsum("kij,kij->ki", abar, abar)
+            af = np.einsum("kij,kij->ki", abar, flat)
+            aq = prod.sum(2)
+            u_ab = (r * r - aa) // 2  # ab
+            u_s = (d - 2) * r  # a + b
+            u_f = r.sum(1, keepdims=True) // 2 - r  # f
+            u_sflat = aq - af  # (a + b)[f > 0]
+            u_sf = np.einsum("kij,kj->ki", abar, r) - aa  # (a + b)f
+            u_xy = u_ab + u_s + pairs
+            delta = np.stack([
+                -(u_s + pairs),
+                u_s,
+                np.einsum("kij,kij->ki", prod, abar) // 2 - u_xy,
+                u_ab,
+                u_sflat,
+                -(u_ab + u_sf + u_s + u_f + pairs),
+                u_ab + u_sf,
+                u_sflat - u_s - pairs,
+                aq + r * q - 2 * af - np.einsum("kij,kij->ki", prod, flat),
+            ]).astype(np.int64)
+            np.add.at(acc, (at_t1, members), delta)
 
 
 def _add_deep_triples(acc, words, lo, co) -> None:
@@ -400,8 +391,8 @@ def _add_deep_triples(acc, words, lo, co) -> None:
     steps of at most _STACK candidates, against every later node that
     shares two with some p of the block in some graph of the chunk.
     """
-    na = words.shape[1]
-    node_words = words.reshape(-1, words.shape[2])  # node k of graph g is row g·na + k
+    chunk, na, width = words.shape
+    node_words = words.reshape(chunk * na, width)  # node k of graph g is row g·na + k
     twice = np.triu(co >= 2, lo + 1)
     g, p, q = np.nonzero(twice)
     later = np.flatnonzero(twice.any((0, 1)))
@@ -431,15 +422,14 @@ def _add_deep_triples(acc, words, lo, co) -> None:
         term *= t
         deep[_AT_T1] -= term
         centers = np.concatenate([ps, qs, rs]) + np.tile(gs, 3) * na
-        for row, values in zip(acc.reshape(16, -1), deep):
+        for row, values in zip(acc.reshape(16, chunk * na), deep):
             np.add.at(row, centers, values)
 
 
 def _count(graphs, side):
     """The per-center sums of every row of :func:`_terms`, as a 16 × graphs × na array."""
     adjs = [g.adjacency(side) for g in graphs]
-    opposites = [g.adjacency(side.other()) for g in graphs]
-    chunk, na, ns = len(graphs), len(adjs[0]), len(opposites[0])
+    chunk, na, ns = len(graphs), graphs[0].node_count(side), graphs[0].node_count(side.other())
     cells = np.zeros((chunk * na, ns), dtype=bool)
     cells[np.repeat(np.arange(chunk * na), [len(n) for adj in adjs for n in adj]),
           list(itertools.chain.from_iterable(itertools.chain.from_iterable(adjs)))] = True
@@ -448,8 +438,7 @@ def _count(graphs, side):
     del bits, cells
     acc = np.zeros((16, chunk, na), dtype=np.int64)
     _add_row_blocks(acc, words, opposite_words)
-    hoods = [tuple(k * na + i for i in nbrs) for k, opposite in enumerate(opposites) for nbrs in opposite]
-    _add_single_shares(acc.reshape(16, -1), words.reshape(chunk * na, -1), hoods)
+    _add_single_shares(acc, words, opposite_words)
     return acc
 
 
@@ -521,6 +510,8 @@ def census_totals(graphs: Sequence[BipartiteGraph], side: Side = Side.PRIMARY) -
     more than one; the totals equal those of :func:`census` on each
     graph.  Raises :class:`CensusTooLarge` as :func:`census` does.
     """
+    if not graphs:
+        return []
     acc = _census_sums(graphs, side)
     return [_totals(acc[:, k].tolist()) for k in range(len(graphs))]
 

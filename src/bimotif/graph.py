@@ -112,20 +112,19 @@ def _assemble(
     secondary_labels: Sequence[str],
     edges: Iterable[tuple[int, int]],
 ) -> BipartiteGraph:
-    """Build a graph from index edges, deriving both adjacency views."""
-    adj_p: list[set[int]] = [set() for _ in primary_labels]
-    adj_s: list[set[int]] = [set() for _ in secondary_labels]
-    count = 0
-    for i, j in edges:
-        adj_p[i].add(j)
-        adj_s[j].add(i)
-        count += 1
+    """Build a graph from unique index edges, deriving both adjacency views."""
+    adj_p: list[list[int]] = [[] for _ in primary_labels]
+    adj_s: list[list[int]] = [[] for _ in secondary_labels]
+    ordered = sorted(edges)
+    for i, j in ordered:
+        adj_p[i].append(j)
+        adj_s[j].append(i)  # sorted too, as i ascends
     return BipartiteGraph(
         primary_labels=tuple(primary_labels),
         secondary_labels=tuple(secondary_labels),
-        adjacency_primary=tuple(tuple(sorted(s)) for s in adj_p),
-        adjacency_secondary=tuple(tuple(sorted(s)) for s in adj_s),
-        edge_count=count,
+        adjacency_primary=tuple(map(tuple, adj_p)),
+        adjacency_secondary=tuple(map(tuple, adj_s)),
+        edge_count=len(ordered),
     )
 
 

@@ -174,7 +174,9 @@ def test_census_equals_pairwise_oracle_hubs_and_wide_rows():
     wide = random_bipartite(rng, 24, 150, 0.08)
     # hubs of degree 120 and 130, each a d×d block larger than one stack
     big_hubs = hub_graph(rng, 120, 6, 0.1), hub_graph(rng, 130, 8, 0.05)
-    for g in (hubs, wide, *big_hubs):
+    # a side with no nodes: 0×1, 1×0 and 0×0
+    empty = [from_indexed_edges(p, s, []) for p, s in [((), ("s0",)), (("p0",), ()), ((), ())]]
+    for g in (hubs, wide, *big_hubs, *empty):
         for side in (Side.PRIMARY, Side.SECONDARY):
             assert census(g, side) == pairwise_census(g, side)
 
@@ -189,6 +191,11 @@ def test_census_equals_pairwise_oracle_across_block_boundaries(row_block, stack)
     ] + [
         hub_graph(rng, rng.randint(8, 30), rng.randint(4, 12), rng.uniform(0.05, 0.3))
         for _ in range(6)
+    ] + [
+        # every node of degree d, so one degree spans several part-2 runs
+        from_indexed_edges([f"p{i}" for i in range(12)], [f"s{j}" for j in range(12)],
+                           [(i, (i + k) % 12) for i in range(12) for k in range(d)])
+        for d in (3, 4)
     ]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sys.modules["bimotif.census"], "_ROW_BLOCK", row_block)
@@ -232,6 +239,7 @@ def test_census_totals_of_a_chunk_equal_each_census(row_block, stack):
                 assert census_totals(chunk, side) == each
     with pytest.raises(ValueError, match="equal node counts"):
         census_totals([random_bipartite(rng, 4, 5, 0.5), random_bipartite(rng, 5, 4, 0.5)])
+    assert census_totals([]) == []
 
 
 def test_census_of_large_star_is_zero():

@@ -14,6 +14,7 @@ from bimotif import (
     Side,
     census,
     density_rewire,
+    from_indexed_edges,
     global_profile,
     randomize,
     replica_seed,
@@ -142,14 +143,15 @@ def test_ensemble_stats_match_plain_statistics(davis):
 
 
 def test_ensemble_all_undefined_is_reported_not_raised():
-    g = three_disjoint_edges()
-    stats = run_ensemble(g, EnsembleConfig(runs=5, seed=2, null_model="degree"))
-    for cls in stats.classes:
-        assert cls.defined_count == 0
-        assert cls.mean is None
-        assert cls.midpoint is None
-        assert cls.ci_low is None
-    assert all(row == (None, None, None, None) for row in stats.replica_values)
+    # the second graph has no secondary nodes at all
+    for g in (three_disjoint_edges(), from_indexed_edges(["a", "b"], [], [])):
+        stats = run_ensemble(g, EnsembleConfig(runs=5, seed=2, null_model="degree"))
+        for cls in stats.classes:
+            assert cls.defined_count == 0
+            assert cls.mean is None
+            assert cls.midpoint is None
+            assert cls.ci_low is None
+        assert all(row == (None, None, None, None) for row in stats.replica_values)
 
 
 def test_ensemble_secondary_side(davis):

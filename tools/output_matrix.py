@@ -1,0 +1,94 @@
+"""Run a fixed matrix of CLI commands and keep every output, for diffing two checkouts.
+
+Usage:
+    python3 tools/output_matrix.py OUT_DIR
+
+Runs ``python -m bimotif.cli`` from this checkout (``PYTHONPATH=src``),
+one command at a time, with OUT_DIR as the working directory and
+relative paths, since ``report.json`` echoes ``--input`` and
+``--ci-file``.  Command n writes its files into ``OUT_DIR/<n>/``,
+next to ``command`` (its arguments), ``exit_code``, ``stdout`` and
+``stderr``.  The inputs are written into ``OUT_DIR/inputs/`` by
+``bench/inputs.py``.
+
+The matrix: Southern Women × both sides × the three semantics ×
+{analyze, ensemble density, ensemble degree, report, report
+--literal-divisor, score, score --literal-divisor}, where score reads
+the density ensemble's ``report.json`` and score --literal-divisor the
+degree ensemble's; then ``analyze`` on the seed-1 dense input,
+``report --null-model degree --runs 3`` on the seed-1 skewed input and
+``report --runs 50`` on Southern Women.
+
+Two checkouts give the same outputs when ``diff -r`` of their OUT_DIRs
+finds nothing.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "bench"))
+
+import inputs  # noqa: E402
+
+SEMANTICS = ("configuration", "at-least-one", "pair-count")
+
+
+def commands() -> list[list[str]]:
+    """The matrix, in order; each score command reads an earlier ensemble's output."""
+    women = "inputs/southern_women.csv"
+    out = []
+    for side in ("primary", "secondary"):
+        for semantics in SEMANTICS:
+            common = ["--input", women, "--side", side, "--semantics", semantics]
+            density = len(out) + 1
+            out.append(["ensemble", *common, "--null-model", "density"])
+            degree = len(out) + 1
+            out.append(["ensemble", *common, "--null-model", "degree"])
+            out.append(["analyze", *common])
+            out.append(["report", *common])
+            out.append(["report", *common, "--literal-divisor"])
+            out.append(["score", *common, "--ci-file", f"{density}/report.json"])
+            out.append(["score", *common, "--ci-file", f"{degree}/report.json", "--literal-divisor"])
+    out.append(["analyze", "--input", "inputs/dense.tsv"])
+    out.append(["report", "--input", "inputs/skewed.tsv", "--null-model", "degree", "--runs", "3"])
+    out.append(["report", "--input", women, "--runs", "50"])
+    return out
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    out_dir = Path(argv[0]).resolve()
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if any(out_dir.iterdir()):
+        print(f"{out_dir} is not empty", file=sys.stderr)
+        return 2
+    (out_dir / "inputs").mkdir()
+    inputs.southern_women(1, out_dir / "inputs" / "southern_women.csv")
+    inputs.dense_uniform(1, out_dir / "inputs" / "dense.tsv")
+    inputs.skewed_degree(1, out_dir / "inputs" / "skewed.tsv")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    for n, args in enumerate(commands(), start=1):
+        args = [*args, "--out", str(n)]
+        done = subprocess.run(
+            [sys.executable, "-m", "bimotif.cli", *args],
+            cwd=out_dir, env=env, capture_output=True, text=True,
+        )
+        run_dir = out_dir / str(n)
+        run_dir.mkdir(exist_ok=True)
+        (run_dir / "command").write_text(" ".join(args) + "\n")
+        (run_dir / "exit_code").write_text(f"{done.returncode}\n")
+        (run_dir / "stdout").write_text(done.stdout)
+        (run_dir / "stderr").write_text(done.stderr)
+        print(f"{n:2d} exit {done.returncode}  {' '.join(args)}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
