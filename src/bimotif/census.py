@@ -64,10 +64,10 @@ Every array carries a leading replica axis, so one kernel call counts a
 chunk of graphs with the same node counts: a row block of parts 1 and 3
 is the same rows of every graph in the chunk, and a part-2 stack takes
 neighbourhoods of one degree from any of them, with node indices offset
-per graph.  :func:`census` is the chunk of one and keeps the per-node
-rows; :func:`census_totals` returns each graph's global totals.  Both
-read the same per-center sums, and :func:`_totals` turns them into
-totals.
+per graph.  :func:`census_totals` returns each graph's global totals
+(:class:`CensusTotals`), which :func:`_totals` reads from the per-center
+sums.  :func:`census` is the chunk of one: its :class:`MotifCensus` is
+those same totals together with the per-node rows.
 
 All arithmetic is on integers, in int64 or in floating-point products
 whose values are integers small enough to be exact;
@@ -129,15 +129,14 @@ class CensusTotals:
 
 
 @dataclass(frozen=True)
-class MotifCensus:
-    """Per-node and aggregate counts from one census run.
+class MotifCensus(CensusTotals):
+    """The global totals of one census run, with the per-node rows they sum.
 
-    Path-level globals are sums of the per-node values; configuration
+    Each per-node row holds the counts anchored at one analysis node.  A
+    path-level total is the sum of its per-node rows; configuration
     totals are deduplicated (a configuration with several centers is
-    counted once globally), so they are stored explicitly.
-
-    Every field is assembled from the per-node sums of the counts in
-    :func:`_terms`.
+    counted once globally).  Both are read from the per-node sums of the
+    counts in :func:`_terms`, as :func:`census_totals` reads them.
     """
 
     path_counts: tuple[tuple[int, int, int], ...]
@@ -146,35 +145,10 @@ class MotifCensus:
     path_closed_any: tuple[int, ...]
     config_counts: tuple[tuple[int, int, int], ...]
     config_closed: tuple[tuple[int, int, int, int], ...]
-    config_totals: tuple[int, int, int]
-    config_closed_totals: tuple[int, int, int, int]
 
     @property
     def node_count(self) -> int:
         return len(self.path_counts)
-
-    def _summed(self, rows, width):
-        totals = [0] * width
-        for row in rows:
-            for k in range(width):
-                totals[k] += row[k]
-        return tuple(totals)
-
-    @property
-    def path_totals(self) -> tuple[int, int, int]:
-        return self._summed(self.path_counts, 3)
-
-    @property
-    def path_closed_totals(self) -> tuple[int, int, int, int]:
-        return self._summed(self.path_closed, 4)
-
-    @property
-    def closure_pair_totals(self) -> tuple[int, int, int, int]:
-        return self._summed(self.closure_pairs, 4)
-
-    @property
-    def path_closed_any_total(self) -> int:
-        return sum(self.path_closed_any)
 
 
 @dataclass(frozen=True)
@@ -280,22 +254,22 @@ def _add_row_blocks(acc, words, opposite_words) -> None:
     Σ_i D_ci²·deg_i − 2·deg_c·s2)/2, and of xy·[z > 0] is ((D·K·D)_cc −
     2·deg_c·r1)/2 with K = [D > 0] off the diagonal.  (D³)_cc =
     |Aᵀ·A·a_c|² and (D·K·D)_cc = a_cᵀ·(Aᵀ·K·A)·a_c, so no na×na array
-    is formed.
+    is formed.  The first pass over the row blocks accumulates both
+    ns×ns forms, AᵀA and Aᵀ·K·A, from each block's rows of A; the second
+    reads ``cube`` = (D³)_cc and ``shared_quad`` = (D·K·D)_cc from them.
     """
     chunk, na, _ = words.shape
     ns = opposite_words.shape[1]
-    gram = np.empty((chunk, ns, ns), dtype=np.float32)  # AᵀA: common neighbours of opposite nodes
-    for lo in range(0, ns, _ROW_BLOCK):
-        gram[:, lo:lo + _ROW_BLOCK] = _overlaps(opposite_words[:, lo:lo + _ROW_BLOCK], opposite_words)
+    gram = np.zeros((chunk, ns, ns), dtype=np.float32)  # AᵀA: common neighbours of opposite nodes
+    shared_pairs = np.zeros((chunk, ns, ns))  # Aᵀ·K·A
     deg = _popcount(words)
     sq, wdeg, reach = (np.empty((chunk, na), dtype=np.int64) for _ in range(3))
     cube, shared_quad = np.empty((chunk, na)), np.empty((chunk, na))
-    shared_pairs = np.zeros((chunk, ns, ns))  # Aᵀ·K·A
     for lo in range(0, na, _ROW_BLOCK):
         block = words[:, lo:lo + _ROW_BLOCK]
         n = block.shape[1]
         rows, used = _rows_used(block, ns)
-        cube[:, lo:lo + n] = np.square(rows @ gram[:, used].astype(np.float64)).sum(-1)
+        gram[:, used[:, None], used] += rows.transpose(0, 2, 1) @ rows
         co = _overlaps(block, words)  # rows of D
         _add_deep_triples(acc, words, lo, co)
         sq[:, lo:lo + n] = np.einsum("rij,rij->ri", co, co)
@@ -309,8 +283,9 @@ def _add_row_blocks(acc, words, opposite_words) -> None:
         del co  # so that two blocks' rows of D are never held at once
     for lo in range(0, na, _ROW_BLOCK):
         rows, used = _rows_used(words[:, lo:lo + _ROW_BLOCK], ns)
-        shared_quad[:, lo:lo + rows.shape[1]] = (
-            (rows @ shared_pairs[:, used[:, None], used]) * rows).sum(-1)
+        n = rows.shape[1]
+        cube[:, lo:lo + n] = np.square(rows @ gram[:, used].astype(np.float64)).sum(-1)
+        shared_quad[:, lo:lo + n] = ((rows @ shared_pairs[:, used[:, None], used]) * rows).sum(-1)
     r1 = reach - deg
     s2 = sq - deg * deg
     xy_shared = (shared_quad.astype(np.int64) - 2 * deg * r1) // 2
@@ -490,16 +465,14 @@ def census(g: BipartiteGraph, side: Side = Side.PRIMARY) -> MotifCensus:
     memory.
     """
     acc = _census_sums([g], side)[:, 0]
-    totals = _totals(acc.tolist())
     return MotifCensus(
+        **vars(_totals(acc.tolist())),
         path_counts=_per_node([acc[_K0], acc[_K1], 2 * acc[_K2]]),
         path_closed=_per_node([acc[_P0], acc[_U0] + acc[_V1], acc[_U1] + acc[_V2], 2 * acc[_K3]]),
         closure_pairs=_per_node([acc[_Q0], acc[_Q1], acc[_Q2], acc[_Q3]]),
         path_closed_any=tuple(acc[_ANY].tolist()),
         config_counts=_per_node([acc[_K0], acc[_K1], acc[_K2]]),
         config_closed=_per_node([acc[_P0], acc[_U0] + acc[_S1], acc[_U1] + acc[_S2], acc[_K3]]),
-        config_totals=totals.config_totals,
-        config_closed_totals=totals.config_closed_totals,
     )
 
 

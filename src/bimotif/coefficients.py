@@ -73,7 +73,7 @@ def format_value(x: Optional[Fraction]) -> str:
     return "0" if s == "-0" else s
 
 
-def _semantic_counts(c: Union[MotifCensus, CensusTotals], semantics: str, scope: Union[str, int]):
+def _semantic_counts(c: CensusTotals, semantics: str, scope: Union[str, int]):
     """(class counts, closed counts) for the chosen policy and scope."""
     if semantics not in SEMANTICS:
         raise ValueError(f"unknown semantics {semantics!r}")
@@ -104,8 +104,8 @@ def _profile(counts: Sequence[int], closed: Sequence[int]) -> ClusteringProfile:
     return ClusteringProfile(cc=cc, numerators=numerators, denominators=denominators)
 
 
-def global_profile(c: Union[MotifCensus, CensusTotals], semantics: str = "configuration") -> ClusteringProfile:
-    """Whole-network coefficients from a census or from its global totals alone."""
+def global_profile(c: CensusTotals, semantics: str = "configuration") -> ClusteringProfile:
+    """Whole-network coefficients from global totals, such as those a :class:`MotifCensus` carries."""
     counts, closed = _semantic_counts(c, semantics, "global")
     return _profile(counts, closed)
 

@@ -36,7 +36,7 @@ class NonBinaryEntry(BimotifError):
 
 
 class DimensionMismatch(BimotifError):
-    """Matrix shape and label counts disagree."""
+    """Matrix shape and label counts disagree, or an edge index lies outside its side."""
 
     exit_code = 1
 
@@ -133,8 +133,16 @@ def from_indexed_edges(
     secondary_labels: Sequence[str],
     edges: Iterable[tuple[int, int]],
 ) -> BipartiteGraph:
-    """Build a graph from already-deduplicated (primary, secondary) index pairs."""
-    return _assemble(primary_labels, secondary_labels, set(edges))
+    """Build a graph from (primary, secondary) index pairs; a repeated pair is one edge.
+
+    Raises :class:`DimensionMismatch` for an index outside ``[0, count)``
+    of its side.
+    """
+    unique = set(edges)
+    n_p, n_s = len(primary_labels), len(secondary_labels)
+    if not all(0 <= i < n_p and 0 <= j < n_s for i, j in unique):
+        raise DimensionMismatch(f"edge index outside {n_p} primary and {n_s} secondary nodes")
+    return _assemble(primary_labels, secondary_labels, unique)
 
 
 def from_edge_list(

@@ -97,6 +97,20 @@ def closures_of(
     return out
 
 
+def _path_totals(path_counts, path_closed, closure_pairs, path_closed_any) -> dict:
+    """The four path-level totals of a census, each the sum of its per-node rows."""
+
+    def summed(rows, width):
+        return tuple(sum(row[k] for row in rows) for k in range(width))
+
+    return dict(
+        path_totals=summed(path_counts, 3),
+        path_closed_totals=summed(path_closed, 4),
+        closure_pair_totals=summed(closure_pairs, 4),
+        path_closed_any_total=sum(path_closed_any),
+    )
+
+
 def brute_force_census(g: BipartiteGraph, side: Side = Side.PRIMARY) -> MotifCensus:
     """Census by exhaustive 5-tuple iteration; small graphs only.
 
@@ -169,6 +183,7 @@ def brute_force_census(g: BipartiteGraph, side: Side = Side.PRIMARY) -> MotifCen
                 config_closed[z][c] += 1
 
     return MotifCensus(
+        **_path_totals(paths, path_closed, pairs, path_any),
         path_counts=tuple(tuple(r) for r in paths),
         path_closed=tuple(tuple(r) for r in path_closed),
         closure_pairs=tuple(tuple(r) for r in pairs),
@@ -338,8 +353,10 @@ def pairwise_census(g: BipartiteGraph, side: Side = Side.PRIMARY) -> MotifCensus
     # classes 0 and 1, and two in class 2.
     flat_closed = [r[0] for r in path_closed]
     closed_totals[0] = sum(flat_closed)
+    paths = [(r[0], r[1], 2 * r[2]) for r in configs]
     return MotifCensus(
-        path_counts=tuple((r[0], r[1], 2 * r[2]) for r in configs),
+        **_path_totals(paths, path_closed, pairs, path_any),
+        path_counts=tuple(paths),
         path_closed=tuple(tuple(r) for r in path_closed),
         closure_pairs=tuple(tuple(r) for r in pairs),
         path_closed_any=tuple(path_any),

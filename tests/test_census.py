@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import sys
 
@@ -206,14 +207,7 @@ def test_census_equals_pairwise_oracle_across_block_boundaries(row_block, stack)
 
 
 def _totals_of(cen):
-    return CensusTotals(
-        path_totals=cen.path_totals,
-        path_closed_totals=cen.path_closed_totals,
-        closure_pair_totals=cen.closure_pair_totals,
-        path_closed_any_total=cen.path_closed_any_total,
-        config_totals=cen.config_totals,
-        config_closed_totals=cen.config_closed_totals,
-    )
+    return CensusTotals(**{f.name: getattr(cen, f.name) for f in dataclasses.fields(CensusTotals)})
 
 
 @pytest.mark.parametrize("row_block, stack", [(32, 1 << 12), (3, 7), (5, 40)])

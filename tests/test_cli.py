@@ -179,6 +179,21 @@ def test_report_independent_of_blas_threads(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_repeated_edge_row_is_counted_not_warned(tmp_path):
+    path = tmp_path / "repeated.tsv"
+    path.write_text("a\tx\nb\tx\na\tx\nb\ty\n", encoding="utf-8")
+    out = tmp_path / "out"
+    src = str(Path(bimotif.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "bimotif.cli", "analyze", "--input", str(path), "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    meta = read_json(out)["input"]
+    assert meta["duplicate_rows"] == 1
+    assert meta["edge_count"] == 3
+
+
 def test_ensemble_outputs(tmp_path):
     out = tmp_path / "out"
     argv = [

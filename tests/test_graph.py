@@ -12,6 +12,7 @@ from bimotif import (
     detect_format,
     from_biadjacency,
     from_edge_list,
+    from_indexed_edges,
     load_biadjacency,
     load_edge_list,
     load_graph,
@@ -70,6 +71,15 @@ def test_from_biadjacency_errors():
         from_biadjacency([[0, 1]], ["a", "b"], ["x", "y"])
     with pytest.raises(BipartiteViolation):
         from_biadjacency([[1]], ["a"], ["a"])
+
+
+@pytest.mark.parametrize("edge", [(-1, 0), (2, 0), (0, -1), (0, 1), (5, 5)])
+def test_from_indexed_edges_rejects_index_outside_its_side(edge):
+    with pytest.raises(DimensionMismatch) as exc:
+        from_indexed_edges(["a", "b"], ["x"], [(0, 0), edge])
+    assert exc.value.exit_code == 1
+    with pytest.raises(DimensionMismatch):
+        from_indexed_edges([], [], [edge])
 
 
 def test_mirror_consistency_full_scan(davis):

@@ -16,8 +16,11 @@ The matrix: Southern Women × both sides × the three semantics ×
 --literal-divisor, score, score --literal-divisor}, where score reads
 the density ensemble's ``report.json`` and score --literal-divisor the
 degree ensemble's; then ``analyze`` on the seed-1 dense input,
-``report --null-model degree --runs 3`` on the seed-1 skewed input and
-``report --runs 50`` on Southern Women.
+``report --null-model degree --runs 3`` on the seed-1 skewed input,
+``report --runs 50`` on Southern Women, and ``analyze --side
+secondary`` on the seed-1 skewed and dense inputs, where the opposite
+side has 1,000 and 100 nodes.  New commands go at the end, so
+the earlier ones keep their numbers.
 
 Two checkouts give the same outputs when ``diff -r`` of their OUT_DIRs
 finds nothing.
@@ -57,6 +60,8 @@ def commands() -> list[list[str]]:
     out.append(["analyze", "--input", "inputs/dense.tsv"])
     out.append(["report", "--input", "inputs/skewed.tsv", "--null-model", "degree", "--runs", "3"])
     out.append(["report", "--input", women, "--runs", "50"])
+    out.append(["analyze", "--input", "inputs/skewed.tsv", "--side", "secondary"])
+    out.append(["analyze", "--input", "inputs/dense.tsv", "--side", "secondary"])
     return out
 
 
