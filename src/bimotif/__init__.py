@@ -14,7 +14,6 @@ from .census import (
     CensusTotals,
     MotifCensus,
     OpsahlStats,
-    SixCycleClass,
     census,
     census_totals,
     opsahl,
@@ -44,7 +43,6 @@ from .graph import (
     load_edge_list,
     load_graph,
     load_southern_women,
-    mirror,
 )
 from .null_model import (
     NULL_MODELS,
@@ -86,13 +84,11 @@ __all__ = [
     "load_graph",
     "load_southern_women",
     "detect_format",
-    "mirror",
     "EmptyInput",
     "BipartiteViolation",
     "NonBinaryEntry",
     "DimensionMismatch",
     "MalformedInput",
-    "SixCycleClass",
     "MotifCensus",
     "OpsahlStats",
     "CensusTotals",

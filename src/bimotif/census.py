@@ -60,27 +60,30 @@ Parts 1 and 3 run in one pass over blocks of analysis rows: each
 block's rows of D are computed once and feed both.  Part 2 is a
 separate pass over the opposite side's neighbourhoods.
 
-Every array carries a leading replica axis, so one kernel call counts a
-chunk of graphs with the same node counts: a row block of parts 1 and 3
-is the same rows of every graph in the chunk, and a part-2 stack takes
-neighbourhoods of one degree from any of them, with node indices offset
-per graph.  :func:`census_totals` returns each graph's global totals
-(:class:`CensusTotals`), which :func:`_totals` reads from the per-center
-sums.  :func:`census` is the chunk of one: its :class:`MotifCensus` is
-those same totals together with the per-node rows.
+The kernel, :func:`_count`, takes the biadjacency of a chunk of graphs
+with the same node counts as one (chunk, na, ns) boolean array, and
+every array after it carries that leading chunk axis: a row block of
+parts 1 and 3 is the same rows of every graph in the chunk, and a
+part-2 stack takes neighbourhoods of one degree from any of them, with
+node indices offset per graph.  :func:`census_totals` reads its graphs
+a chunk at a time, as many as fit ``_CHUNK_CELLS``, and returns each
+graph's global totals (:class:`CensusTotals`), which :func:`_totals`
+reads from the per-center sums.  :func:`census` is the chunk of one:
+its :class:`MotifCensus` is those same totals together with the
+per-node rows.
 
 All arithmetic is on integers, in int64 or in floating-point products
 whose values are integers small enough to be exact;
-:func:`_check_exact` refuses a graph whose degrees could break that.
+:func:`_check_exact` refuses a chunk whose degrees, read from the
+kernel's input, could break that.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from enum import IntEnum
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -91,6 +94,11 @@ from .graph import BipartiteGraph, Side
 _ROW_BLOCK = 32
 # Array entries per step: a run of d×d blocks in part 2, pairs × candidates in part 3.
 _STACK = 1 << 12
+# Graphs counted per kernel call by census_totals: as many as fit graphs × na × ns
+# within this budget, and at least one.  Southern Women (18x14) gets 65 a
+# call; larger chunks measured no faster per graph, and each graph in a
+# chunk holds about 20 KB until the call returns.
+_CHUNK_CELLS = 1 << 14
 # Integers up to these bounds are exact in float64 and float32.
 _EXACT64 = 1 << 53
 _EXACT32 = 1 << 24
@@ -105,15 +113,6 @@ _AT_T1 = [_K0, _K1, _P0, _U0, _V1, _Q0, _Q1, _ANY, _S1]
 
 class CensusTooLarge(BimotifError):
     """The graph is too large for the census to count exactly or in memory."""
-
-
-class SixCycleClass(IntEnum):
-    """6-cycle classes, valued by the number of extra edges among the six nodes."""
-
-    UNCONNECTED = 0
-    SPARSE = 1
-    HIGH = 2
-    COMPLETE = 3
 
 
 @dataclass(frozen=True)
@@ -401,32 +400,36 @@ def _add_deep_triples(acc, words, lo, co) -> None:
             np.add.at(row, centers, values)
 
 
-def _count(graphs, side):
-    """The per-center sums of every row of :func:`_terms`, as a 16 × graphs × na array."""
-    adjs = [g.adjacency(side) for g in graphs]
-    chunk, na, ns = len(graphs), graphs[0].node_count(side), graphs[0].node_count(side.other())
-    cells = np.zeros((chunk * na, ns), dtype=bool)
-    cells[np.repeat(np.arange(chunk * na), [len(n) for adj in adjs for n in adj]),
-          list(itertools.chain.from_iterable(itertools.chain.from_iterable(adjs)))] = True
-    bits = cells.reshape(chunk, na, ns)
+def _count(bits):
+    """The kernel: the per-center sums of every row of :func:`_terms`, as a 16 × chunk × na array.
+
+    ``bits`` is the biadjacency of a chunk of graphs, a (chunk, na, ns)
+    boolean array; :func:`_check_exact` reads the maximum degrees from it.
+    """
+    chunk, na, _ = bits.shape
+    _check_exact(na, int(bits.sum(2).max(initial=0)), int(bits.sum(1).max(initial=0)))
     words, opposite_words = _words(bits), _words(bits.transpose(0, 2, 1))
-    del bits, cells
     acc = np.zeros((16, chunk, na), dtype=np.int64)
     _add_row_blocks(acc, words, opposite_words)
     _add_single_shares(acc, words, opposite_words)
     return acc
 
 
-def _census_sums(graphs: Sequence[BipartiteGraph], side: Side):
-    """:func:`_count` for graphs with equal node counts, each checked by :func:`_check_exact`."""
-    na, ns = graphs[0].node_count(side), graphs[0].node_count(side.other())
-    for g in graphs:
-        if (g.node_count(side), g.node_count(side.other())) != (na, ns):
-            raise ValueError("a census chunk needs graphs with equal node counts")
-        _check_exact(na, max(map(len, g.adjacency(side)), default=0),
-                     max(map(len, g.adjacency(side.other())), default=0))
+def _census_sums(graphs: Sequence[BipartiteGraph], side: Side, na: int, ns: int):
+    """:func:`_count` on the biadjacency of graphs with ``na`` analysis and ``ns`` opposite nodes.
+
+    Raises ``ValueError`` for a graph with other node counts.
+    """
+    if any((g.node_count(side), g.node_count(side.other())) != (na, ns) for g in graphs):
+        raise ValueError("a census chunk needs graphs with equal node counts")
+    adjs = [g.adjacency(side) for g in graphs]
     try:
-        return _count(graphs, side)
+        bits = np.zeros((len(graphs), na, ns), dtype=bool)
+        bits.reshape(len(graphs) * na, ns)[
+            np.repeat(np.arange(len(graphs) * na), [len(n) for adj in adjs for n in adj]),
+            list(itertools.chain.from_iterable(itertools.chain.from_iterable(adjs))),
+        ] = True
+        return _count(bits)
     except MemoryError:
         raise CensusTooLarge(
             f"graph too large to count in memory: {na} analysis and {ns} opposite nodes"
@@ -464,7 +467,7 @@ def census(g: BipartiteGraph, side: Side = Side.PRIMARY) -> MotifCensus:
     when the counts could not be exact, or when the arrays do not fit in
     memory.
     """
-    acc = _census_sums([g], side)[:, 0]
+    acc = _census_sums([g], side, g.node_count(side), g.node_count(side.other()))[:, 0]
     return MotifCensus(
         **vars(_totals(acc.tolist())),
         path_counts=_per_node([acc[_K0], acc[_K1], 2 * acc[_K2]]),
@@ -476,17 +479,26 @@ def census(g: BipartiteGraph, side: Side = Side.PRIMARY) -> MotifCensus:
     )
 
 
-def census_totals(graphs: Sequence[BipartiteGraph], side: Side = Side.PRIMARY) -> list[CensusTotals]:
-    """The global totals of each of ``graphs``, which must have equal node counts.
+def census_totals(graphs: Iterable[BipartiteGraph], side: Side = Side.PRIMARY) -> list[CensusTotals]:
+    """The global totals of each of ``graphs``, which must have the first one's node counts.
 
-    One kernel call counts them all, so many small graphs cost little
+    The graphs are read and counted a chunk at a time, as many per
+    kernel call as fit ``_CHUNK_CELLS``, so many small graphs cost little
     more than one; the totals equal those of :func:`census` on each
     graph.  Raises :class:`CensusTooLarge` as :func:`census` does.
     """
-    if not graphs:
+    graphs = iter(graphs)
+    first = next(graphs, None)
+    if first is None:
         return []
-    acc = _census_sums(graphs, side)
-    return [_totals(acc[:, k].tolist()) for k in range(len(graphs))]
+    na, ns = first.node_count(side), first.node_count(side.other())
+    step = max(1, _CHUNK_CELLS // max(1, na * ns))
+    graphs = itertools.chain([first], graphs)
+    totals = []
+    while chunk := list(itertools.islice(graphs, step)):
+        acc = _census_sums(chunk, side, na, ns)
+        totals += [_totals(acc[:, k].tolist()) for k in range(len(chunk))]
+    return totals
 
 
 def opsahl(c: MotifCensus) -> OpsahlStats:

@@ -2,8 +2,7 @@
 
 Nodes live on two sides (primary and secondary) and edges only cross
 sides.  Graphs are frozen after construction; analyses of the secondary
-side swap roles via :func:`mirror` or a ``side`` argument rather than
-mutating the graph.
+side take a ``side`` argument rather than mutating the graph.
 """
 
 from __future__ import annotations
@@ -87,24 +86,6 @@ class BipartiteGraph:
     def degree_sequence(self, side: Side) -> tuple[int, ...]:
         return tuple(len(nbrs) for nbrs in self.adjacency(side))
 
-    def to_edge_list(self) -> list[tuple[str, str]]:
-        """Edges as (primary_label, secondary_label) pairs in index order."""
-        out = []
-        for i, nbrs in enumerate(self.adjacency_primary):
-            for j in nbrs:
-                out.append((self.primary_labels[i], self.secondary_labels[j]))
-        return out
-
-
-def mirror(g: BipartiteGraph) -> BipartiteGraph:
-    """The same graph with primary and secondary roles exchanged."""
-    return BipartiteGraph(
-        primary_labels=g.secondary_labels,
-        secondary_labels=g.primary_labels,
-        adjacency_primary=g.adjacency_secondary,
-        adjacency_secondary=g.adjacency_primary,
-        edge_count=g.edge_count,
-    )
 
 
 def _assemble(

@@ -8,12 +8,11 @@ Two replica generators are available:
 * ``degree``: attempted double edge swaps on the original graph, which
   preserve both degree sequences exactly.
 
-Replicas are counted a chunk at a time: one kernel call of
-:func:`census_totals` gives the global totals of every replica in the
-chunk, and each replica's global clustering profile is computed from
-its totals alone.  Per class, the defined values are aggregated into a
-mean, a Student-t 95% confidence interval, and its midpoint (equal to
-the mean).  Replicas where a class is undefined are excluded from that
+Replicas are generated in order and handed to :func:`census_totals`,
+which counts them a chunk at a time and gives each replica's global
+totals; its global clustering profile is computed from those alone.
+Per class, the defined values are aggregated into a mean, a Student-t
+95% confidence interval, and its midpoint (equal to the mean).  Replicas where a class is undefined are excluded from that
 class only; a class undefined in every replica is reported as undefined
 stats rather than an error.
 """
@@ -36,12 +35,6 @@ from .graph import BipartiteGraph, Side, from_indexed_edges
 NULL_MODELS = ("density", "degree")
 
 _MASK64 = (1 << 64) - 1
-
-# Replicas counted per kernel call: as many as fit replicas × na × ns
-# within this budget, and at least one.  Southern Women (18x14) gets 65
-# a call; larger chunks measured no faster per replica, and each replica
-# in a chunk holds about 20 KB until the call returns.
-_CHUNK_CELLS = 1 << 14
 
 
 class InvalidConfig(BimotifError):
@@ -177,9 +170,9 @@ def run_ensemble(g: BipartiteGraph, cfg: EnsembleConfig) -> EnsembleStats:
 
     Replica r uses seed replica_seed(cfg.seed, r), so results are
     reproducible and a shorter run is a prefix of a longer one; the
-    aggregation sorts values before summing.  Replicas are generated in
-    order and counted in chunks of at most ``_CHUNK_CELLS`` cells; the
-    totals are exact integers, so the chunking cannot change a value.
+    aggregation sorts values before summing.  The totals are exact
+    integers, so the chunks :func:`census_totals` counts cannot change a
+    value.
     """
 
     def replica(r: int) -> BipartiteGraph:
@@ -188,14 +181,10 @@ def run_ensemble(g: BipartiteGraph, cfg: EnsembleConfig) -> EnsembleStats:
             return randomize(g, rs, cfg.swaps_per_edge)
         return density_rewire(g, rs)
 
-    cells = g.node_count(cfg.side) * g.node_count(cfg.side.other())
-    chunk = max(1, _CHUNK_CELLS // max(1, cells))
     rows = []
-    for lo in range(0, cfg.runs, chunk):
-        replicas = [replica(r) for r in range(lo, min(lo + chunk, cfg.runs))]
-        for totals in census_totals(replicas, cfg.side):
-            prof = global_profile(totals, cfg.semantics)
-            rows.append(tuple(None if v is None else float(v) for v in prof.cc))
+    for totals in census_totals(map(replica, range(cfg.runs)), cfg.side):
+        prof = global_profile(totals, cfg.semantics)
+        rows.append(tuple(None if v is None else float(v) for v in prof.cc))
 
     classes = []
     for k in range(4):

@@ -39,6 +39,11 @@ DIRECTION_BELOW = "below"
 DIRECTION_INSIDE = "inside"
 DIRECTION_ABOVE = "above"
 
+# Digits allowed in an interval value's decimal significand: Python's
+# default limit for integer strings.  A longer one makes every exact
+# score slow.
+_MAX_DIGITS = 4300
+
 
 class AllUndefined(BimotifError):
     """No class has both a defined coefficient and a defined midpoint."""
@@ -230,8 +235,8 @@ def classify(
 def _number(x) -> Optional[Fraction]:
     """A file value (Decimal) or a fresh ensemble stat (float) as a Fraction.
 
-    The range is checked first, so a huge exponent fails before
-    Fraction builds ``10**exponent``.
+    The range and the digit count are checked first, so a huge exponent
+    or a long digit string fails before Fraction builds ``10**exponent``.
     """
     if x is None:
         return None
@@ -241,6 +246,8 @@ def _number(x) -> Optional[Fraction]:
         raise MissingCI(f"interval values must be numbers or null, got {type(x).__name__}")
     if not x.is_finite() or (x and not sys.float_info.min <= x.copy_abs() <= sys.float_info.max):
         raise MissingCI("interval values must be finite and within the float range")
+    if len(x.as_tuple().digits) > _MAX_DIGITS:
+        raise MissingCI(f"interval values may have at most {_MAX_DIGITS} significant digits")
     return Fraction(x)
 
 
@@ -280,7 +287,10 @@ def load_ci_bands(path: str | Path) -> tuple[Optional[Side], tuple[Optional[CIBa
     band that fails the checks of :func:`_band`, raises MissingCI.
     """
     text = Path(path).read_text(encoding="utf-8")
-    obj = json.loads(text, parse_float=Decimal, parse_int=Decimal)
+    try:
+        obj = json.loads(text, parse_float=Decimal, parse_int=Decimal)
+    except RecursionError:
+        raise json.JSONDecodeError("too deeply nested", text, 0) from None
     side = None
     raw_side = None
     if isinstance(obj, dict):

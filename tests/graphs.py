@@ -15,6 +15,23 @@ RING_EDGES = [
 RING_CHORDS = [("v0", "w1"), ("v1", "w2"), ("v2", "w0")]
 
 
+def edge_list(g: BipartiteGraph) -> list[tuple[str, str]]:
+    """Edges as (primary_label, secondary_label) pairs in index order."""
+    return [(g.primary_labels[i], g.secondary_labels[j])
+            for i, nbrs in enumerate(g.adjacency_primary) for j in nbrs]
+
+
+def mirror(g: BipartiteGraph) -> BipartiteGraph:
+    """The same graph with primary and secondary roles exchanged."""
+    return BipartiteGraph(
+        primary_labels=g.secondary_labels,
+        secondary_labels=g.primary_labels,
+        adjacency_primary=g.adjacency_secondary,
+        adjacency_secondary=g.adjacency_primary,
+        edge_count=g.edge_count,
+    )
+
+
 def c6() -> BipartiteGraph:
     g, _ = from_edge_list(RING_EDGES)
     return g

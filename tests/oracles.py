@@ -8,10 +8,20 @@ brute-force guard.
 """
 
 from dataclasses import dataclass
+from enum import IntEnum
 from fractions import Fraction
 from math import comb
 
-from bimotif import BipartiteGraph, MotifCensus, Side, SixCycleClass
+from bimotif import BipartiteGraph, MotifCensus, Side
+
+
+class SixCycleClass(IntEnum):
+    """6-cycle classes, valued by the number of extra edges among the six nodes."""
+
+    UNCONNECTED = 0
+    SPARSE = 1
+    HIGH = 2
+    COMPLETE = 3
 
 
 class NotAPath(Exception):

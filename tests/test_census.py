@@ -9,11 +9,9 @@ from bimotif import (
     CensusTooLarge,
     CensusTotals,
     Side,
-    SixCycleClass,
     census,
     census_totals,
     from_indexed_edges,
-    mirror,
     opsahl,
 )
 from bimotif.census import _check_exact
@@ -22,12 +20,14 @@ from graphs import (
     divisor_gadget,
     hub_graph,
     k33,
+    mirror,
     random_bipartite,
     ring_plus_chords,
     small_graphs,
 )
 from oracles import (
     NotAPath,
+    SixCycleClass,
     TooLarge,
     brute_force_census,
     canonical_four_path,
@@ -221,19 +221,43 @@ def test_census_totals_of_a_chunk_equal_each_census(row_block, stack):
         sparse = from_indexed_edges([f"p{i}" for i in range(na)], [f"s{j}" for j in range(ns)],
                                     [(i, i % ns) for i in range(na)])
         chunk.insert(2, sparse)
-        chunks.append(chunk)
+        chunks.append((na * ns, chunk))
+    census_module = sys.modules["bimotif.census"]
+    sizes = []
+
+    def recorded(bits):
+        sizes.append(len(bits))
+        return counted(bits)
+
+    counted = census_module._count
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sys.modules["bimotif.census"], "_ROW_BLOCK", row_block)
-        mp.setattr(sys.modules["bimotif.census"], "_STACK", stack)
-        for chunk in chunks:
+        mp.setattr(census_module, "_ROW_BLOCK", row_block)
+        mp.setattr(census_module, "_STACK", stack)
+        mp.setattr(census_module, "_count", recorded)
+        for cells, chunk in chunks:
             for side in (Side.PRIMARY, Side.SECONDARY):
                 each = [_totals_of(census(g, side)) for g in chunk]
                 # some graphs have triples with t ≥ 2 (class-2 configurations), others none
                 assert {t.config_totals[2] > 0 for t in each} == {True, False}
+                sizes.clear()
                 assert census_totals(chunk, side) == each
-    with pytest.raises(ValueError, match="equal node counts"):
-        census_totals([random_bipartite(rng, 4, 5, 0.5), random_bipartite(rng, 5, 4, 0.5)])
+                assert sizes == [8]
+                with pytest.MonkeyPatch.context() as small:
+                    # a generator, read three graphs per kernel call
+                    small.setattr(census_module, "_CHUNK_CELLS", 3 * cells)
+                    sizes.clear()
+                    assert census_totals((g for g in chunk), side) == each
+                    assert sizes == [3, 3, 2]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(census_module, "_CHUNK_CELLS", 2 * 4 * 5)
+        for graphs in ([random_bipartite(rng, 4, 5, 0.5), random_bipartite(rng, 5, 4, 0.5)],
+                       # graphs with other node counts, but equal to each other, fill the third chunk
+                       [random_bipartite(rng, 4, 5, 0.5) for _ in range(4)]
+                       + [random_bipartite(rng, 5, 4, 0.5), random_bipartite(rng, 5, 4, 0.5)]):
+            with pytest.raises(ValueError, match="equal node counts"):
+                census_totals(iter(graphs))
     assert census_totals([]) == []
+    assert census_totals(iter([])) == []
 
 
 def test_census_of_large_star_is_zero():

@@ -18,7 +18,7 @@ import bimotif
 from bimotif import BimotifError, Side
 from bimotif.cli import main
 from expected_values import INFLUENTIAL_PRIMARY, MIDPOINTS_PRIMARY
-from graphs import RING_EDGES, random_bipartite
+from graphs import RING_EDGES, edge_list, random_bipartite
 from oracles import naive_opsahl
 
 WOMEN = str(files("bimotif") / "data" / "southern_women.csv")
@@ -149,7 +149,7 @@ def test_analyze_independent_of_blas_threads(tmp_path):
     # multi-threaded matrix product cannot change a count
     g = random_bipartite(random.Random(40), 40, 40, 0.3)
     path = tmp_path / "g.tsv"
-    path.write_text("".join(f"{a}\t{b}\n" for a, b in g.to_edge_list()), encoding="utf-8")
+    path.write_text("".join(f"{a}\t{b}\n" for a, b in edge_list(g)), encoding="utf-8")
     out = tmp_path / "out"
     src = str(Path(bimotif.__file__).resolve().parents[1])
     reports = []
@@ -449,6 +449,7 @@ def _score_argv(tmp_path, ci_text, *extra):
         '{"ci_midpoints": [1e-999999999, 0.5, 0.4, 0.3]}',
         '{"ci_midpoints": [%s, 0.5, 0.4, 0.3]}' % ("9" * 5000),
         '{"side": %s, "ci_midpoints": [0.6, 0.5, 0.4, 0.3]}' % ("9" * 5000),
+        '{"ci_midpoints": [0.%s, 0.5, 0.4, 0.3]}' % ("3" * 4301),
         '{"classes": [1, 2, 3, 4]}',
         '{"classes": {"a": 1, "b": 2, "c": 3, "d": 4}}',
         '{"classes": 2}',
@@ -469,6 +470,7 @@ def _score_argv(tmp_path, ci_text, *extra):
         "tiny-exponent-midpoint",
         "long-integer-midpoint",
         "long-integer-side",
+        "long-decimal-midpoint",
         "classes-of-numbers",
         "classes-object",
         "classes-number",
@@ -492,6 +494,11 @@ def test_exit_code_bad_interval_values(tmp_path, caplog, ci_text):
         pytest.param("analyze", ",x,y\na,1\n", (), 1, id="DimensionMismatch"),
         pytest.param("analyze", "a\tb\nb\tc\n", (), 2, id="BipartiteViolation"),
         pytest.param("score", "{", (), 1, id="JSONDecodeError"),
+        pytest.param("score", "[" * 100_000 + "]" * 100_000, (), 1, id="deeply-nested"),
+        pytest.param(
+            "score", '{"ci_midpoints": %s}' % ("[" * 100_000 + "]" * 100_000), (), 1,
+            id="deeply-nested-midpoints",
+        ),
         pytest.param("score", '{"ci_midpoints": [null, null, null, null]}', (), 2, id="AllUndefined"),
         pytest.param("score", '{"foo": 1}', (), 3, id="MissingCI"),
         pytest.param(
@@ -533,8 +540,8 @@ def test_exit_code_census_too_large(tmp_path, caplog, monkeypatch):
 @pytest.mark.parametrize("cause", ["exactness", "memory"])
 def test_exit_code_census_too_large_in_ensemble_chunk(tmp_path, caplog, monkeypatch, cause):
     census_module = sys.modules["bimotif.census"]
-    # seven Southern Women replicas per kernel call
-    monkeypatch.setattr(sys.modules["bimotif.null_model"], "_CHUNK_CELLS", 7 * 18 * 14)
+    # seven Southern Women replicas per kernel call, so `--runs 7` is one call
+    monkeypatch.setattr(census_module, "_CHUNK_CELLS", 7 * 18 * 14)
     if cause == "exactness":
         # the input, with maximum degrees 8 and 14, passes; of the first chunk
         # of seed 4, replicas 0 and 1 pass and replica 2, with a degree 9, does not
@@ -556,7 +563,7 @@ def test_exit_code_census_too_large_in_ensemble_chunk(tmp_path, caplog, monkeypa
 
         monkeypatch.setattr(census_module, "_add_row_blocks", exhausted)
         message = "too large to count in memory"
-    argv = ["report", "--input", WOMEN, "--runs", "20", "--seed", "4", "--out", str(tmp_path / "out")]
+    argv = ["report", "--input", WOMEN, "--runs", "7", "--seed", "4", "--out", str(tmp_path / "out")]
     assert main(argv) == 2
     (record,) = [r for r in caplog.records if r.levelname == "ERROR"]
     assert message in record.getMessage()

@@ -16,8 +16,8 @@ from bimotif import (
     load_biadjacency,
     load_edge_list,
     load_graph,
-    mirror,
 )
+from graphs import edge_list, mirror
 
 
 def test_from_edge_list_basic():
@@ -99,12 +99,12 @@ def test_degree_sums_equal_edge_count(davis):
 def test_round_trip(davis):
     # label order follows first appearance in the edge list, so only
     # the labeled edge set and the label sets are preserved
-    g2, dups = from_edge_list(davis.to_edge_list())
+    g2, dups = from_edge_list(edge_list(davis))
     assert dups == 0
     assert g2.primary_labels == davis.primary_labels
     assert set(g2.secondary_labels) == set(davis.secondary_labels)
-    assert sorted(g2.to_edge_list()) == sorted(davis.to_edge_list())
-    g3, _ = from_edge_list(g2.to_edge_list())
+    assert sorted(edge_list(g2)) == sorted(edge_list(davis))
+    g3, _ = from_edge_list(edge_list(g2))
     assert g3 == g2
 
 
