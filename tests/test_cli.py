@@ -163,6 +163,26 @@ def test_analyze_independent_of_blas_threads(tmp_path):
     assert reports[0] == reports[1]
 
 
+def test_startup_leaves_scipy_unimported():
+    # the Student-t quantile comes from the standard library; importing
+    # scipy.stats cost every cold command over a second
+    src = str(Path(bimotif.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    imported = subprocess.run(
+        [sys.executable, "-c", "import bimotif.cli, sys; assert 'scipy' not in sys.modules"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert (imported.returncode, imported.stderr) == (0, "")
+    version = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "bimotif.cli", "--version"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert (version.returncode, version.stdout) == (0, f"bimotif {bimotif.__version__}\n")
+    modules = [line.rsplit("|", 1)[-1].strip() for line in version.stderr.splitlines()]
+    assert "bimotif.null_model" in modules
+    assert not [m for m in modules if m.split(".")[0] == "scipy"]
+
+
 def test_report_independent_of_blas_threads(tmp_path):
     # an ensemble chunk's part-1 products run through BLAS; the counts stay exact integers
     src = str(Path(bimotif.__file__).resolve().parents[1])

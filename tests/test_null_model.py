@@ -4,7 +4,8 @@ import statistics
 import sys
 
 import pytest
-from scipy.stats import t as student_t
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bimotif import (
     NULL_MODELS,
@@ -20,8 +21,84 @@ from bimotif import (
     replica_seed,
     run_ensemble,
 )
-from bimotif.null_model import _aggregate
+from bimotif.null_model import _aggregate, _t_quantile
 from graphs import edge_list, k33, random_bipartite, three_disjoint_edges
+
+
+# The double nearest the 0.975 quantile of Student's t, per degrees of
+# freedom: roots of 1 - I_x(nu/2, 1/2)/2 = 0.975, x = nu/(nu + t²), found
+# with mpmath at 50 digits.  For each, the CDF at the two half-ulp
+# midpoints around the double was checked to lie on either side of 0.975.
+# scipy.stats.t.ppf(0.975, 1) gives 12.706204736174694, the quantile of
+# the double nearest 0.975, which is 2.2e-17 below it.
+T_975 = {
+    1: 12.706204736174705,
+    2: 4.302652729749464,
+    3: 3.1824463052837095,
+    4: 2.7764451051977943,
+    5: 2.5705818356363155,
+    6: 2.44691185114497,
+    7: 2.3646242515927853,
+    8: 2.3060041352041667,
+    9: 2.2621571627982053,
+    10: 2.228138851986275,
+    11: 2.2009851600916397,
+    12: 2.178812829667229,
+    13: 2.1603686564627926,
+    14: 2.144786687917804,
+    15: 2.1314495455597755,
+    16: 2.1199052992212546,
+    17: 2.109815577833317,
+    18: 2.1009220402410387,
+    19: 2.0930240544083096,
+    20: 2.085963447265865,
+    21: 2.0796138447276804,
+    22: 2.0738730679040263,
+    23: 2.0686576104190486,
+    24: 2.063898561628026,
+    25: 2.0595385527532977,
+    26: 2.055529438642873,
+    27: 2.0518305164802855,
+    28: 2.048407141795245,
+    29: 2.0452296421327043,
+    30: 2.042272456301238,
+    31: 2.0395134463964086,
+    32: 2.036933343460102,
+    33: 2.034515297449339,
+    34: 2.032244509317719,
+    35: 2.0301079282503434,
+    36: 2.028094000980451,
+    37: 2.0261924630291097,
+    38: 2.02439416391197,
+    39: 2.0226909200367613,
+    40: 2.0210753903062733,
+    41: 2.0195409704413763,
+    42: 2.018081702818445,
+    43: 2.0166921992278244,
+    44: 2.015367574443764,
+    45: 2.0141033888808466,
+    46: 2.012895598919429,
+    47: 2.011740513729766,
+    48: 2.0106347576242323,
+    49: 2.0095752371292397,
+    50: 2.008559112100761,
+    51: 2.007583770315836,
+    52: 2.0066468050616884,
+    53: 2.005745995317869,
+    54: 2.004879288188057,
+    55: 2.004044783289146,
+    56: 2.0032407188478722,
+    57: 2.0024654592910074,
+    58: 2.001717484145236,
+    59: 2.000995378088268,
+    60: 2.0002978220142604,
+    99: 1.9842169515864174,
+    100: 1.9839715185235522,
+    999: 1.96234146113345,
+    1999: 1.961151420170562,
+    4999: 1.960438646661525,
+    19999: 1.9600826110898155,
+}
 
 
 def degree_pair(g):
@@ -136,9 +213,9 @@ def test_ensemble_stats_match_plain_statistics(davis):
         assert cls.defined_count == len(vals)
         assert cls.mean == pytest.approx(statistics.fmean(vals), abs=1e-12)
         assert cls.std == pytest.approx(statistics.stdev(vals), abs=1e-12)
-        half = student_t.ppf(0.975, len(vals) - 1) * cls.std / math.sqrt(len(vals))
-        assert cls.ci_low == pytest.approx(cls.mean - half, abs=1e-12)
-        assert cls.ci_high == pytest.approx(cls.mean + half, abs=1e-12)
+        half = T_975[len(vals) - 1] * cls.std / math.sqrt(len(vals))
+        assert cls.ci_low == cls.mean - half
+        assert cls.ci_high == cls.mean + half
         assert cls.midpoint == cls.mean
 
 
@@ -181,3 +258,33 @@ def test_aggregate_small_counts():
     pair = _aggregate([0.25, 0.75])
     assert pair.mean == 0.5
     assert pair.ci_low < 0.5 < pair.ci_high
+
+
+def test_t_quantile_is_correctly_rounded():
+    assert {nu: _t_quantile(nu) for nu in T_975} == T_975
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.integers(1, 2000))
+def test_t_quantile_between_half_ulp_midpoints(nu):
+    mpmath = pytest.importorskip("mpmath")
+    q = _t_quantile(nu)
+    with mpmath.workdps(40):
+
+        def cdf(a, b):
+            # at the exact midpoint of the doubles a and b
+            t = (mpmath.mpf(a) + mpmath.mpf(b)) / 2
+            x = nu / (nu + t * t)
+            return 1 - mpmath.betainc(mpmath.mpf(nu) / 2, 0.5, 0, x, regularized=True) / 2
+
+        level = mpmath.mpf("0.975")
+        assert cdf(math.nextafter(q, 0), q) < level < cdf(q, math.nextafter(q, math.inf))
+
+
+def test_one_quantile_per_degrees_of_freedom(davis):
+    # all four classes are defined in all 12 replicas, so they share nu = 11
+    _t_quantile.cache_clear()
+    stats = run_ensemble(davis, EnsembleConfig(runs=12, seed=1))
+    assert {c.defined_count for c in stats.classes} == {12}
+    info = _t_quantile.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
