@@ -65,12 +65,13 @@ with the same node counts as one (chunk, na, ns) boolean array, and
 every array after it carries that leading chunk axis: a row block of
 parts 1 and 3 is the same rows of every graph in the chunk, and a
 part-2 stack takes neighbourhoods of one degree from any of them, with
-node indices offset per graph.  :func:`census_totals` reads its graphs
-a chunk at a time, as many as fit ``_CHUNK_CELLS``, and returns each
-graph's global totals (:class:`CensusTotals`), which :func:`_totals`
-reads from the per-center sums.  :func:`census` is the chunk of one:
-its :class:`MotifCensus` is those same totals together with the
-per-node rows.
+node indices offset per graph.  :func:`census_totals` reads its
+graphs' biadjacencies a chunk at a time, as many as fit
+``_CHUNK_CELLS``, and returns each graph's global totals
+(:class:`CensusTotals`), which :func:`_totals` reads from the
+per-center sums.  :func:`census` is the chunk of one, built from a
+labelled graph: its :class:`MotifCensus` is those same totals together
+with the per-node rows.
 
 All arithmetic is on integers, in int64 or in floating-point products
 whose values are integers small enough to be exact;
@@ -80,10 +81,11 @@ kernel's input, could break that.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -415,21 +417,20 @@ def _count(bits):
     return acc
 
 
-def _census_sums(graphs: Sequence[BipartiteGraph], side: Side, na: int, ns: int):
-    """:func:`_count` on the biadjacency of graphs with ``na`` analysis and ``ns`` opposite nodes.
+def _biadjacency(g: BipartiteGraph, side: Side) -> np.ndarray:
+    """The (na, ns) boolean biadjacency of ``g``, with ``side`` as its rows."""
+    adj = g.adjacency(side)
+    bits = np.zeros((len(adj), g.node_count(side.other())), dtype=bool)
+    bits[np.repeat(np.arange(len(adj)), [len(n) for n in adj]),
+         list(itertools.chain.from_iterable(adj))] = True
+    return bits
 
-    Raises ``ValueError`` for a graph with other node counts.
-    """
-    if any((g.node_count(side), g.node_count(side.other())) != (na, ns) for g in graphs):
-        raise ValueError("a census chunk needs graphs with equal node counts")
-    adjs = [g.adjacency(side) for g in graphs]
+
+@contextlib.contextmanager
+def _in_memory(na: int, ns: int):
+    """Turn a failed allocation while counting na × ns graphs into :class:`CensusTooLarge`."""
     try:
-        bits = np.zeros((len(graphs), na, ns), dtype=bool)
-        bits.reshape(len(graphs) * na, ns)[
-            np.repeat(np.arange(len(graphs) * na), [len(n) for adj in adjs for n in adj]),
-            list(itertools.chain.from_iterable(itertools.chain.from_iterable(adjs))),
-        ] = True
-        return _count(bits)
+        yield
     except MemoryError:
         raise CensusTooLarge(
             f"graph too large to count in memory: {na} analysis and {ns} opposite nodes"
@@ -467,7 +468,8 @@ def census(g: BipartiteGraph, side: Side = Side.PRIMARY) -> MotifCensus:
     when the counts could not be exact, or when the arrays do not fit in
     memory.
     """
-    acc = _census_sums([g], side, g.node_count(side), g.node_count(side.other()))[:, 0]
+    with _in_memory(g.node_count(side), g.node_count(side.other())):
+        acc = _count(_biadjacency(g, side)[None])[:, 0]
     return MotifCensus(
         **vars(_totals(acc.tolist())),
         path_counts=_per_node([acc[_K0], acc[_K1], 2 * acc[_K2]]),
@@ -479,24 +481,29 @@ def census(g: BipartiteGraph, side: Side = Side.PRIMARY) -> MotifCensus:
     )
 
 
-def census_totals(graphs: Iterable[BipartiteGraph], side: Side = Side.PRIMARY) -> list[CensusTotals]:
-    """The global totals of each of ``graphs``, which must have the first one's node counts.
+def census_totals(biadjacencies: Iterable[np.ndarray]) -> list[CensusTotals]:
+    """The global totals of each graph, given as its (na, ns) boolean biadjacency.
 
-    The graphs are read and counted a chunk at a time, as many per
-    kernel call as fit ``_CHUNK_CELLS``, so many small graphs cost little
-    more than one; the totals equal those of :func:`census` on each
-    graph.  Raises :class:`CensusTooLarge` as :func:`census` does.
+    The analysis side is the rows (pass ``bits.T`` to count the columns),
+    and every array must have the first one's shape.  The arrays are
+    read and counted a chunk at a time, as many per kernel call as fit
+    ``_CHUNK_CELLS``, so many small graphs cost little more than one;
+    the totals equal those of :func:`census` on each graph.  Raises
+    :class:`CensusTooLarge` as :func:`census` does.
     """
-    graphs = iter(graphs)
-    first = next(graphs, None)
+    biadjacencies = iter(biadjacencies)
+    first = next(biadjacencies, None)
     if first is None:
         return []
-    na, ns = first.node_count(side), first.node_count(side.other())
+    na, ns = first.shape
     step = max(1, _CHUNK_CELLS // max(1, na * ns))
-    graphs = itertools.chain([first], graphs)
+    biadjacencies = itertools.chain([first], biadjacencies)
     totals = []
-    while chunk := list(itertools.islice(graphs, step)):
-        acc = _census_sums(chunk, side, na, ns)
+    while chunk := list(itertools.islice(biadjacencies, step)):
+        if any(bits.shape != (na, ns) for bits in chunk):
+            raise ValueError("a census chunk needs graphs with equal node counts")
+        with _in_memory(na, ns):
+            acc = _count(np.stack(chunk))
         totals += [_totals(acc[:, k].tolist()) for k in range(len(chunk))]
     return totals
 

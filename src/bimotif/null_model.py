@@ -6,11 +6,20 @@ Two replica generators are available:
   same number of edges.  This is the default and is what the bundled
   reference midpoints were produced with.
 * ``degree``: attempted double edge swaps on the original graph, which
-  preserve both degree sequences exactly.
+  preserve both degree sequences exactly (the swap null model of
+  Strona et al., Nat. Commun. 5, 2014).
 
-Replicas are generated in order and handed to :func:`census_totals`,
-which counts them a chunk at a time and gives each replica's global
-totals; its global clustering profile is computed from those alone.
+A replica is made as bit rows: its (primary, secondary) boolean
+biadjacency, filled cell by cell from the random stream, with no
+labelled graph in between.  The density model sets the cells of one
+``rng.sample`` call; the degree model runs its swap chain on integer
+edge lists and a byte per cell.  :func:`run_ensemble` generates them in
+order and hands them to :func:`census_totals` (transposed for the
+secondary side), which counts them a chunk at a time and gives each
+replica's global totals; its global clustering profile is computed from
+those alone.  :func:`randomize` and :func:`density_rewire` return the
+same replicas as labelled graphs.
+
 Per class, the defined values are aggregated into a mean, a 95%
 confidence interval from the correctly rounded Student-t quantile, and
 its midpoint (equal to the mean).  Replicas where a class is undefined
@@ -28,6 +37,8 @@ from decimal import Decimal, localcontext
 from statistics import NormalDist
 from typing import Optional
 
+import numpy as np
+
 from .census import census  # unused here; kept because bench/traced.py wraps null_model.census
 from .census import census_totals
 from .coefficients import SEMANTICS, global_profile
@@ -37,6 +48,8 @@ from .graph import BipartiteGraph, Side, from_indexed_edges
 NULL_MODELS = ("density", "degree")
 
 _MASK64 = (1 << 64) - 1
+# Doubles _t_quantile may walk from its exact Newton step; no nu tried needed one.
+_WALK_STEPS = 4
 
 
 class InvalidConfig(BimotifError):
@@ -105,51 +118,85 @@ def replica_seed(seed: int, replica: int) -> int:
     return _mix64((seed ^ replica) & _MASK64)
 
 
+def _swapped_rows(g: BipartiteGraph, seed: int, swaps_per_edge: int) -> np.ndarray:
+    """The degree model's replica of ``g`` (see :func:`randomize`), as its boolean biadjacency.
+
+    The edges are listed primary by primary: edge k is (heads[k],
+    tails[k]), with the head as the offset of its row's first cell, and
+    keeps its place in the list when it is rewired.  The edge set is one
+    byte per cell.  An index below n is drawn exactly as CPython's
+    ``Random`` draws an integer in range(n): by rejection from
+    ``getrandbits`` of n's bit length.  The first index of an attempt is
+    below m and the second below m − 1.
+    """
+    n_s = len(g.secondary_labels)
+    cells = bytearray(len(g.primary_labels) * n_s)
+    heads, tails = [], []
+    for i, nbrs in enumerate(g.adjacency_primary):
+        for j in nbrs:
+            heads.append(i * n_s)
+            tails.append(j)
+            cells[i * n_s + j] = 1
+    m = len(heads)
+    if m >= 2:
+        bits = random.Random(seed).getrandbits
+        # they differ when m is a power of two
+        k_first, k_second = m.bit_length(), (m - 1).bit_length()
+        for _ in range(swaps_per_edge * m):
+            i = bits(k_first)
+            while i >= m:
+                i = bits(k_first)
+            j = bits(k_second)
+            while j >= m - 1:
+                j = bits(k_second)
+            if j >= i:
+                j += 1
+            a, b = heads[i], heads[j]
+            x, y = tails[i], tails[j]
+            if a == b or x == y or cells[a + y] or cells[b + x]:
+                continue
+            cells[a + x] = cells[b + y] = 0
+            cells[a + y] = cells[b + x] = 1
+            tails[i], tails[j] = y, x
+    return _as_rows(cells, g)
+
+
+def _sampled_rows(g: BipartiteGraph, seed: int) -> np.ndarray:
+    """The density model's replica of ``g``: ``edge_count`` cells drawn by ``rng.sample``."""
+    cells = bytearray(len(g.primary_labels) * len(g.secondary_labels))
+    for c in random.Random(seed).sample(range(len(cells)), g.edge_count):
+        cells[c] = 1
+    return _as_rows(cells, g)
+
+
+def _as_rows(cells: bytearray, g: BipartiteGraph) -> np.ndarray:
+    return np.frombuffer(cells, dtype=bool).reshape(len(g.primary_labels), len(g.secondary_labels))
+
+
+def _graph(g: BipartiteGraph, rows: np.ndarray) -> BipartiteGraph:
+    """The graph with ``g``'s labels and the edges of the biadjacency ``rows``."""
+    edges = zip(*(index.tolist() for index in np.nonzero(rows)))
+    return from_indexed_edges(g.primary_labels, g.secondary_labels, edges)
+
+
 def randomize(g: BipartiteGraph, seed: int, swaps_per_edge: int = 10) -> BipartiteGraph:
-    """Degree-preserving rewiring by attempted double edge swaps.
+    """Degree-preserving rewiring by attempted double edge swaps (the ``degree`` model).
 
     Picks two distinct edges (a,x), (b,y) uniformly; if a != b, x != y
     and neither (a,y) nor (b,x) exists, the pair is rewired to (a,y),
     (b,x); otherwise the attempt is skipped.  swaps_per_edge * edge
-    count attempts are made.  Deterministic for a given seed.
+    count attempts are made.  Deterministic for a given seed, and the
+    replica that :func:`run_ensemble` counts for that seed.
     """
-    edges = []
-    for i, nbrs in enumerate(g.adjacency_primary):
-        for j in nbrs:
-            edges.append((i, j))
-    m = len(edges)
-    if m < 2:
-        return g
-    eset = set(edges)
-    rng = random.Random(seed)
-    for _ in range(swaps_per_edge * m):
-        i = rng.randrange(m)
-        j = rng.randrange(m - 1)
-        if j >= i:
-            j += 1
-        a, x = edges[i]
-        b, y = edges[j]
-        if a == b or x == y:
-            continue
-        if (a, y) in eset or (b, x) in eset:
-            continue
-        eset.remove((a, x))
-        eset.remove((b, y))
-        eset.add((a, y))
-        eset.add((b, x))
-        edges[i] = (a, y)
-        edges[j] = (b, x)
-    return from_indexed_edges(g.primary_labels, g.secondary_labels, edges)
+    return _graph(g, _swapped_rows(g, seed, swaps_per_edge))
 
 
 def density_rewire(g: BipartiteGraph, seed: int) -> BipartiteGraph:
-    """Uniform graph with the same node counts and edge count."""
-    np_ = len(g.primary_labels)
-    ns_ = len(g.secondary_labels)
-    rng = random.Random(seed)
-    cells = rng.sample(range(np_ * ns_), g.edge_count)
-    edges = [divmod(c, ns_) for c in cells]
-    return from_indexed_edges(g.primary_labels, g.secondary_labels, edges)
+    """Uniform graph with the same node counts and edge count (the ``density`` model).
+
+    The replica that :func:`run_ensemble` counts for that seed.
+    """
+    return _graph(g, _sampled_rows(g, seed))
 
 
 def _two_sided(t, nu: int, sqrt, atan, pi):
@@ -213,7 +260,8 @@ def _t_quantile(nu: int) -> float:
     The walk moves to the neighbouring double while the exact CDF at a
     half-ulp midpoint lies on the wrong side of 0.975, so the result is
     correctly rounded.  Every nu from 1 to 3,000, and every 37th up to
-    20,000, took three exact sums of nu // 2 terms.  Memoised, so the
+    20,000, took three exact sums of nu // 2 terms.  A walk longer than
+    ``_WALK_STEPS`` doubles raises ``ArithmeticError``.  Memoised, so the
     classes of one ensemble share one evaluation.
     """
     x = NormalDist().inv_cdf(0.975)
@@ -243,11 +291,17 @@ def _t_quantile(nu: int) -> float:
 
         seed = Decimal(t)
         q = float(seed - excess(seed) / Decimal(2 * _t_pdf(t, nu)))
-        while excess(midpoint(q, math.nextafter(q, math.inf))) < 0:
-            q = math.nextafter(q, math.inf)
-        while excess(midpoint(q, math.nextafter(q, 0))) > 0:
-            q = math.nextafter(q, 0)
-    return q
+        for _ in range(_WALK_STEPS + 1):
+            up, down = math.nextafter(q, math.inf), math.nextafter(q, 0)
+            if excess(midpoint(q, up)) < 0:
+                q = up
+            elif excess(midpoint(q, down)) > 0:
+                q = down
+            else:
+                return q
+    raise ArithmeticError(
+        f"Student-t quantile for {nu} degrees of freedom not found within {_WALK_STEPS} steps"
+    )
 
 
 def _aggregate(values: list[float]) -> ClassStats:
@@ -275,14 +329,16 @@ def run_ensemble(g: BipartiteGraph, cfg: EnsembleConfig) -> EnsembleStats:
     value.
     """
 
-    def replica(r: int) -> BipartiteGraph:
+    def replica(r: int) -> np.ndarray:
         rs = replica_seed(cfg.seed, r)
         if cfg.null_model == "degree":
-            return randomize(g, rs, cfg.swaps_per_edge)
-        return density_rewire(g, rs)
+            bits = _swapped_rows(g, rs, cfg.swaps_per_edge)
+        else:
+            bits = _sampled_rows(g, rs)
+        return bits if cfg.side is Side.PRIMARY else bits.T
 
     rows = []
-    for totals in census_totals(map(replica, range(cfg.runs)), cfg.side):
+    for totals in census_totals(map(replica, range(cfg.runs))):
         prof = global_profile(totals, cfg.semantics)
         rows.append(tuple(None if v is None else float(v) for v in prof.cc))
 

@@ -2,9 +2,10 @@
 
 import random
 
+import numpy as np
 from hypothesis import strategies as st
 
-from bimotif import BipartiteGraph, from_edge_list, from_indexed_edges
+from bimotif import BipartiteGraph, Side, from_edge_list, from_indexed_edges
 
 RING_EDGES = [
     ("v0", "w0"), ("v1", "w0"), ("v1", "w1"),
@@ -19,6 +20,15 @@ def edge_list(g: BipartiteGraph) -> list[tuple[str, str]]:
     """Edges as (primary_label, secondary_label) pairs in index order."""
     return [(g.primary_labels[i], g.secondary_labels[j])
             for i, nbrs in enumerate(g.adjacency_primary) for j in nbrs]
+
+
+def biadjacency(g: BipartiteGraph, side: Side = Side.PRIMARY) -> np.ndarray:
+    """Boolean biadjacency with ``side`` as rows, set one edge at a time."""
+    bits = np.zeros((g.node_count(side), g.node_count(side.other())), dtype=bool)
+    for i, nbrs in enumerate(g.adjacency(side)):
+        for j in nbrs:
+            bits[i, j] = True
+    return bits
 
 
 def mirror(g: BipartiteGraph) -> BipartiteGraph:

@@ -4,15 +4,18 @@ Everything here is written as directly as possible, with loop
 structures chosen to be different from the library's kernels.
 ``pairwise_census`` is the package's earlier census kernel, a walk over
 pairs of opposite-side nodes; it is fast enough for graphs beyond the
-brute-force guard.
+brute-force guard.  ``tuple_set_randomize`` and ``divmod_density_rewire``
+are the package's earlier replica generators, on tuples and a set of
+edges, drawing through ``randrange`` and ``sample``.
 """
 
+import random
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
 from math import comb
 
-from bimotif import BipartiteGraph, MotifCensus, Side
+from bimotif import BipartiteGraph, MotifCensus, Side, from_indexed_edges
 
 
 class SixCycleClass(IntEnum):
@@ -433,6 +436,44 @@ def naive_opsahl(g: BipartiteGraph, side: Side):
     per_tau = [t // 2 for t in tau2]
     per_closed = [c // 2 for c in closed2]
     return sum(per_tau), sum(per_closed), per_tau, per_closed
+
+
+def tuple_set_randomize(g: BipartiteGraph, seed: int, swaps_per_edge: int = 10) -> BipartiteGraph:
+    """The degree model: attempted double edge swaps on a list and a set of edge tuples."""
+    edges = []
+    for i, nbrs in enumerate(g.adjacency_primary):
+        for j in nbrs:
+            edges.append((i, j))
+    m = len(edges)
+    if m < 2:
+        return g
+    eset = set(edges)
+    rng = random.Random(seed)
+    for _ in range(swaps_per_edge * m):
+        i = rng.randrange(m)
+        j = rng.randrange(m - 1)
+        if j >= i:
+            j += 1
+        a, x = edges[i]
+        b, y = edges[j]
+        if a == b or x == y:
+            continue
+        if (a, y) in eset or (b, x) in eset:
+            continue
+        eset.remove((a, x))
+        eset.remove((b, y))
+        eset.add((a, y))
+        eset.add((b, x))
+        edges[i] = (a, y)
+        edges[j] = (b, x)
+    return from_indexed_edges(g.primary_labels, g.secondary_labels, edges)
+
+
+def divmod_density_rewire(g: BipartiteGraph, seed: int) -> BipartiteGraph:
+    """The density model: ``edge_count`` sampled cells, split into (row, column) by divmod."""
+    n_s = len(g.secondary_labels)
+    cells = random.Random(seed).sample(range(len(g.primary_labels) * n_s), g.edge_count)
+    return from_indexed_edges(g.primary_labels, g.secondary_labels, [divmod(c, n_s) for c in cells])
 
 
 def g_branches(cc, ci) -> Fraction:

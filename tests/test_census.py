@@ -16,6 +16,7 @@ from bimotif import (
 )
 from bimotif.census import _check_exact
 from graphs import (
+    biadjacency,
     c6,
     divisor_gadget,
     hub_graph,
@@ -239,23 +240,27 @@ def test_census_totals_of_a_chunk_equal_each_census(row_block, stack):
                 each = [_totals_of(census(g, side)) for g in chunk]
                 # some graphs have triples with t ≥ 2 (class-2 configurations), others none
                 assert {t.config_totals[2] > 0 for t in each} == {True, False}
+                arrays = [biadjacency(g, side) for g in chunk]
+                if side is Side.SECONDARY:
+                    # one secondary-side array as the transpose of the primary one
+                    arrays[1] = biadjacency(chunk[1]).T
                 sizes.clear()
-                assert census_totals(chunk, side) == each
+                assert census_totals(arrays) == each
                 assert sizes == [8]
                 with pytest.MonkeyPatch.context() as small:
-                    # a generator, read three graphs per kernel call
+                    # a generator, read three arrays per kernel call
                     small.setattr(census_module, "_CHUNK_CELLS", 3 * cells)
                     sizes.clear()
-                    assert census_totals((g for g in chunk), side) == each
+                    assert census_totals((a for a in arrays)) == each
                     assert sizes == [3, 3, 2]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(census_module, "_CHUNK_CELLS", 2 * 4 * 5)
         for graphs in ([random_bipartite(rng, 4, 5, 0.5), random_bipartite(rng, 5, 4, 0.5)],
-                       # graphs with other node counts, but equal to each other, fill the third chunk
+                       # arrays of another shape, but equal to each other, fill the third chunk
                        [random_bipartite(rng, 4, 5, 0.5) for _ in range(4)]
                        + [random_bipartite(rng, 5, 4, 0.5), random_bipartite(rng, 5, 4, 0.5)]):
             with pytest.raises(ValueError, match="equal node counts"):
-                census_totals(iter(graphs))
+                census_totals(iter(map(biadjacency, graphs)))
     assert census_totals([]) == []
     assert census_totals(iter([])) == []
 

@@ -163,16 +163,28 @@ def test_analyze_independent_of_blas_threads(tmp_path):
     assert reports[0] == reports[1]
 
 
-def test_startup_leaves_scipy_unimported():
+def test_startup_leaves_scipy_unimported(tmp_path):
     # the Student-t quantile comes from the standard library; importing
-    # scipy.stats cost every cold command over a second
+    # scipy.stats cost every cold command over a second.  Replicas are drawn
+    # from the standard library's generator too: numpy.random adds about
+    # 6 MB of memory and 15 ms of startup.
     src = str(Path(bimotif.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
+    script = (
+        "import sys\n"
+        "import bimotif.cli\n"
+        "assert 'scipy' not in sys.modules and 'numpy.random' not in sys.modules\n"
+        "argv = ['report', '--input', sys.argv[1], '--null-model', 'degree', '--runs', '3',\n"
+        "        '--out', sys.argv[2]]\n"
+        "assert bimotif.cli.main(argv) == 0\n"
+        "assert 'scipy' not in sys.modules and 'numpy.random' not in sys.modules\n"
+    )
     imported = subprocess.run(
-        [sys.executable, "-c", "import bimotif.cli, sys; assert 'scipy' not in sys.modules"],
+        [sys.executable, "-c", script, WOMEN, str(tmp_path / "out")],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert (imported.returncode, imported.stderr) == (0, "")
+    assert (tmp_path / "out" / "replicas.csv").exists()
     version = subprocess.run(
         [sys.executable, "-X", "importtime", "-m", "bimotif.cli", "--version"],
         env=env, capture_output=True, text=True, timeout=120,

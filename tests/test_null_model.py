@@ -3,6 +3,7 @@ import random
 import statistics
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,8 +22,9 @@ from bimotif import (
     replica_seed,
     run_ensemble,
 )
-from bimotif.null_model import _aggregate, _t_quantile
-from graphs import edge_list, k33, random_bipartite, three_disjoint_edges
+from bimotif.null_model import _aggregate, _sampled_rows, _swapped_rows, _t_quantile
+from graphs import biadjacency, edge_list, k33, random_bipartite, three_disjoint_edges
+from oracles import divmod_density_rewire, tuple_set_randomize
 
 
 # The double nearest the 0.975 quantile of Student's t, per degrees of
@@ -196,14 +198,64 @@ def test_chunked_ensemble_matches_census_per_replica(chunk):
                     sizes.clear()
                     stats = run_ensemble(g, cfg)
                     assert max(sizes) == chunk and sum(sizes) == 10
-                    for r, values in enumerate(stats.replica_values):
-                        rs = replica_seed(cfg.seed, r)
-                        if model == "degree":
-                            replica = randomize(g, rs, cfg.swaps_per_edge)
-                        else:
-                            replica = density_rewire(g, rs)
-                        cc = global_profile(census(replica, side), semantics).cc
-                        assert values == tuple(None if v is None else float(v) for v in cc)
+                    assert stats.replica_values == oracle_values(g, cfg)
+
+
+def oracle_values(g, cfg):
+    """Each replica's global coefficients, from the oracle generators and a census per replica."""
+    values = []
+    for r in range(cfg.runs):
+        rs = replica_seed(cfg.seed, r)
+        if cfg.null_model == "degree":
+            replica = tuple_set_randomize(g, rs, cfg.swaps_per_edge)
+        else:
+            replica = divmod_density_rewire(g, rs)
+        cc = global_profile(census(replica, cfg.side), cfg.semantics).cc
+        values.append(tuple(None if v is None else float(v) for v in cc))
+    return tuple(values)
+
+
+# 64 and 128 edges: the two indices of a swap are drawn with different bit
+# lengths only when the edge count is a power of two
+EDGE_COUNTS = (0, 1, 2, 3, 63, 64, 65, 128)
+
+
+def graph_with_edges(rng, m):
+    """A random graph of exactly m edges, with room for swaps."""
+    na, ns = rng.randint(3, 16), rng.randint(3, 16)
+    while na * ns < m + 2:
+        na, ns = na + 1, ns + 1
+    cells = rng.sample(range(na * ns), m)
+    return from_indexed_edges([f"p{i}" for i in range(na)], [f"s{j}" for j in range(ns)],
+                              [divmod(c, ns) for c in cells])
+
+
+@pytest.mark.parametrize("m", EDGE_COUNTS)
+def test_replica_rows_equal_the_oracle_generators(m):
+    rng = random.Random(m)
+    for seed in range(200):
+        g = graph_with_edges(rng, m)
+        for swaps in (0, 1, 10):
+            expected = tuple_set_randomize(g, seed, swaps)
+            assert np.array_equal(_swapped_rows(g, seed, swaps), biadjacency(expected))
+            assert randomize(g, seed, swaps) == expected
+        expected = divmod_density_rewire(g, seed)
+        assert np.array_equal(_sampled_rows(g, seed), biadjacency(expected))
+        assert density_rewire(g, seed) == expected
+
+
+@pytest.mark.parametrize("m", EDGE_COUNTS)
+def test_ensemble_equals_census_of_oracle_replicas(m):
+    rng = random.Random(1000 + m)
+    for seed in range(3):
+        g = graph_with_edges(rng, m)
+        for side in Side:
+            for swaps in (0, 1, 10):
+                cfg = EnsembleConfig(runs=4, seed=seed, swaps_per_edge=swaps, side=side,
+                                     null_model="degree")
+                assert run_ensemble(g, cfg).replica_values == oracle_values(g, cfg)
+            cfg = EnsembleConfig(runs=4, seed=seed, side=side)
+            assert run_ensemble(g, cfg).replica_values == oracle_values(g, cfg)
 
 
 def test_ensemble_stats_match_plain_statistics(davis):
@@ -279,6 +331,24 @@ def test_t_quantile_between_half_ulp_midpoints(nu):
 
         level = mpmath.mpf("0.975")
         assert cdf(math.nextafter(q, 0), q) < level < cdf(q, math.nextafter(q, math.inf))
+
+
+def test_t_quantile_walk_is_bounded(monkeypatch):
+    # a CDF that never reaches 0.975 would walk up from double to double forever
+    calls = []
+
+    def short_of_the_level(t, *args):
+        calls.append(t)
+        assert len(calls) < 100, "the walk is unbounded"
+        return type(t)("0.9")
+
+    monkeypatch.setattr(sys.modules["bimotif.null_model"], "_two_sided", short_of_the_level)
+    _t_quantile.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError, match="5 degrees of freedom"):
+            _t_quantile(5)
+    finally:
+        _t_quantile.cache_clear()
 
 
 def test_one_quantile_per_degrees_of_freedom(davis):

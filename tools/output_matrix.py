@@ -19,10 +19,12 @@ degree ensemble's; then ``analyze`` on the seed-1 dense input,
 ``report --null-model degree --runs 3`` on the seed-1 skewed input,
 ``report --runs 50`` on Southern Women, ``analyze --side
 secondary`` on the seed-1 skewed and dense inputs, where the opposite
-side has 1,000 and 100 nodes, and ``ensemble --runs 2`` and ``report
+side has 1,000 and 100 nodes, ``ensemble --runs 2`` and ``report
 --runs 2000`` on Southern Women, whose intervals use the Student-t
-quantile at 1 and 1,999 degrees of freedom.  New commands go at the
-end, so the earlier ones keep their numbers.
+quantile at 1 and 1,999 degrees of freedom, and ``ensemble
+--null-model degree --side secondary --runs 3`` on the seed-1 skewed
+input, whose replicas are counted with the 300-node side as rows.  New
+commands go at the end, so the earlier ones keep their numbers.
 
 Two checkouts give the same outputs when ``diff -r`` of their OUT_DIRs
 finds nothing.
@@ -66,6 +68,8 @@ def commands() -> list[list[str]]:
     out.append(["analyze", "--input", "inputs/dense.tsv", "--side", "secondary"])
     out.append(["ensemble", "--input", women, "--runs", "2"])
     out.append(["report", "--input", women, "--runs", "2000"])
+    out.append(["ensemble", "--input", "inputs/skewed.tsv", "--null-model", "degree",
+                "--side", "secondary", "--runs", "3"])
     return out
 
 
