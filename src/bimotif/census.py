@@ -39,8 +39,10 @@ regions a = x − t, b = y − t, f = z − t and t decide everything:
   b.  Both close to class 2 when t > 1.  A class-2 configuration closes
   to class 2 when a, b or f is positive, and to class 3 when t > 2.
 
-:func:`_terms` states these per-triple counts g(a, b, f, t) once.  The
-kernel sums each g over all triples in three parts:
+These per-triple counts g(a, b, f, t) are the 16 rows named below
+(``_K0`` to ``_S2``); the test oracle ``tests/oracles.py::region_terms``
+states each one directly as a function of the regions.  The kernel sums
+each g over all triples in three parts:
 
 1. The sum of g(x, y, z, 0) over every triple.  At t = 0 only xy,
    xy·[z > 0] and xyz survive, and per center they are closed forms in
@@ -54,7 +56,9 @@ kernel sums each g over all triples in three parts:
 3. For each triple with t ≥ 2, g(t) − g(0) − t·(g(1) − g(0)).  These
    triples are listed explicitly, each once as p < q < r with every
    two of them sharing at least two neighbours, and evaluated a step
-   at a time as they are listed.
+   at a time as they are listed.  There x, y, z ≥ t ≥ 2, so every
+   indicator in g(0) and g(1) is fixed, and :func:`_deep_terms` gives
+   the combination as one short expression per row.
 
 Parts 1 and 3 run in one pass over blocks of analysis rows: each
 block's rows of D are computed once and feed both.  Part 2 is a
@@ -94,8 +98,11 @@ from .graph import BipartiteGraph, Side
 
 # Analysis rows per block of D (parts 1 and 3).
 _ROW_BLOCK = 32
-# Array entries per step: a run of d×d blocks in part 2, pairs × candidates in part 3.
-_STACK = 1 << 12
+# Array entries per step: a run of d×d blocks in part 2, pairs × candidates in
+# part 3.  Of 2¹² to 2¹⁵, 2¹⁴ counted a 65-replica Southern Women chunk and a
+# 100x100 graph of 2,000 edges fastest, for 1.1-1.4 MB more tracemalloc peak
+# than 2¹²; 2¹⁵ was no faster and held 1.3-1.9 MB more again.
+_STACK = 1 << 14
 # Graphs counted per kernel call by census_totals: as many as fit graphs × na × ns
 # within this budget, and at least one.  Southern Women (18x14) gets 65 a
 # call; larger chunks measured no faster per graph, and each graph in a
@@ -105,11 +112,14 @@ _CHUNK_CELLS = 1 << 14
 _EXACT64 = 1 << 53
 _EXACT32 = 1 << 24
 
-# Rows of the per-triple counts, see _terms.
+# Rows of the per-triple counts: class-0, 1 and 2 configurations (K0-K2);
+# class-0 paths closed flat (P0) and up (U0); class-1 paths closed flat (V1)
+# and up (U1); class-2 paths closed flat (V2); class-2 configurations closed
+# up (K3); (path, closing node) pairs of class 0-3 (Q0-Q3); paths closed (ANY);
+# class-1 and class-2 configurations closed flat (S1, S2).
 (_K0, _K1, _K2, _P0, _U0, _V1, _U1, _V2, _K3,
  _Q0, _Q1, _Q2, _Q3, _ANY, _S1, _S2) = range(16)
-# The rows that can be nonzero at t = 0 and at t = 1.
-_AT_T0 = [_K0, _P0, _Q0, _ANY]
+# The rows that can be nonzero at t = 1.
 _AT_T1 = [_K0, _K1, _P0, _U0, _V1, _Q0, _Q1, _ANY, _S1]
 
 
@@ -137,7 +147,7 @@ class MotifCensus(CensusTotals):
     path-level total is the sum of its per-node rows; configuration
     totals are deduplicated (a configuration with several centers is
     counted once globally).  Both are read from the per-node sums of the
-    counts in :func:`_terms`, as :func:`census_totals` reads them.
+    16 per-triple counts, as :func:`census_totals` reads them.
     """
 
     path_counts: tuple[tuple[int, int, int], ...]
@@ -164,33 +174,35 @@ class OpsahlStats:
     per_node_c: tuple[Optional[Fraction], ...]
 
 
-def _terms(a, b, f, t, rows=range(16)):
-    """Per-triple counts for the regions a, b, f, t of one center: the given rows, one each."""
-    ab = a * b
-    ts = t * (a + b)  # class-1 paths
-    tt = t * (t - 1)  # class-2 paths
-    flat = f > 0
-    counts = {
-        _K0: lambda: ab,  # class-0 configurations
-        _K1: lambda: ts,  # class-1 configurations
-        _K2: lambda: tt // 2,  # class-2 configurations
-        _P0: lambda: ab * flat,  # class-0 paths closed flat
-        _U0: lambda: ab * (t > 0),  # class-0 paths closed up
-        _V1: lambda: ts * flat,  # class-1 paths closed flat
-        _U1: lambda: ts * (t > 1),  # class-1 paths closed up
-        _V2: lambda: tt * flat,  # class-2 paths closed flat
-        _K3: lambda: tt // 2 * (t > 2),  # class-2 configurations closed up
-        _Q0: lambda: ab * f,  # (path, closing node) pairs of class 0-3
-        _Q1: lambda: ab * t + ts * f,
-        _Q2: lambda: tt * (a + b + f),
-        _Q3: lambda: tt * (t - 2),
-        _ANY: lambda: ab * (f + t > 0) + ts * (f + t > 1) + tt * (f + t > 2),  # paths closed
-        _S1: lambda: t * (b * (flat | (a > 0)) + a * (flat | (b > 0))),  # class-1 configurations closed flat
-        _S2: lambda: tt // 2 * (flat | (a > 0) | (b > 0)),  # class-2 configurations closed flat
-    }
-    out = np.empty((len(rows),) + ab.shape, dtype=np.int64)
-    for k, row in enumerate(rows):
-        out[k] = counts[row]()
+def _deep_terms(x, y, z, t):
+    """g(t) + (t − 1)·g(0) − t·g(1) for triples with x, y, z ≥ t ≥ 2, as 16 rows.
+
+    With every region of g(0) and g(1) then positive, each of their
+    indicators is fixed, and the combination reduces to these closed forms.
+    """
+    tt = t * (t - 1)
+    half = tt // 2
+    a, b = x - t, y - t
+    flat = z > t
+    a_closes, b_closes = flat | (b > 0), flat | (a > 0)
+    s = x + y + z
+    out = np.empty((16,) + t.shape, dtype=np.int64)
+    out[_K0] = tt
+    out[_K1] = -2 * tt
+    out[_K2] = half
+    out[_P0] = a * b * flat + t * (x + y - 1) - x * y
+    out[_U0] = (t - 1) * (t - x * y)
+    out[_V1] = t * ((a + b) * flat - x - y + 2)
+    out[_U1] = t * (a + b)
+    out[_V2] = tt * flat
+    out[_K3] = half * (t > 2)
+    out[_Q0] = tt * (s - t - 1)
+    out[_Q1] = tt * (3 * t + 3 - 2 * s)
+    out[_Q2] = tt * (s - 3 * t)
+    out[_Q3] = tt * (t - 2)
+    out[_ANY] = -tt * (z == 2)
+    out[_S1] = t * (a * a_closes + b * b_closes - x - y + 2)
+    out[_S2] = half * (a_closes | b_closes)
     return out
 
 
@@ -389,21 +401,14 @@ def _add_deep_triples(acc, words, lo, co) -> None:
         x = np.concatenate([pq, pq, pr])
         y = np.concatenate([pr, qr, qr])
         z = np.concatenate([qr, pr, pq])
-        # g(t) − g(0) − t·(g(1) − g(0)) = g(t) + (t − 1)·g(0) − t·g(1)
-        deep = _terms(x - t, y - t, z - t, t)
-        term = _terms(x, y, z, 0, _AT_T0)
-        term *= t - 1
-        deep[_AT_T0] += term
-        term = _terms(x - 1, y - 1, z - 1, 1, _AT_T1)
-        term *= t
-        deep[_AT_T1] -= term
+        deep = _deep_terms(x, y, z, t)
         centers = np.concatenate([ps, qs, rs]) + np.tile(gs, 3) * na
         for row, values in zip(acc.reshape(16, chunk * na), deep):
             np.add.at(row, centers, values)
 
 
 def _count(bits):
-    """The kernel: the per-center sums of every row of :func:`_terms`, as a 16 × chunk × na array.
+    """The kernel: the per-center sums of the 16 per-triple counts, as a 16 × chunk × na array.
 
     ``bits`` is the biadjacency of a chunk of graphs, a (chunk, na, ns)
     boolean array; :func:`_check_exact` reads the maximum degrees from it.
@@ -462,11 +467,10 @@ def _per_node(columns) -> tuple:
 def census(g: BipartiteGraph, side: Side = Side.PRIMARY) -> MotifCensus:
     """Count paths, configurations and their closures for one side.
 
-    Sums the per-triple counts of :func:`_terms` over every center and
-    pair of ends, in the three parts the module docstring describes; the
-    kernel runs on a chunk of one graph.  Raises :class:`CensusTooLarge`
-    when the counts could not be exact, or when the arrays do not fit in
-    memory.
+    Sums the 16 per-triple counts over every center and pair of ends, in
+    the three parts the module docstring describes; the kernel runs on a
+    chunk of one graph.  Raises :class:`CensusTooLarge` when the counts
+    could not be exact, or when the arrays do not fit in memory.
     """
     with _in_memory(g.node_count(side), g.node_count(side.other())):
         acc = _count(_biadjacency(g, side)[None])[:, 0]

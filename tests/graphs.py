@@ -100,6 +100,17 @@ def hub_graph(rng: random.Random, na: int, ns: int, density: float) -> Bipartite
     )
 
 
+def heavy_tailed(rng: random.Random, na: int, ns: int, m: int) -> BipartiteGraph:
+    """Up to m edges, each secondary s_r drawn in proportion to (r + 1)^-0.6: a few hubs, a long tail."""
+    weights = [(r + 1) ** -0.6 for r in range(ns)]
+    cells = {(rng.randrange(na), s) for s in rng.choices(range(ns), weights, k=m)}
+    return from_indexed_edges(
+        [f"p{i}" for i in range(na)],
+        [f"s{j}" for j in range(ns)],
+        sorted(cells),
+    )
+
+
 @st.composite
 def small_graphs(draw, max_side: int) -> BipartiteGraph:
     """Up to ``max_side`` nodes per side; the edge count, and so the density, is drawn first."""

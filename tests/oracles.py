@@ -4,9 +4,12 @@ Everything here is written as directly as possible, with loop
 structures chosen to be different from the library's kernels.
 ``pairwise_census`` is the package's earlier census kernel, a walk over
 pairs of opposite-side nodes; it is fast enough for graphs beyond the
-brute-force guard.  ``tuple_set_randomize`` and ``divmod_density_rewire``
-are the package's earlier replica generators, on tuples and a set of
-edges, drawing through ``randrange`` and ``sample``.
+brute-force guard.  ``region_terms`` states the kernel's 16 per-triple
+counts directly, one function of the regions each, for the kernel's
+closed forms to be checked against.  ``tuple_set_randomize`` and
+``divmod_density_rewire`` are the package's earlier replica generators,
+on tuples and a set of edges, drawing through ``randrange`` and
+``sample``.
 """
 
 import random
@@ -15,7 +18,12 @@ from enum import IntEnum
 from fractions import Fraction
 from math import comb
 
+import numpy as np
+
 from bimotif import BipartiteGraph, MotifCensus, Side, from_indexed_edges
+from bimotif.census import (
+    _ANY, _K0, _K1, _K2, _K3, _P0, _Q0, _Q1, _Q2, _Q3, _S1, _S2, _U0, _U1, _V1, _V2,
+)
 
 
 class SixCycleClass(IntEnum):
@@ -378,6 +386,40 @@ def pairwise_census(g: BipartiteGraph, side: Side = Side.PRIMARY) -> MotifCensus
         config_totals=tuple(sum(r[e] for r in configs) // (e + 1) for e in range(3)),
         config_closed_totals=tuple(closed_totals),
     )
+
+
+def region_terms(a, b, f, t):
+    """The 16 per-triple counts for the regions a, b, f, t of one center, one row each.
+
+    These are the package kernel's 16 rows, stated directly from the
+    region algebra in the ``bimotif.census`` docstring.
+    """
+    ab = a * b
+    ts = t * (a + b)  # class-1 paths
+    tt = t * (t - 1)  # class-2 paths
+    flat = f > 0
+    counts = {
+        _K0: ab,  # class-0 configurations
+        _K1: ts,  # class-1 configurations
+        _K2: tt // 2,  # class-2 configurations
+        _P0: ab * flat,  # class-0 paths closed flat
+        _U0: ab * (t > 0),  # class-0 paths closed up
+        _V1: ts * flat,  # class-1 paths closed flat
+        _U1: ts * (t > 1),  # class-1 paths closed up
+        _V2: tt * flat,  # class-2 paths closed flat
+        _K3: tt // 2 * (t > 2),  # class-2 configurations closed up
+        _Q0: ab * f,  # (path, closing node) pairs of class 0-3
+        _Q1: ab * t + ts * f,
+        _Q2: tt * (a + b + f),
+        _Q3: tt * (t - 2),
+        _ANY: ab * (f + t > 0) + ts * (f + t > 1) + tt * (f + t > 2),  # paths closed
+        _S1: t * (b * (flat | (a > 0)) + a * (flat | (b > 0))),  # class-1 configurations closed flat
+        _S2: tt // 2 * (flat | (a > 0) | (b > 0)),  # class-2 configurations closed flat
+    }
+    out = np.empty((16,) + np.shape(ab), dtype=np.int64)
+    for row, count in counts.items():
+        out[row] = count
+    return out
 
 
 def raw_six_cycles(g: BipartiteGraph) -> int:

@@ -1,7 +1,9 @@
 import dataclasses
 import random
 import sys
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -11,14 +13,16 @@ from bimotif import (
     Side,
     census,
     census_totals,
+    density_rewire,
     from_indexed_edges,
     opsahl,
 )
-from bimotif.census import _check_exact
+from bimotif.census import _check_exact, _deep_terms
 from graphs import (
     biadjacency,
     c6,
     divisor_gadget,
+    heavy_tailed,
     hub_graph,
     k33,
     mirror,
@@ -36,6 +40,7 @@ from oracles import (
     closures_of,
     naive_opsahl,
     pairwise_census,
+    region_terms,
 )
 
 
@@ -207,6 +212,19 @@ def test_census_equals_pairwise_oracle_across_block_boundaries(row_block, stack)
                 assert census(g, side) == pairwise_census(g, side)
 
 
+def test_deep_terms_equal_the_three_point_combination():
+    # part 3 adds g(t) + (t − 1)·g(0) − t·g(1) for each center of a triple with t ≥ 2
+    x, y, z, t = np.array([(x, y, z, t) for t in range(2, 9) for x in range(t, 14)
+                           for y in range(t, 14) for z in range(t, 14)]).T
+    assert len(t) == 5859
+    expected = (region_terms(x - t, y - t, z - t, t)
+                + (t - 1) * region_terms(x, y, z, 0)
+                - t * region_terms(x - 1, y - 1, z - 1, 1))
+    got = _deep_terms(x, y, z, t)
+    for row in range(16):
+        assert np.array_equal(got[row], expected[row]), row
+
+
 def _totals_of(cen):
     return CensusTotals(**{f.name: getattr(cen, f.name) for f in dataclasses.fields(CensusTotals)})
 
@@ -263,6 +281,25 @@ def test_census_totals_of_a_chunk_equal_each_census(row_block, stack):
                 census_totals(iter(map(biadjacency, graphs)))
     assert census_totals([]) == []
     assert census_totals(iter([])) == []
+
+
+def test_kernel_transient_memory_is_bounded(davis):
+    # the step bound trades memory for speed: at 2¹⁴ one census, or one chunk of
+    # census_totals, peaks at 2.4-2.5 MB on these inputs, and at 2¹⁵ at 2.5-4.5 MB
+    rng = random.Random(14)
+    dense = random_bipartite(rng, 100, 100, 0.2)
+    skewed = heavy_tailed(rng, 1000, 300, 3000)
+    replicas = [biadjacency(density_rewire(davis, seed)) for seed in range(65)]
+    assert 65 * 18 * 14 <= sys.modules["bimotif.census"]._CHUNK_CELLS  # one kernel call
+    for count in (lambda: census(dense), lambda: census(skewed),
+                  lambda: census_totals(replicas)):
+        tracemalloc.start()
+        try:
+            count()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3e6
 
 
 def test_census_of_large_star_is_zero():

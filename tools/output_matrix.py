@@ -23,8 +23,10 @@ side has 1,000 and 100 nodes, ``ensemble --runs 2`` and ``report
 --runs 2000`` on Southern Women, whose intervals use the Student-t
 quantile at 1 and 1,999 degrees of freedom, and ``ensemble
 --null-model degree --side secondary --runs 3`` on the seed-1 skewed
-input, whose replicas are counted with the 300-node side as rows.  New
-commands go at the end, so the earlier ones keep their numbers.
+input, whose replicas are counted with the 300-node side as rows, and
+``ensemble --null-model degree --runs 2000`` on Southern Women, 31
+chunks of degree replicas whose deep triples span many census steps.
+New commands go at the end, so the earlier ones keep their numbers.
 
 Two checkouts give the same outputs when ``diff -r`` of their OUT_DIRs
 finds nothing.
@@ -70,6 +72,7 @@ def commands() -> list[list[str]]:
     out.append(["report", "--input", women, "--runs", "2000"])
     out.append(["ensemble", "--input", "inputs/skewed.tsv", "--null-model", "degree",
                 "--side", "secondary", "--runs", "3"])
+    out.append(["ensemble", "--input", women, "--null-model", "degree", "--runs", "2000"])
     return out
 
 
