@@ -24,7 +24,7 @@ reference measure.
 
 Region algebra.  Every count is a sum over triples of analysis nodes:
 a center c and an unordered pair of ends {i, j}.  With N the
-neighbourhoods, A the biadjacency and D = A·Aᵀ the co-degrees, write
+neighbour sets, A the biadjacency and D = A·Aᵀ the co-degrees, write
 x = D_ci, y = D_cj, z = D_ij and t = |N_c ∩ N_i ∩ N_j|.  The four
 regions a = x − t, b = y − t, f = z − t and t decide everything:
 
@@ -51,8 +51,8 @@ each g over all triples in three parts:
    g(·, 1) − g(·, 0), so a triple with t ≥ 1 is counted t times.  Per
    w these are row sums over the co-degree block of N(w) and one
    product of two such blocks: a hub costs one d×d block, not C(d, 3)
-   triples.  Neighbourhoods of one degree d are stacked, so that a
-   stack is a run of d×d blocks.
+   triples.  The N(w) of one degree d are stacked, so that a stack is
+   a run of d×d blocks.
 3. For each triple with t ≥ 2, g(t) − g(0) − t·(g(1) − g(0)).  These
    triples are listed explicitly, each once as p < q < r with every
    two of them sharing at least two neighbours, and evaluated a step
@@ -62,17 +62,25 @@ each g over all triples in three parts:
 
 Parts 1 and 3 run in one pass over blocks of analysis rows: each
 block's rows of D are computed once and feed both.  Part 2 is a
-separate pass over the opposite side's neighbourhoods.
+separate pass over the opposite side's nodes w.
 
 The kernel, :func:`_count`, takes the biadjacency of a chunk of graphs
 with the same node counts as one (chunk, na, ns) boolean array, and
 every array after it carries that leading chunk axis: a row block of
 parts 1 and 3 is the same rows of every graph in the chunk, and a
-part-2 stack takes neighbourhoods of one degree from any of them, with
-node indices offset per graph.  :func:`census_totals` reads its
-graphs' biadjacencies a chunk at a time, as many as fit
-``_CHUNK_CELLS``, and returns each graph's global totals
-(:class:`CensusTotals`), which :func:`_totals` reads from the
+part-2 stack takes the N(w) of one degree from any of them, with node
+indices offset per graph.
+
+The boolean array is the kernel's one source: both sides' degrees are
+summed from it once, and the rows of A (part 1) and the members of
+each N(w) (part 2) are read from it.  Its rows packed into uint64 bit
+sets are used only where popcounts count overlaps: the rows of D, part
+2's co-degree blocks and part 3's t.  Part 1 also packs its columns,
+for the one product K·A.
+
+:func:`census_totals` reads its graphs' biadjacencies a chunk at a
+time, as many as fit ``_CHUNK_CELLS``, and returns each graph's global
+totals (:class:`CensusTotals`), which :func:`_totals` reads from the
 per-center sums.  :func:`census` is the chunk of one, built from a
 labelled graph: its :class:`MotifCensus` is those same totals together
 with the per-node rows.
@@ -228,8 +236,8 @@ def _check_exact(na: int, max_degree: int, max_opposite_degree: int) -> None:
         )
 
 
-def _popcount(words):
-    return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
+def _popcount(packed):
+    return np.bitwise_count(packed).sum(axis=-1, dtype=np.int64)
 
 
 def _words(bits):
@@ -248,18 +256,20 @@ def _overlaps(a, b):
     return out
 
 
-def _rows_used(block, ns):
-    """Rows of A for a block of bit-set rows, as float64, restricted to the columns any of them uses."""
-    rows = np.unpackbits(block.view(np.uint8), axis=-1, count=ns, bitorder="little")
+def _rows_used(rows):
+    """A block of boolean rows of A as float64, restricted to the columns any of them uses."""
     used = np.flatnonzero(rows.any((0, 1)))
     return rows[..., used].astype(np.float64), used
 
 
-def _add_row_blocks(acc, words, opposite_words) -> None:
+def _add_row_blocks(acc, bits, words, deg) -> None:
     """Parts 1 and 3, a block of analysis rows of every graph in the chunk at a time.
 
-    Each block's rows of D are computed once: part 3 lists the block's
-    triples with t ≥ 2 from them, and part 1 takes its sums over them.
+    Each block's rows of D are computed once, from the bit-set rows
+    ``words``: part 3 lists the block's triples with t ≥ 2 from them,
+    and part 1 takes its sums over them.  Part 1 reads the block's rows
+    of A from ``bits`` and the analysis degrees from ``deg``, and packs
+    the columns of A as bit sets only to count K·A.
 
     Part 1 adds the sum of g(x, y, z, 0) over all end pairs of each
     center.  Per center c, with r1 and s2 the sums of D_ci and D_ci²
@@ -271,17 +281,16 @@ def _add_row_blocks(acc, words, opposite_words) -> None:
     ns×ns forms, AᵀA and Aᵀ·K·A, from each block's rows of A; the second
     reads ``cube`` = (D³)_cc and ``shared_quad`` = (D·K·D)_cc from them.
     """
-    chunk, na, _ = words.shape
-    ns = opposite_words.shape[1]
+    chunk, na, ns = bits.shape
+    opposite_words = _words(bits.transpose(0, 2, 1))
     gram = np.zeros((chunk, ns, ns), dtype=np.float32)  # AᵀA: common neighbours of opposite nodes
     shared_pairs = np.zeros((chunk, ns, ns))  # Aᵀ·K·A
-    deg = _popcount(words)
     sq, wdeg, reach = (np.empty((chunk, na), dtype=np.int64) for _ in range(3))
     cube, shared_quad = np.empty((chunk, na)), np.empty((chunk, na))
     for lo in range(0, na, _ROW_BLOCK):
         block = words[:, lo:lo + _ROW_BLOCK]
         n = block.shape[1]
-        rows, used = _rows_used(block, ns)
+        rows, used = _rows_used(bits[:, lo:lo + _ROW_BLOCK])
         gram[:, used[:, None], used] += rows.transpose(0, 2, 1) @ rows
         co = _overlaps(block, words)  # rows of D
         _add_deep_triples(acc, words, lo, co)
@@ -295,7 +304,7 @@ def _add_row_blocks(acc, words, opposite_words) -> None:
         shared_pairs[:, used] += rows.transpose(0, 2, 1) @ near
         del co  # so that two blocks' rows of D are never held at once
     for lo in range(0, na, _ROW_BLOCK):
-        rows, used = _rows_used(words[:, lo:lo + _ROW_BLOCK], ns)
+        rows, used = _rows_used(bits[:, lo:lo + _ROW_BLOCK])
         n = rows.shape[1]
         cube[:, lo:lo + n] = np.square(rows @ gram[:, used].astype(np.float64)).sum(-1)
         shared_quad[:, lo:lo + n] = ((rows @ shared_pairs[:, used[:, None], used]) * rows).sum(-1)
@@ -308,36 +317,34 @@ def _add_row_blocks(acc, words, opposite_words) -> None:
     acc[_Q0] += (cube.astype(np.int64) - wdeg - 2 * deg * s2) // 2
 
 
-def _add_single_shares(acc, words, opposite_words) -> None:
+def _add_single_shares(acc, bits, words, opposite_deg) -> None:
     """Part 2: add g(·, 1) − g(·, 0) over the triples inside each N(w).
 
-    ``opposite_words`` holds every N(w) of every graph in the chunk as a
-    bit set over the analysis nodes.  Per w of degree d: X is the
-    co-degree block of N(w), Ā = X − 1 and F = [X ≥ 2] off the diagonal.
-    For a triple (c; i, j) inside N(w), taken with t = 1, a = Ā_ci,
-    b = Ā_cj, f = Ā_ij, [a > 0] = F_ci and [f > 0] = F_ij, so every sum
-    over the end pairs of c is a row sum of Ā, F and the product ĀF.
-    Only neighbourhoods of one degree are stacked, so every block of a
-    stack is d×d.  The blocks are float64, so that ĀF is a BLAS
+    Each w's degree comes from ``opposite_deg`` and the members of N(w)
+    from its column of ``bits``; the co-degree block of N(w) is counted
+    from the members' bit-set rows in ``words``.  Per w of degree d: X
+    is the co-degree block of N(w), Ā = X − 1 and F = [X ≥ 2] off the
+    diagonal.  For a triple (c; i, j) inside N(w), taken with t = 1,
+    a = Ā_ci, b = Ā_cj, f = Ā_ij, [a > 0] = F_ci and [f > 0] = F_ij, so
+    every sum over the end pairs of c is a row sum of Ā, F and the
+    product ĀF.  Only the N(w) of one degree are stacked, so every block
+    of a stack is d×d.  The blocks are float64, so that ĀF is a BLAS
     product; every value is an integer within the bound
     :func:`_check_exact` enforces.
     """
-    chunk, na, width = words.shape
-    ns = opposite_words.shape[1]
+    chunk, na, ns = bits.shape
     acc = acc.reshape(16, chunk * na)
-    node_words = words.reshape(chunk * na, width)  # node k of graph g is row g·na + k
-    hoods = opposite_words.reshape(chunk * ns, opposite_words.shape[2])
-    deg = _popcount(hoods)
+    node_words = words.reshape(chunk * na, words.shape[2])  # node k of graph g is row g·na + k
+    deg = opposite_deg.reshape(chunk * ns)  # opposite node w of graph g is entry g·ns + w
     at_t1 = np.array(_AT_T1)[:, None, None]  # the row of acc for each row of delta
     for d in np.unique(deg[deg >= 3]).tolist():
         pairs = (d - 1) * (d - 2) // 2  # end pairs of each center
         diag = np.arange(d)
-        of_degree = np.flatnonzero(deg == d)
-        _, cols = np.nonzero(np.unpackbits(hoods[of_degree].view(np.uint8), axis=-1, count=na,
-                                           bitorder="little"))
-        nodes = cols.reshape(len(of_degree), d) + (of_degree // ns * na)[:, None]
+        graph, w = np.divmod(np.flatnonzero(deg == d), ns)
+        _, cols = np.nonzero(bits[graph, :, w])
+        nodes = cols.reshape(len(w), d) + (graph * na)[:, None]
         step = max(1, _STACK // (d * d))
-        for lo in range(0, len(of_degree), step):
+        for lo in range(0, len(nodes), step):
             members = nodes[lo:lo + step]
             block = node_words[members]
             abar = _overlaps(block, block).astype(np.float64)
@@ -411,14 +418,18 @@ def _count(bits):
     """The kernel: the per-center sums of the 16 per-triple counts, as a 16 × chunk × na array.
 
     ``bits`` is the biadjacency of a chunk of graphs, a (chunk, na, ns)
-    boolean array; :func:`_check_exact` reads the maximum degrees from it.
+    array in which any nonzero cell is an edge.  Both sides' degrees are
+    summed from it once, for :func:`_check_exact` and for parts 1 and 2;
+    its rows are packed once into the bit sets that count overlaps.
     """
+    bits = bits.astype(bool, copy=False)
     chunk, na, _ = bits.shape
-    _check_exact(na, int(bits.sum(2).max(initial=0)), int(bits.sum(1).max(initial=0)))
-    words, opposite_words = _words(bits), _words(bits.transpose(0, 2, 1))
+    deg, opposite_deg = bits.sum(2), bits.sum(1)
+    _check_exact(na, int(deg.max(initial=0)), int(opposite_deg.max(initial=0)))
+    words = _words(bits)
     acc = np.zeros((16, chunk, na), dtype=np.int64)
-    _add_row_blocks(acc, words, opposite_words)
-    _add_single_shares(acc, words, opposite_words)
+    _add_row_blocks(acc, bits, words, deg)
+    _add_single_shares(acc, bits, words, opposite_deg)
     return acc
 
 
@@ -486,14 +497,15 @@ def census(g: BipartiteGraph, side: Side = Side.PRIMARY) -> MotifCensus:
 
 
 def census_totals(biadjacencies: Iterable[np.ndarray]) -> list[CensusTotals]:
-    """The global totals of each graph, given as its (na, ns) boolean biadjacency.
+    """The global totals of each graph, given as its (na, ns) biadjacency.
 
-    The analysis side is the rows (pass ``bits.T`` to count the columns),
-    and every array must have the first one's shape.  The arrays are
-    read and counted a chunk at a time, as many per kernel call as fit
-    ``_CHUNK_CELLS``, so many small graphs cost little more than one;
-    the totals equal those of :func:`census` on each graph.  Raises
-    :class:`CensusTooLarge` as :func:`census` does.
+    Any nonzero cell is an edge.  The analysis side is the rows (pass
+    ``bits.T`` to count the columns), and every array must have the
+    first one's shape.  The arrays are read and counted a chunk at a
+    time, as many per kernel call as fit ``_CHUNK_CELLS``, so many
+    small graphs cost little more than one; the totals equal those of
+    :func:`census` on each graph.  Raises :class:`CensusTooLarge` as
+    :func:`census` does.
     """
     biadjacencies = iter(biadjacencies)
     first = next(biadjacencies, None)

@@ -7,8 +7,11 @@ in order: ``analyze`` (census, coefficients, reference measure),
 against --ci-file or the fresh ensemble).  ``report`` runs all three.
 Files are written only after every stage has succeeded: a
 ``report.json`` into --out, plus ``nodes.csv`` (analyze/score/report)
-and ``replicas.csv`` (ensemble/report).  Each is written under a
-temporary name first and replaced whole once all of them are written.
+and ``replicas.csv`` (ensemble/report).  Every file is written from
+``report.json``'s object: the CSV files read its ``nodes``, ``scores``
+and ``ensemble`` sections, and the sections present choose the files.
+Each is written under a temporary name first and replaced whole once
+all of them are written.
 
 Exit codes: 0 success, otherwise the failing error's ``exit_code``
 (1 input parse error, 2 validation error, 3 configuration error); an
@@ -241,10 +244,10 @@ def _analysis_sections(g: BipartiteGraph, side: Side, semantics: str):
     return c, sections
 
 
-def _write_analyze_csv(f, sections: dict) -> None:
+def _write_analyze_csv(f, nodes: list) -> None:
     w = csv.writer(f)
     w.writerow(["label", "degree", "cc0", "cc1", "cc2", "cc3"])
-    for n in sections["nodes"]:
+    for n in nodes:
         w.writerow([n["label"], n["degree"], *n["cc_display"]])
 
 
@@ -269,10 +272,10 @@ def _stats_json(stats: EnsembleStats) -> dict:
     }
 
 
-def _write_replicas_csv(f, stats: EnsembleStats) -> None:
+def _write_replicas_csv(f, ensemble: dict) -> None:
     w = csv.writer(f)
     w.writerow(["replica", "cc0", "cc1", "cc2", "cc3"])
-    for r, row in enumerate(stats.replica_values):
+    for r, row in enumerate(ensemble["replica_values"]):
         w.writerow(
             [r]
             + [
@@ -324,8 +327,8 @@ def _score_sections(report: DrivingScoreReport) -> dict:
     }
 
 
-def _write_score_csv(f, report: DrivingScoreReport) -> None:
-    f.write(f"# ds_global={format_value(report.ds_global)}\n")
+def _write_score_csv(f, scores: dict) -> None:
+    f.write(f"# ds_global={scores['ds_global_display']}\n")
     w = csv.writer(f)
     w.writerow(
         [
@@ -339,13 +342,13 @@ def _write_score_csv(f, report: DrivingScoreReport) -> None:
             "influential",
         ]
     )
-    for n in report.nodes:
-        row = [n.label, n.degree]
-        for v, d in zip(n.local_cc, n.directions):
-            row.append(format_value(v))
+    for n in scores["nodes"]:
+        row = [n["label"], n["degree"]]
+        for v, d in zip(n["cc_display"], n["directions"]):
+            row.append(v)
             row.append(_ARROWS[d])
-        row.append(format_value(n.ds))
-        row.append("true" if n.influential else "false")
+        row.append(n["ds_display"])
+        row.append("true" if n["influential"] else "false")
         w.writerow(row)
 
 
@@ -387,7 +390,7 @@ def _run(args, out_dir: Path) -> None:
     ci_source = getattr(args, "ci_file", None)
     bands = None if ci_source is None else _file_bands(args, side)
     obj = _report_skeleton(args, meta)
-    c = sections = stats = report = None
+    c = None
     if command in ("analyze", "report"):
         c, sections = _analysis_sections(g, side, args.semantics)
         obj.update(sections)
@@ -400,10 +403,9 @@ def _run(args, out_dir: Path) -> None:
             null_model=args.null_model,
             semantics=args.semantics,
         )
-        stats = run_ensemble(g, cfg)
         if command == "ensemble":
             obj["side"] = args.side
-        obj["ensemble"] = _stats_json(stats)
+        obj["ensemble"] = _stats_json(run_ensemble(g, cfg))
     if command in ("score", "report"):
         if bands is None:
             bands, ci_source = bands_from_classes(obj["ensemble"]["classes"]), "ensemble"
@@ -416,12 +418,12 @@ def _run(args, out_dir: Path) -> None:
         obj["global"] = {"semantics": args.semantics, **_profile_json(report.global_cc)}
         obj["scores"] = _score_sections(report)
     files = [("report.json", _write_json, obj)]
-    if report is not None:
-        files.append(("nodes.csv", _write_score_csv, report))
-    elif sections is not None:
-        files.append(("nodes.csv", _write_analyze_csv, sections))
-    if stats is not None:
-        files.append(("replicas.csv", _write_replicas_csv, stats))
+    if "scores" in obj:
+        files.append(("nodes.csv", _write_score_csv, obj["scores"]))
+    elif "nodes" in obj:
+        files.append(("nodes.csv", _write_analyze_csv, obj["nodes"]))
+    if "ensemble" in obj:
+        files.append(("replicas.csv", _write_replicas_csv, obj["ensemble"]))
     _write_files(out_dir, files)
 
 

@@ -283,6 +283,17 @@ def test_census_totals_of_a_chunk_equal_each_census(row_block, stack):
     assert census_totals(iter([])) == []
 
 
+def test_census_totals_read_a_nonzero_cell_as_an_edge():
+    rng = random.Random(15)
+    arrays = [biadjacency(random_bipartite(rng, 12, 9, 0.5)),
+              biadjacency(hub_graph(rng, 12, 9, 0.2))]
+    expected = census_totals(arrays)
+    # triples with t ≥ 2, so all three parts of the kernel count
+    assert all(t.config_totals[2] > 0 for t in expected)
+    assert census_totals([2 * a.astype(np.int8) for a in arrays]) == expected
+    assert census_totals([a.astype(np.int64) for a in arrays]) == expected
+
+
 def test_kernel_transient_memory_is_bounded(davis):
     # the step bound trades memory for speed: at 2¹⁴ one census, or one chunk of
     # census_totals, peaks at 2.4-2.5 MB on these inputs, and at 2¹⁵ at 2.5-4.5 MB

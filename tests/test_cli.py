@@ -588,10 +588,10 @@ def test_exit_code_census_too_large_in_ensemble_chunk(tmp_path, caplog, monkeypa
     else:
         counted = census_module._add_row_blocks
 
-        def exhausted(acc, words, opposite_words):
-            if len(words) > 1:  # a chunk of several graphs, not the input
+        def exhausted(acc, bits, words, deg):
+            if len(bits) > 1:  # a chunk of several graphs, not the input
                 raise MemoryError
-            counted(acc, words, opposite_words)
+            counted(acc, bits, words, deg)
 
         monkeypatch.setattr(census_module, "_add_row_blocks", exhausted)
         message = "too large to count in memory"
