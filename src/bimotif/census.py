@@ -113,8 +113,10 @@ _ROW_BLOCK = 32
 _STACK = 1 << 14
 # Graphs counted per kernel call by census_totals: as many as fit graphs × na × ns
 # within this budget, and at least one.  Southern Women (18x14) gets 65 a
-# call; larger chunks measured no faster per graph, and each graph in a
-# chunk holds about 20 KB until the call returns.
+# call.  2¹⁶ (260 a call) counted 2,000 of its replicas in 0.36 s against
+# 0.44-0.46 s here, but doubled a chunk's tracemalloc peak, from 2.37 to
+# 4.93 MB.  Re-sizing waits until part 1's co-degree products are float32
+# matrix products, which moves part 1's share of a call and its memory.
 _CHUNK_CELLS = 1 << 14
 # Integers up to these bounds are exact in float64 and float32.
 _EXACT64 = 1 << 53

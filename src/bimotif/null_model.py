@@ -34,13 +34,12 @@ import math
 import random
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
-from statistics import NormalDist
 from typing import Optional
 
 import numpy as np
 
 from .census import census  # unused here; kept because bench/traced.py wraps null_model.census
-from .census import census_totals
+from .census import _in_memory, census_totals
 from .coefficients import SEMANTICS, global_profile
 from .errors import BimotifError
 from .graph import BipartiteGraph, Side, from_indexed_edges
@@ -48,8 +47,8 @@ from .graph import BipartiteGraph, Side, from_indexed_edges
 NULL_MODELS = ("density", "degree")
 
 _MASK64 = (1 << 64) - 1
-# Doubles _t_quantile may walk from its exact Newton step; no nu tried needed one.
-_WALK_STEPS = 4
+# Newton steps _t_quantile may take; nu = 1 needs 11.
+_NEWTON_STEPS = 16
 
 
 class InvalidConfig(BimotifError):
@@ -199,26 +198,24 @@ def density_rewire(g: BipartiteGraph, seed: int) -> BipartiteGraph:
     return _graph(g, _sampled_rows(g, seed))
 
 
-def _two_sided(t, nu: int, sqrt, atan, pi):
+def _two_sided(t: Decimal, nu: int) -> Decimal:
     """P(|T| < t) for Student's t with integer ``nu`` >= 1 degrees of freedom.
 
     The finite sums of Abramowitz & Stegun 26.7.3 (odd nu) and 26.7.4
-    (even nu), summed by Horner's rule, with cos²θ = nu/(nu + t²) and
-    sinθ = t/√(nu + t²).  ``t`` is a float or a Decimal, and ``sqrt``,
-    ``atan`` and ``pi`` are that type's; only odd nu uses ``atan`` and
-    ``pi``.
+    (even nu), summed by Horner's rule in the current decimal context,
+    with cos²θ = nu/(nu + t²), sinθ = t/√(nu + t²) and 2/π = 1/(2·atan 1).
     """
     s = nu + t * t
     cos2 = nu / s
-    sin = t / sqrt(s)
+    sin = t / s.sqrt()
     odd = nu % 2
     acc = 0
     for k in range(nu // 2 - 1, -1, -1):
         m = 2 * k + 1 + odd
         acc = 1 + acc * cos2 * m / (m + 1)
     if odd:
-        cos = sqrt(cos2)
-        return 2 / pi * (atan(sin / cos) + sin * cos * acc)
+        cos = cos2.sqrt()
+        return (_decimal_atan(sin / cos) + sin * cos * acc) / (2 * _decimal_atan(Decimal(1)))
     return sin * acc
 
 
@@ -252,55 +249,32 @@ def _t_pdf(t: float, nu: int) -> float:
 def _t_quantile(nu: int) -> float:
     """The double nearest the 0.975 quantile of Student's t with integer nu >= 1.
 
-    The seed is the normal quantile plus four Cornish-Fisher terms (Hill,
-    Algorithm 396: Student's t-quantiles, CACM 13(10), 1970).  Four Newton
-    steps on the float sum of :func:`_two_sided` refine it; nu = 1, where
-    the seed is farthest off, needs four.  One Newton step on the exact
-    sum, in 60-digit decimals, then lands on the answer or next to it.
-    The walk moves to the neighbouring double while the exact CDF at a
-    half-ulp midpoint lies on the wrong side of 0.975, so the result is
-    correctly rounded.  Every nu from 1 to 3,000, and every 37th up to
-    20,000, took three exact sums of nu // 2 terms.  A walk longer than
-    ``_WALK_STEPS`` doubles raises ``ArithmeticError``.  Memoised, so the
-    classes of one ensemble share one evaluation.
+    Newton's method on the exact sum of :func:`_two_sided` in 60-digit
+    decimals, from t = 2, with each step's slope from the float density
+    :func:`_t_pdf`.  The CDF is concave for t > 0, so steps from below
+    the quantile rise towards it without crossing it (but for the float
+    slope's last bits), and from above it (nu > 60, where the quantile
+    is under 2) one step lands below.  Once a step is under 10⁻⁴⁰, t
+    holds the quantile to far more digits than a double, and ``float``
+    rounds it correctly.  For every nu from 1 to 3,000 and every 37th up
+    to 20,000 this is the double whose half-ulp midpoints bracket 0.975
+    in the same sum; nu = 1 takes the most steps, 11.  A t outside
+    [1.9, 13], or no such step within ``_NEWTON_STEPS``, raises
+    ``ArithmeticError``.  Memoised, so an ensemble's classes share one.
     """
-    x = NormalDist().inv_cdf(0.975)
-    x2 = x * x
-    terms = (
-        (x2 + 1) * x / 4,
-        ((5 * x2 + 16) * x2 + 3) * x / 96,
-        (((3 * x2 + 19) * x2 + 17) * x2 - 15) * x / 384,
-        ((((79 * x2 + 776) * x2 + 1482) * x2 - 1920) * x2 - 945) * x / 92160,
-    )
-    t = x + sum(g / nu ** (k + 1) for k, g in enumerate(terms))
-    for _ in range(4):
-        t -= (_two_sided(t, nu, math.sqrt, math.atan, math.pi) - 0.95) / (2 * _t_pdf(t, nu))
-
     with localcontext() as ctx:
         ctx.prec = 60
-        pi = 4 * _decimal_atan(Decimal(1))
-
-        def excess(t: Decimal) -> Decimal:
-            # P(T < t) - 0.975, doubled
-            return _two_sided(t, nu, Decimal.sqrt, _decimal_atan, pi) - Decimal("0.95")
-
-        def midpoint(a: float, b: float) -> Decimal:
-            # exact: the quantile is in [1.9, 13], where a half ulp needs
-            # at most 54 significant digits
-            return (Decimal(a) + Decimal(b)) / 2
-
-        seed = Decimal(t)
-        q = float(seed - excess(seed) / Decimal(2 * _t_pdf(t, nu)))
-        for _ in range(_WALK_STEPS + 1):
-            up, down = math.nextafter(q, math.inf), math.nextafter(q, 0)
-            if excess(midpoint(q, up)) < 0:
-                q = up
-            elif excess(midpoint(q, down)) > 0:
-                q = down
-            else:
-                return q
+        t = Decimal(2)
+        for _ in range(_NEWTON_STEPS):
+            step = (Decimal("0.95") - _two_sided(t, nu)) / Decimal(2 * _t_pdf(float(t), nu))
+            t += step
+            if not Decimal("1.9") <= t <= 13:
+                break
+            if abs(step) < Decimal("1e-40"):
+                return float(t)
     raise ArithmeticError(
-        f"Student-t quantile for {nu} degrees of freedom not found within {_WALK_STEPS} steps"
+        f"Student-t quantile for {nu} degrees of freedom not found in [1.9, 13] "
+        f"within {_NEWTON_STEPS} Newton steps"
     )
 
 
@@ -326,7 +300,8 @@ def run_ensemble(g: BipartiteGraph, cfg: EnsembleConfig) -> EnsembleStats:
     reproducible and a shorter run is a prefix of a longer one; the
     aggregation sorts values before summing.  The totals are exact
     integers, so the chunks :func:`census_totals` counts cannot change a
-    value.
+    value.  Raises :class:`CensusTooLarge` when a replica or its count
+    does not fit in memory.
     """
 
     def replica(r: int) -> np.ndarray:
@@ -337,8 +312,11 @@ def run_ensemble(g: BipartiteGraph, cfg: EnsembleConfig) -> EnsembleStats:
             bits = _sampled_rows(g, rs)
         return bits if cfg.side is Side.PRIMARY else bits.T
 
+    # the replicas are allocated outside the kernel's guard, so guard them too
+    with _in_memory(g.node_count(cfg.side), g.node_count(cfg.side.other())):
+        totals_per_replica = census_totals(map(replica, range(cfg.runs)))
     rows = []
-    for totals in census_totals(map(replica, range(cfg.runs))):
+    for totals in totals_per_replica:
         prof = global_profile(totals, cfg.semantics)
         rows.append(tuple(None if v is None else float(v) for v in prof.cc))
 

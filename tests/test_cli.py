@@ -603,6 +603,22 @@ def test_exit_code_census_too_large_in_ensemble_chunk(tmp_path, caplog, monkeypa
     assert not (tmp_path / "out" / "report.json").exists()
 
 
+@pytest.mark.parametrize("null_model", ["density", "degree"])
+def test_exit_code_census_too_large_in_replica(tmp_path, caplog, monkeypatch, null_model):
+    # each generator allocates its replica's cells first; fail that allocation
+    def exhausted(size):
+        raise MemoryError
+
+    monkeypatch.setattr(sys.modules["bimotif.null_model"], "bytearray", exhausted, raising=False)
+    argv = ["ensemble", "--input", WOMEN, "--null-model", null_model, "--runs", "3",
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    (record,) = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert "too large to count in memory" in record.getMessage()
+    assert "\n" not in record.getMessage()
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 def test_error_exit_codes_match_readme():
     documented = {}
     for line in README.read_text(encoding="utf-8").splitlines():

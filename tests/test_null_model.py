@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bimotif import (
@@ -318,6 +318,8 @@ def test_t_quantile_is_correctly_rounded():
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
 @given(st.integers(1, 2000))
+@example(1999)
+@example(20000)
 def test_t_quantile_between_half_ulp_midpoints(nu):
     mpmath = pytest.importorskip("mpmath")
     q = _t_quantile(nu)

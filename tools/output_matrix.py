@@ -9,7 +9,10 @@ relative paths, since ``report.json`` echoes ``--input`` and
 ``--ci-file``.  Command n writes its files into ``OUT_DIR/<n>/``,
 next to ``command`` (its arguments), ``exit_code``, ``stdout`` and
 ``stderr``.  The inputs are written into ``OUT_DIR/inputs/`` by
-``bench/inputs.py``.
+``bench/inputs.py``.  Last, ``OUT_DIR/manifest.json`` gets one sha256
+per command and per file of ``FILES``, under a header naming the Python
+and numpy versions; ``tests/data/output_manifest.json`` is that file,
+and ``tests/test_output_matrix.py`` checks the CLI against it in-process.
 
 The matrix: Southern Women × both sides × the three semantics ×
 {analyze, ensemble density, ensemble degree, report, report
@@ -34,10 +37,15 @@ finds nothing.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "bench"))
@@ -45,6 +53,8 @@ sys.path.insert(0, str(ROOT / "bench"))
 import inputs  # noqa: E402
 
 SEMANTICS = ("configuration", "at-least-one", "pair-count")
+# The files of a command's directory that the manifest pins, where present.
+FILES = ("report.json", "nodes.csv", "replicas.csv", "exit_code")
 
 
 def commands() -> list[list[str]]:
@@ -76,6 +86,27 @@ def commands() -> list[list[str]]:
     return out
 
 
+def write_inputs(out_dir: Path) -> None:
+    """The seed-1 inputs the commands read, in ``out_dir/inputs/``."""
+    (out_dir / "inputs").mkdir()
+    inputs.southern_women(1, out_dir / "inputs" / "southern_women.csv")
+    inputs.dense_uniform(1, out_dir / "inputs" / "dense.tsv")
+    inputs.skewed_degree(1, out_dir / "inputs" / "skewed.tsv")
+
+
+def manifest(out_dir: Path) -> dict:
+    """The sha256 of each file of ``FILES`` in each command's directory of ``out_dir``."""
+    entries = []
+    for n, args in enumerate(commands(), start=1):
+        run_dir = out_dir / str(n)
+        entries.append({
+            "command": " ".join([*args, "--out", str(n)]),
+            "files": {name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
+                      for name in FILES if (run_dir / name).exists()},
+        })
+    return {"python": platform.python_version(), "numpy": np.__version__, "commands": entries}
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
@@ -85,10 +116,7 @@ def main(argv: list[str]) -> int:
     if any(out_dir.iterdir()):
         print(f"{out_dir} is not empty", file=sys.stderr)
         return 2
-    (out_dir / "inputs").mkdir()
-    inputs.southern_women(1, out_dir / "inputs" / "southern_women.csv")
-    inputs.dense_uniform(1, out_dir / "inputs" / "dense.tsv")
-    inputs.skewed_degree(1, out_dir / "inputs" / "skewed.tsv")
+    write_inputs(out_dir)
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     for n, args in enumerate(commands(), start=1):
         args = [*args, "--out", str(n)]
@@ -103,6 +131,7 @@ def main(argv: list[str]) -> int:
         (run_dir / "stdout").write_text(done.stdout)
         (run_dir / "stderr").write_text(done.stderr)
         print(f"{n:2d} exit {done.returncode}  {' '.join(args)}", file=sys.stderr)
+    (out_dir / "manifest.json").write_text(json.dumps(manifest(out_dir), indent=1) + "\n")
     return 0
 
 
