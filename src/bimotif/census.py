@@ -435,10 +435,10 @@ def _count(bits):
     return acc
 
 
-def _biadjacency(g: BipartiteGraph, side: Side) -> np.ndarray:
-    """The (na, ns) boolean biadjacency of ``g``, with ``side`` as its rows."""
-    adj = g.adjacency(side)
-    bits = np.zeros((len(adj), g.node_count(side.other())), dtype=bool)
+def _biadjacency(g: BipartiteGraph) -> np.ndarray:
+    """The (primary, secondary) boolean biadjacency of ``g``; ``.T`` has secondary rows."""
+    adj = g.adjacency_primary
+    bits = np.zeros((len(adj), len(g.secondary_labels)), dtype=bool)
     bits[np.repeat(np.arange(len(adj)), [len(n) for n in adj]),
          list(itertools.chain.from_iterable(adj))] = True
     return bits
@@ -486,7 +486,8 @@ def census(g: BipartiteGraph, side: Side = Side.PRIMARY) -> MotifCensus:
     could not be exact, or when the arrays do not fit in memory.
     """
     with _in_memory(g.node_count(side), g.node_count(side.other())):
-        acc = _count(_biadjacency(g, side)[None])[:, 0]
+        bits = _biadjacency(g)
+        acc = _count((bits if side is Side.PRIMARY else bits.T)[None])[:, 0]
     return MotifCensus(
         **vars(_totals(acc.tolist())),
         path_counts=_per_node([acc[_K0], acc[_K1], 2 * acc[_K2]]),

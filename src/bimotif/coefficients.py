@@ -30,7 +30,6 @@ at presentation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal, ROUND_HALF_UP
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -57,20 +56,14 @@ class ClusteringProfile:
         return tuple(format_value(v) for v in self.cc)
 
 
-_QUANTUM = Decimal(1).scaleb(-4)  # display precision: 4 decimal places
-
-
 def format_value(x: Optional[Fraction]) -> str:
-    """Render a rational for tables: round half away from zero, trim zeros."""
+    """Render a rational for tables: 4 decimal places, half away from zero, zeros trimmed."""
     if x is None:
         return "n/a"
-    d = (Decimal(x.numerator) / Decimal(x.denominator)).quantize(
-        _QUANTUM, rounding=ROUND_HALF_UP
-    )
-    s = str(d)
-    if "." in s:
-        s = s.rstrip("0").rstrip(".")
-    return "0" if s == "-0" else s
+    n, d = x.numerator, x.denominator
+    q = (20000 * abs(n) + d) // (2 * d)  # |x|·10⁴ rounded once, in integers
+    s = f"{q // 10000}.{q % 10000:04d}".rstrip("0").rstrip(".")
+    return "-" + s if n < 0 and q else s
 
 
 def _semantic_counts(c: CensusTotals, semantics: str, scope: Union[str, int]):

@@ -9,16 +9,16 @@ Two replica generators are available:
   preserve both degree sequences exactly (the swap null model of
   Strona et al., Nat. Commun. 5, 2014).
 
-A replica is made as bit rows: its (primary, secondary) boolean
-biadjacency, filled cell by cell from the random stream, with no
-labelled graph in between.  The density model sets the cells of one
-``rng.sample`` call; the degree model runs its swap chain on integer
-edge lists and a byte per cell.  :func:`run_ensemble` generates them in
-order and hands them to :func:`census_totals` (transposed for the
-secondary side), which counts them a chunk at a time and gives each
-replica's global totals; its global clustering profile is computed from
-those alone.  :func:`randomize` and :func:`density_rewire` return the
-same replicas as labelled graphs.
+A replica is made as bit rows: the generators map the input's
+(primary, secondary) boolean biadjacency, built once per run, to a
+replica's, filled cell by cell from the random stream.  The density
+model sets the cells of one ``rng.sample`` call; the degree model runs
+its swap chain on integer edge lists and a byte per cell.
+:func:`run_ensemble` hands the replicas, in order, to
+:func:`census_totals` (transposed for the secondary side), which counts
+them a chunk at a time and gives each replica's global totals; its
+global clustering profile is computed from those alone.  :func:`randomize`
+and :func:`density_rewire` wrap the generators with the graph's labels.
 
 Per class, the defined values are aggregated into a mean, a 95%
 confidence interval from the correctly rounded Student-t quantile, and
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
@@ -39,7 +40,7 @@ from typing import Optional
 import numpy as np
 
 from .census import census  # unused here; kept because bench/traced.py wraps null_model.census
-from .census import _in_memory, census_totals
+from .census import _biadjacency, _in_memory, census_totals
 from .coefficients import SEMANTICS, global_profile
 from .errors import BimotifError
 from .graph import BipartiteGraph, Side, from_indexed_edges
@@ -69,6 +70,11 @@ class EnsembleConfig:
     semantics: str = "configuration"
 
     def __post_init__(self):
+        for name in ("runs", "seed", "swaps_per_edge"):
+            try:  # stored as an int, so a numpy seed mixes as Python ints do
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise InvalidConfig(f"{name} must be an integer: {getattr(self, name)!r}") from None
         if self.runs < 2:
             raise InvalidConfig(f"runs must be >= 2, got {self.runs}")
         if self.swaps_per_edge < 0:
@@ -117,37 +123,32 @@ def replica_seed(seed: int, replica: int) -> int:
     return _mix64((seed ^ replica) & _MASK64)
 
 
-def _swapped_rows(g: BipartiteGraph, seed: int, swaps_per_edge: int) -> np.ndarray:
-    """The degree model's replica of ``g`` (see :func:`randomize`), as its boolean biadjacency.
+def _swapped_rows(bits: np.ndarray, seed: int, swaps_per_edge: int) -> np.ndarray:
+    """The degree model's replica (see :func:`randomize`) of the boolean biadjacency ``bits``.
 
-    The edges are listed primary by primary: edge k is (heads[k],
-    tails[k]), with the head as the offset of its row's first cell, and
-    keeps its place in the list when it is rewired.  The edge set is one
-    byte per cell.  An index below n is drawn exactly as CPython's
-    ``Random`` draws an integer in range(n): by rejection from
-    ``getrandbits`` of n's bit length.  The first index of an attempt is
-    below m and the second below m − 1.
+    The edges are listed as ``np.nonzero`` lists them: edge k is
+    (heads[k], tails[k]), with the head as the offset of its row's first
+    cell, and keeps its place in the list when it is rewired.  The edge
+    set is a copy of ``bits``, one byte per cell.  An index below n is
+    drawn exactly as CPython's ``Random`` draws an integer in range(n):
+    by rejection from ``getrandbits`` of n's bit length.  The first
+    index of an attempt is below m and the second below m − 1.
     """
-    n_s = len(g.secondary_labels)
-    cells = bytearray(len(g.primary_labels) * n_s)
-    heads, tails = [], []
-    for i, nbrs in enumerate(g.adjacency_primary):
-        for j in nbrs:
-            heads.append(i * n_s)
-            tails.append(j)
-            cells[i * n_s + j] = 1
+    rows, cols = np.divmod(np.flatnonzero(bits), bits.shape[1])  # np.nonzero's order, 10x faster
+    heads, tails = (rows * bits.shape[1]).tolist(), cols.tolist()
+    cells = bytearray(bits)
     m = len(heads)
     if m >= 2:
-        bits = random.Random(seed).getrandbits
+        draw = random.Random(seed).getrandbits
         # they differ when m is a power of two
         k_first, k_second = m.bit_length(), (m - 1).bit_length()
         for _ in range(swaps_per_edge * m):
-            i = bits(k_first)
+            i = draw(k_first)
             while i >= m:
-                i = bits(k_first)
-            j = bits(k_second)
+                i = draw(k_first)
+            j = draw(k_second)
             while j >= m - 1:
-                j = bits(k_second)
+                j = draw(k_second)
             if j >= i:
                 j += 1
             a, b = heads[i], heads[j]
@@ -157,19 +158,15 @@ def _swapped_rows(g: BipartiteGraph, seed: int, swaps_per_edge: int) -> np.ndarr
             cells[a + x] = cells[b + y] = 0
             cells[a + y] = cells[b + x] = 1
             tails[i], tails[j] = y, x
-    return _as_rows(cells, g)
+    return np.frombuffer(cells, dtype=bool).reshape(bits.shape)
 
 
-def _sampled_rows(g: BipartiteGraph, seed: int) -> np.ndarray:
-    """The density model's replica of ``g``: ``edge_count`` cells drawn by ``rng.sample``."""
-    cells = bytearray(len(g.primary_labels) * len(g.secondary_labels))
-    for c in random.Random(seed).sample(range(len(cells)), g.edge_count):
+def _sampled_rows(bits: np.ndarray, seed: int) -> np.ndarray:
+    """The density model's replica of ``bits``: its edge count of cells, drawn by ``rng.sample``."""
+    cells = bytearray(bits.size)
+    for c in random.Random(seed).sample(range(bits.size), int(np.count_nonzero(bits))):
         cells[c] = 1
-    return _as_rows(cells, g)
-
-
-def _as_rows(cells: bytearray, g: BipartiteGraph) -> np.ndarray:
-    return np.frombuffer(cells, dtype=bool).reshape(len(g.primary_labels), len(g.secondary_labels))
+    return np.frombuffer(cells, dtype=bool).reshape(bits.shape)
 
 
 def _graph(g: BipartiteGraph, rows: np.ndarray) -> BipartiteGraph:
@@ -187,7 +184,7 @@ def randomize(g: BipartiteGraph, seed: int, swaps_per_edge: int = 10) -> Biparti
     count attempts are made.  Deterministic for a given seed, and the
     replica that :func:`run_ensemble` counts for that seed.
     """
-    return _graph(g, _swapped_rows(g, seed, swaps_per_edge))
+    return _graph(g, _swapped_rows(_biadjacency(g), seed, swaps_per_edge))
 
 
 def density_rewire(g: BipartiteGraph, seed: int) -> BipartiteGraph:
@@ -195,7 +192,7 @@ def density_rewire(g: BipartiteGraph, seed: int) -> BipartiteGraph:
 
     The replica that :func:`run_ensemble` counts for that seed.
     """
-    return _graph(g, _sampled_rows(g, seed))
+    return _graph(g, _sampled_rows(_biadjacency(g), seed))
 
 
 def _two_sided(t: Decimal, nu: int) -> Decimal:
@@ -307,13 +304,14 @@ def run_ensemble(g: BipartiteGraph, cfg: EnsembleConfig) -> EnsembleStats:
     def replica(r: int) -> np.ndarray:
         rs = replica_seed(cfg.seed, r)
         if cfg.null_model == "degree":
-            bits = _swapped_rows(g, rs, cfg.swaps_per_edge)
+            rows = _swapped_rows(bits, rs, cfg.swaps_per_edge)
         else:
-            bits = _sampled_rows(g, rs)
-        return bits if cfg.side is Side.PRIMARY else bits.T
+            rows = _sampled_rows(bits, rs)
+        return rows if cfg.side is Side.PRIMARY else rows.T
 
-    # the replicas are allocated outside the kernel's guard, so guard them too
+    # the input and its replicas are allocated outside the kernel's guard, so guard them too
     with _in_memory(g.node_count(cfg.side), g.node_count(cfg.side.other())):
+        bits = _biadjacency(g)
         totals_per_replica = census_totals(map(replica, range(cfg.runs)))
     rows = []
     for totals in totals_per_replica:

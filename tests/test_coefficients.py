@@ -1,3 +1,4 @@
+import decimal
 import random
 from fractions import Fraction
 
@@ -109,3 +110,11 @@ def test_format_value():
     assert format_value(Fraction(-1, 100000)) == "0"
     # ties round away from zero
     assert format_value(Fraction(5, 100000)) == "0.0001"
+    # just below a tie: rounded once, from the exact value
+    below_tie = Fraction(12345, 10**5) - Fraction(1, 10**40)
+    assert format_value(below_tie) == "0.1234"
+    assert format_value(-below_tie) == "-0.1234"
+    # the caller's decimal context plays no part
+    with decimal.localcontext() as ctx:
+        ctx.prec = 3
+        assert format_value(Fraction(2, 3)) == "0.6667"

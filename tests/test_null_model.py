@@ -237,11 +237,24 @@ def test_replica_rows_equal_the_oracle_generators(m):
         g = graph_with_edges(rng, m)
         for swaps in (0, 1, 10):
             expected = tuple_set_randomize(g, seed, swaps)
-            assert np.array_equal(_swapped_rows(g, seed, swaps), biadjacency(expected))
+            assert np.array_equal(_swapped_rows(biadjacency(g), seed, swaps), biadjacency(expected))
             assert randomize(g, seed, swaps) == expected
         expected = divmod_density_rewire(g, seed)
-        assert np.array_equal(_sampled_rows(g, seed), biadjacency(expected))
+        assert np.array_equal(_sampled_rows(biadjacency(g), seed), biadjacency(expected))
         assert density_rewire(g, seed) == expected
+
+
+def test_generators_leave_the_input_rows_alone():
+    # every replica of a run is generated from one array of input rows
+    g = graph_with_edges(random.Random(7), 40)
+    bits = biadjacency(g)
+    before = bits.copy()
+    for seed in range(20):
+        swapped = _swapped_rows(bits, seed, 10)
+        assert np.array_equal(_swapped_rows(bits, seed, 10), swapped)
+        sampled = _sampled_rows(bits, seed)
+        assert np.array_equal(_sampled_rows(bits, seed), sampled)
+    assert np.array_equal(bits, before)
 
 
 @pytest.mark.parametrize("m", EDGE_COUNTS)
@@ -298,6 +311,19 @@ def test_invalid_configs():
         EnsembleConfig(null_model="shuffle")
     with pytest.raises(InvalidConfig):
         EnsembleConfig(semantics="loose")
+    for field in ("runs", "seed", "swaps_per_edge"):
+        for value in (3.0, 1.5, "3", None):
+            with pytest.raises(InvalidConfig, match=field):
+                EnsembleConfig(**{field: value})
+
+
+def test_numpy_integer_config(davis):
+    cfg = EnsembleConfig(runs=np.int64(3), seed=np.int32(2), swaps_per_edge=np.int16(1),
+                         null_model="degree")
+    assert (cfg.runs, cfg.seed, cfg.swaps_per_edge) == (3, 2, 1)
+    assert type(cfg.seed) is int
+    expected = EnsembleConfig(runs=3, seed=2, swaps_per_edge=1, null_model="degree")
+    assert run_ensemble(davis, cfg).replica_values == run_ensemble(davis, expected).replica_values
 
 
 def test_aggregate_small_counts():
@@ -335,13 +361,14 @@ def test_t_quantile_between_half_ulp_midpoints(nu):
         assert cdf(math.nextafter(q, 0), q) < level < cdf(q, math.nextafter(q, math.inf))
 
 
-def test_t_quantile_walk_is_bounded(monkeypatch):
-    # a CDF that never reaches 0.975 would walk up from double to double forever
+def test_t_quantile_newton_is_bounded(monkeypatch):
+    # a CDF that never reaches 0.975 drives the Newton iterate out of
+    # [1.9, 13], or past _NEWTON_STEPS steps; either raises ArithmeticError
     calls = []
 
     def short_of_the_level(t, *args):
         calls.append(t)
-        assert len(calls) < 100, "the walk is unbounded"
+        assert len(calls) < 100, "Newton steps go on past the range and step bound"
         return type(t)("0.9")
 
     monkeypatch.setattr(sys.modules["bimotif.null_model"], "_two_sided", short_of_the_level)
