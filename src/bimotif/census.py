@@ -111,11 +111,12 @@ _ROW_BLOCK = 32
 # 100x100 graph of 2,000 edges fastest, for 1.1-1.4 MB more tracemalloc peak
 # than 2¹²; 2¹⁵ was no faster and held 1.3-1.9 MB more again.
 _STACK = 1 << 14
-# Graphs counted per kernel call by census_totals: as many as fit graphs × na × ns
-# within this budget, and at least one.  Southern Women (18x14) gets 65 a
-# call.  2¹⁶ (260 a call) counted 2,000 of its replicas in 0.36 s against
-# 0.44-0.46 s here, but doubled a chunk's tracemalloc peak, from 2.37 to
-# 4.93 MB.  Re-sizing waits until part 1's co-degree products are float32
+# Graphs counted per kernel call by census_totals, and the step at which
+# run_ensemble splits replicas over processes (_chunk_step): as many as fit
+# graphs × na × ns within this budget, and at least one.  Southern Women
+# (18x14) gets 65 a call.  2¹⁶ (260 a call) counted 2,000 of its replicas in
+# 0.36 s against 0.44-0.46 s here, but doubled a chunk's tracemalloc peak,
+# from 2.37 to 4.93 MB.  Re-sizing waits until part 1's co-degree products are float32
 # matrix products, which moves part 1's share of a call and its memory.
 _CHUNK_CELLS = 1 << 14
 # Integers up to these bounds are exact in float64 and float32.
@@ -499,6 +500,11 @@ def census(g: BipartiteGraph, side: Side = Side.PRIMARY) -> MotifCensus:
     )
 
 
+def _chunk_step(na: int, ns: int) -> int:
+    """Graphs of na × ns nodes per kernel call: as many as fit ``_CHUNK_CELLS``, at least one."""
+    return max(1, _CHUNK_CELLS // max(1, na * ns))
+
+
 def census_totals(biadjacencies: Iterable[np.ndarray]) -> list[CensusTotals]:
     """The global totals of each graph, given as its (na, ns) biadjacency.
 
@@ -515,7 +521,7 @@ def census_totals(biadjacencies: Iterable[np.ndarray]) -> list[CensusTotals]:
     if first is None:
         return []
     na, ns = first.shape
-    step = max(1, _CHUNK_CELLS // max(1, na * ns))
+    step = _chunk_step(na, ns)
     biadjacencies = itertools.chain([first], biadjacencies)
     totals = []
     while chunk := list(itertools.islice(biadjacencies, step)):

@@ -20,6 +20,18 @@ them a chunk at a time and gives each replica's global totals; its
 global clustering profile is computed from those alone.  :func:`randomize`
 and :func:`density_rewire` wrap the generators with the graph's labels.
 
+When one kernel call counts two or more replicas (``_CHUNK_CELLS`` //
+(na·ns) ≥ 2) and a run has two or more such chunks, the replicas are
+split at multiples of that step into contiguous ranges, one per usable
+CPU and at most one per chunk.  This process generates and counts the
+first range, and a forked worker each other one; the workers pipe their
+totals back, and they are joined in replica order before any profile
+is computed.  The seeds are per replica and the totals exact integers,
+so every output is byte-identical whatever the number of processes.
+Each process holds its own chunk, so memory is per worker.  Larger
+graphs are counted in this process alone: there the kernel's BLAS
+products already use several threads.
+
 Per class, the defined values are aggregated into a mean, a 95%
 confidence interval from the correctly rounded Student-t quantile, and
 its midpoint (equal to the mean).  Replicas where a class is undefined
@@ -29,18 +41,22 @@ is reported as undefined stats rather than an error.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import operator
+import os
+import pickle
 import random
+import signal
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .census import census  # unused here; kept because bench/traced.py wraps null_model.census
-from .census import _biadjacency, _in_memory, census_totals
+from .census import _biadjacency, _chunk_step, _in_memory, census_totals
 from .coefficients import SEMANTICS, global_profile
 from .errors import BimotifError
 from .graph import BipartiteGraph, Side, from_indexed_edges
@@ -83,6 +99,10 @@ class EnsembleConfig:
             raise InvalidConfig(f"unknown null model {self.null_model!r}")
         if self.semantics not in SEMANTICS:
             raise InvalidConfig(f"unknown semantics {self.semantics!r}")
+        try:  # stored as a Side, so "secondary" works as Side.SECONDARY does
+            object.__setattr__(self, "side", Side(self.side))
+        except (ValueError, TypeError):
+            raise InvalidConfig(f"unknown side {self.side!r}") from None
 
 
 @dataclass(frozen=True)
@@ -290,6 +310,90 @@ def _aggregate(values: list[float]) -> ClassStats:
     return ClassStats(mean, std, mean - half, mean + half, mean, n)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where ``os.fork`` is missing."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fork(count: Callable[[range], list], part: range):
+    """Start a worker process for ``count(part)``: its pid and the read end of its pipe.
+
+    The worker pickles ``(True, result)``, or ``(False, exc)`` for the
+    exception ``count`` raised, to the pipe and ends with ``os._exit``,
+    status 0 only once the whole message is written.  It runs none of
+    the parent's exit handlers and writes nothing else.
+    """
+    reader, writer = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(reader)
+        os.close(writer)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(reader)
+            try:
+                message = (True, count(part))
+            except Exception as exc:
+                message = (False, exc)
+            with open(writer, "wb") as pipe:
+                pickle.dump(message, pipe, pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(writer)
+    return pid, open(reader, "rb")
+
+
+def _in_workers(count: Callable[[range], list], runs: int, step: int) -> list:
+    """``count(range(runs))``, cut at multiples of ``step`` over forked workers.
+
+    There is one contiguous range per usable CPU, at most one per chunk
+    of ``step``, and none but this process's when ``step`` is 1.  This
+    process counts the first range; the results are joined in replica
+    order.  A worker's exception is raised again here, and a worker
+    that ends without its result raises :class:`BimotifError`.  Whatever
+    leaves this function, every worker has ended or been killed, and
+    has been reaped.
+    """
+    chunks = -(-runs // step)
+    workers = min(_usable_cpus(), chunks) if step >= 2 else 1
+    bounds = [min(runs, step * (chunks * k // workers)) for k in range(workers + 1)]
+    parts = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    running = []  # (pid, pipe) of each worker not yet reaped
+    try:
+        for part in parts[1:]:
+            running.append(_fork(count, part))
+        results = count(parts[0])
+        while running:
+            pid, pipe = running[0]
+            data = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            running.pop(0)
+            pipe.close()
+            if status != 0:
+                raise BimotifError(
+                    f"ensemble worker {pid} ended without its totals (exit status {status})"
+                )
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            results += value
+        return results
+    finally:
+        for pid, pipe in running:
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            pipe.close()
+
+
 def run_ensemble(g: BipartiteGraph, cfg: EnsembleConfig) -> EnsembleStats:
     """Generate replicas, profile each, and aggregate per class.
 
@@ -297,8 +401,20 @@ def run_ensemble(g: BipartiteGraph, cfg: EnsembleConfig) -> EnsembleStats:
     reproducible and a shorter run is a prefix of a longer one; the
     aggregation sorts values before summing.  The totals are exact
     integers, so the chunks :func:`census_totals` counts cannot change a
-    value.  Raises :class:`CensusTooLarge` when a replica or its count
-    does not fit in memory.
+    value.
+
+    When a graph is small enough that one kernel call counts two or
+    more replicas, and there are two or more such chunks, the replicas
+    are generated and counted in forked processes, one per usable CPU
+    at most, each over a contiguous range of whole chunks
+    (:func:`_in_workers`).  The totals come back in replica order and
+    each replica has its own seed, so every output is byte-identical
+    to a single process's.  Each process holds its own chunk, so peak
+    memory grows with the number of processes.  Larger graphs, one per
+    kernel call, are counted here alone.
+
+    Raises :class:`CensusTooLarge` when a replica or its count does not
+    fit in memory, in this process or in a worker.
     """
 
     def replica(r: int) -> np.ndarray:
@@ -309,10 +425,13 @@ def run_ensemble(g: BipartiteGraph, cfg: EnsembleConfig) -> EnsembleStats:
             rows = _sampled_rows(bits, rs)
         return rows if cfg.side is Side.PRIMARY else rows.T
 
+    na, ns = g.node_count(cfg.side), g.node_count(cfg.side.other())
     # the input and its replicas are allocated outside the kernel's guard, so guard them too
-    with _in_memory(g.node_count(cfg.side), g.node_count(cfg.side.other())):
+    with _in_memory(na, ns):
         bits = _biadjacency(g)
-        totals_per_replica = census_totals(map(replica, range(cfg.runs)))
+        totals_per_replica = _in_workers(
+            lambda part: census_totals(map(replica, part)), cfg.runs, _chunk_step(na, ns)
+        )
     rows = []
     for totals in totals_per_replica:
         prof = global_profile(totals, cfg.semantics)

@@ -6,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from importlib.resources import files
 from pathlib import Path
@@ -617,6 +618,74 @@ def test_exit_code_census_too_large_in_replica(tmp_path, caplog, monkeypatch, nu
     assert "too large to count in memory" in record.getMessage()
     assert "\n" not in record.getMessage()
     assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("failure", ["memory", "exactness", "exit"])
+def test_failed_worker_exits_cleanly(tmp_path, caplog, capfd, monkeypatch, failure):
+    # 200 Southern Women replicas are four kernel calls of 65, so with two CPUs
+    # this process counts the first two chunks and a forked worker the rest
+    monkeypatch.setattr(sys.modules["bimotif.null_model"], "_usable_cpus", lambda: 2)
+    parent = os.getpid()
+    if failure == "exactness":
+        census_module = sys.modules["bimotif.census"]
+        check = census_module._check_exact
+
+        def check_in_worker(na, max_degree, max_opposite_degree):
+            if os.getpid() != parent:
+                max_opposite_degree = census_module._EXACT32
+            check(na, max_degree, max_opposite_degree)
+
+        monkeypatch.setattr(census_module, "_check_exact", check_in_worker)
+        message = "too large to count exactly"
+    else:
+        def fail_in_worker(*args):
+            if os.getpid() != parent:
+                if failure == "memory":
+                    raise MemoryError
+                os._exit(1)  # ends without sending its totals
+            return bytearray(*args)
+
+        monkeypatch.setattr(sys.modules["bimotif.null_model"], "bytearray", fail_in_worker,
+                            raising=False)
+        message = "too large to count in memory" if failure == "memory" else "exit status 1"
+    argv = ["report", "--input", WOMEN, "--runs", "200", "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    (record,) = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert message in record.getMessage()
+    assert "\n" not in record.getMessage()
+    assert not (tmp_path / "out" / "report.json").exists()
+    out, err = capfd.readouterr()
+    assert out == "" and "Traceback" not in err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("error", [MemoryError, KeyboardInterrupt])
+def test_failed_parent_stops_its_workers(tmp_path, monkeypatch, error):
+    # with four CPUs, three workers count the last three of four chunks; each
+    # sleeps for a minute, so the run ends in time only if they are killed
+    monkeypatch.setattr(sys.modules["bimotif.null_model"], "_usable_cpus", lambda: 4)
+    parent = os.getpid()
+
+    def fail_in_parent(*args):
+        if os.getpid() == parent:
+            raise error
+        time.sleep(60)
+        os._exit(1)
+
+    monkeypatch.setattr(sys.modules["bimotif.null_model"], "bytearray", fail_in_parent,
+                        raising=False)
+    argv = ["ensemble", "--input", WOMEN, "--runs", "200", "--out", str(tmp_path / "out")]
+    start = time.perf_counter()
+    if error is KeyboardInterrupt:
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+    else:
+        assert main(argv) == 2
+    assert time.perf_counter() - start < 30
+    assert not (tmp_path / "out" / "report.json").exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_error_exit_codes_match_readme():

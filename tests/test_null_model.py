@@ -1,4 +1,5 @@
 import math
+import os
 import random
 import statistics
 import sys
@@ -22,7 +23,8 @@ from bimotif import (
     replica_seed,
     run_ensemble,
 )
-from bimotif.null_model import _aggregate, _sampled_rows, _swapped_rows, _t_quantile
+from bimotif.census import _chunk_step
+from bimotif.null_model import _aggregate, _sampled_rows, _swapped_rows, _t_quantile, _usable_cpus
 from graphs import biadjacency, edge_list, k33, random_bipartite, three_disjoint_edges
 from oracles import divmod_density_rewire, tuple_set_randomize
 
@@ -187,6 +189,7 @@ def test_chunked_ensemble_matches_census_per_replica(chunk):
         return counted(bits)
 
     counted = census_module._count
+    null_model = sys.modules["bimotif.null_model"]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(census_module, "_CHUNK_CELLS", chunk * 7 * 6)
         mp.setattr(census_module, "_count", recorded)
@@ -195,10 +198,59 @@ def test_chunked_ensemble_matches_census_per_replica(chunk):
                 for semantics in SEMANTICS:
                     cfg = EnsembleConfig(runs=10, seed=5, swaps_per_edge=3, side=side,
                                          null_model=model, semantics=semantics)
+                    # one process, so that every chunk's size is recorded here
+                    mp.setattr(null_model, "_usable_cpus", lambda: 1)
                     sizes.clear()
                     stats = run_ensemble(g, cfg)
                     assert max(sizes) == chunk and sum(sizes) == 10
                     assert stats.replica_values == oracle_values(g, cfg)
+                    # and with chunks of two or more replicas split over processes
+                    mp.setattr(null_model, "_usable_cpus", lambda: 3)
+                    assert run_ensemble(g, cfg) == stats
+
+
+def test_usable_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    assert _usable_cpus() == 3
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 6)
+    assert _usable_cpus() == 6
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _usable_cpus() == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: 6)
+    monkeypatch.delattr(os, "fork", raising=False)
+    assert _usable_cpus() == 1
+
+
+@pytest.mark.parametrize("runs", [200, 131])
+def test_ensemble_independent_of_worker_count(davis, monkeypatch, runs):
+    # 65 Southern Women replicas per kernel call: 200 runs are four chunks,
+    # and 131 are three, the last of one replica
+    assert _chunk_step(18, 14) == _chunk_step(14, 18) == 65
+    chunks = -(-runs // 65)
+    forked = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    null_model = sys.modules["bimotif.null_model"]
+    for model in NULL_MODELS:
+        for side in Side:
+            cfg = EnsembleConfig(runs=runs, seed=3, swaps_per_edge=2, side=side, null_model=model)
+            results = []
+            for cpus in (1, 2, 3, 4):
+                monkeypatch.setattr(null_model, "_usable_cpus", lambda n=cpus: n)
+                forked.clear()
+                results.append(run_ensemble(davis, cfg))
+                assert len(forked) == min(cpus, chunks) - 1
+            assert all(stats == results[0] for stats in results[1:])
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def oracle_values(g, cfg):
@@ -302,6 +354,13 @@ def test_ensemble_secondary_side(davis):
     assert all(c.defined_count == 6 for c in stats.classes)
 
 
+def test_side_given_by_value(davis):
+    cfg = EnsembleConfig(runs=3, side="secondary")
+    assert cfg.side is Side.SECONDARY
+    assert cfg == EnsembleConfig(runs=3, side=Side.SECONDARY)
+    assert run_ensemble(davis, cfg) == run_ensemble(davis, EnsembleConfig(runs=3, side=Side.SECONDARY))
+
+
 def test_invalid_configs():
     with pytest.raises(InvalidConfig):
         EnsembleConfig(runs=1)
@@ -315,6 +374,9 @@ def test_invalid_configs():
         for value in (3.0, 1.5, "3", None):
             with pytest.raises(InvalidConfig, match=field):
                 EnsembleConfig(**{field: value})
+    for value in ("sideways", "PRIMARY", None, 0, [], Side):
+        with pytest.raises(InvalidConfig, match="side"):
+            EnsembleConfig(side=value)
 
 
 def test_numpy_integer_config(davis):
