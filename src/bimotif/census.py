@@ -73,10 +73,12 @@ indices offset per graph.
 
 The boolean array is the kernel's one source: both sides' degrees are
 summed from it once, and the rows of A (part 1) and the members of
-each N(w) (part 2) are read from it.  Its rows packed into uint64 bit
-sets are used only where popcounts count overlaps: the rows of D, part
-2's co-degree blocks and part 3's t.  Part 1 also packs its columns,
-for the one product K·A.
+each N(w) (part 2) are read from it.  Part 1's two co-degree products,
+a block's rows of D and of K·A, are float32 matrix products over only
+what the block touches: the columns its rows use, and the analysis
+rows within two steps of it.  No float copy of the whole of A is held.
+The rows packed into uint64 bit sets are used only where popcounts
+count overlaps: part 2's co-degree blocks and part 3's t.
 
 :func:`census_totals` reads its graphs' biadjacencies a chunk at a
 time, as many as fit ``_CHUNK_CELLS``, and returns each graph's global
@@ -114,10 +116,11 @@ _STACK = 1 << 14
 # Graphs counted per kernel call by census_totals, and the step at which
 # run_ensemble splits replicas over processes (_chunk_step): as many as fit
 # graphs × na × ns within this budget, and at least one.  Southern Women
-# (18x14) gets 65 a call.  2¹⁶ (260 a call) counted 2,000 of its replicas in
-# 0.36 s against 0.44-0.46 s here, but doubled a chunk's tracemalloc peak,
-# from 2.37 to 4.93 MB.  Re-sizing waits until part 1's co-degree products are float32
-# matrix products, which moves part 1's share of a call and its memory.
+# (18x14) gets 65 a call.  With part 1's products in float32, 2,000 of its
+# density replicas were counted in 0.41 s here (medians of 5, two runs), and
+# in 0.37, 0.37-0.39 and 0.38-0.39 s at 2¹⁵, 2¹⁶ and 2¹⁷, where a chunk's
+# tracemalloc peak grows from 2.34 MB to 3.12, 4.67 and 8.09 MB: too little
+# gain for the memory.
 _CHUNK_CELLS = 1 << 14
 # Integers up to these bounds are exact in float64 and float32.
 _EXACT64 = 1 << 53
@@ -227,8 +230,14 @@ def _check_exact(na: int, max_degree: int, max_opposite_degree: int) -> None:
     max_degree³ · (reach + 1)²; below 2⁵³ that is exact in float64 and
     cannot overflow int64.  This covers part 2's product ĀF, whose
     entries are at most d · max_degree for a neighbourhood of d ≤ reach + 1
-    nodes.  The common-neighbour counts kept in float32 are at most
-    max_opposite_degree, exact below 2²⁴.
+    nodes.
+
+    Part 1 counts the rows of D, K·A and AᵀA in float32.  The rows of D
+    are at most max_degree, which the first bound keeps below 2¹⁷
+    (reach ≥ 1 for any node with an edge); the entries of K·A and AᵀA
+    are at most max_opposite_degree.  Every partial sum of such a
+    product adds non-negative integers, so it is an integer no larger
+    than the final value, and float32 accumulates it exactly below 2²⁴.
     """
     reach = min(na, max_degree * max_opposite_degree)
     if (max_degree ** 3 * (reach + 1) ** 2 >= _EXACT64
@@ -259,20 +268,26 @@ def _overlaps(a, b):
     return out
 
 
-def _rows_used(rows):
-    """A block of boolean rows of A as float64, restricted to the columns any of them uses."""
+def _rows_used(rows, dtype):
+    """A block of boolean rows of A as ``dtype``, restricted to the columns any of them uses.
+
+    Only those columns can add to the block's rows of D, AᵀA and Aᵀ·K·A,
+    or be read by the block's (D³)_cc and (D·K·D)_cc.
+    """
     used = np.flatnonzero(rows.any((0, 1)))
-    return rows[..., used].astype(np.float64), used
+    return rows[..., used].astype(dtype), used
 
 
 def _add_row_blocks(acc, bits, words, deg) -> None:
     """Parts 1 and 3, a block of analysis rows of every graph in the chunk at a time.
 
-    Each block's rows of D are computed once, from the bit-set rows
-    ``words``: part 3 lists the block's triples with t ≥ 2 from them,
-    and part 1 takes its sums over them.  Part 1 reads the block's rows
-    of A from ``bits`` and the analysis degrees from ``deg``, and packs
-    the columns of A as bit sets only to count K·A.
+    Each block's rows of D are computed once, as the float32 product of
+    the block's rows of A with the columns of ``bits`` that those rows
+    use: part 3 lists the block's triples with t ≥ 2 from them, and
+    part 1 takes its sums over them.  Part 1 reads the analysis degrees
+    from ``deg``, and counts the block's rows of K·A as a second float32
+    product, of the rows of K with the rows of A within two steps of the
+    block.  Only part 3 reads the bit-set rows ``words``.
 
     Part 1 adds the sum of g(x, y, z, 0) over all end pairs of each
     center.  Per center c, with r1 and s2 the sums of D_ci and D_ci²
@@ -285,29 +300,30 @@ def _add_row_blocks(acc, bits, words, deg) -> None:
     reads ``cube`` = (D³)_cc and ``shared_quad`` = (D·K·D)_cc from them.
     """
     chunk, na, ns = bits.shape
-    opposite_words = _words(bits.transpose(0, 2, 1))
     gram = np.zeros((chunk, ns, ns), dtype=np.float32)  # AᵀA: common neighbours of opposite nodes
     shared_pairs = np.zeros((chunk, ns, ns))  # Aᵀ·K·A
     sq, wdeg, reach = (np.empty((chunk, na), dtype=np.int64) for _ in range(3))
     cube, shared_quad = np.empty((chunk, na)), np.empty((chunk, na))
     for lo in range(0, na, _ROW_BLOCK):
-        block = words[:, lo:lo + _ROW_BLOCK]
-        n = block.shape[1]
-        rows, used = _rows_used(bits[:, lo:lo + _ROW_BLOCK])
+        rows, used = _rows_used(bits[:, lo:lo + _ROW_BLOCK], np.float32)
+        n = rows.shape[1]
         gram[:, used[:, None], used] += rows.transpose(0, 2, 1) @ rows
-        co = _overlaps(block, words)  # rows of D
+        # rows of D
+        co = (rows @ bits[:, :, used].astype(np.float32).transpose(0, 2, 1)).astype(np.int64)
         _add_deep_triples(acc, words, lo, co)
         sq[:, lo:lo + n] = np.einsum("rij,rij->ri", co, co)
         wdeg[:, lo:lo + n] = np.einsum("rij,rij,rj->ri", co, co, deg)
         reach[:, lo:lo + n] = co.sum(-1)
         shared = co > 0
+        del co  # so that the rows of D and the float slabs of K·A are never held at once
         shared[:, np.arange(n), np.arange(lo, lo + n)] = False
+        near_rows = np.flatnonzero(shared.any((0, 1)))
         # row c of K·A: the neighbours of each opposite node within two steps of c
-        near = _overlaps(_words(shared), opposite_words).astype(np.float64)
-        shared_pairs[:, used] += rows.transpose(0, 2, 1) @ near
-        del co  # so that two blocks' rows of D are never held at once
+        near = shared[:, :, near_rows].astype(np.float32) @ bits[:, near_rows].astype(np.float32)
+        # in float64: a sum over the block's rows can pass 2²⁴
+        shared_pairs[:, used] += np.matmul(rows.transpose(0, 2, 1), near, dtype=np.float64)
     for lo in range(0, na, _ROW_BLOCK):
-        rows, used = _rows_used(bits[:, lo:lo + _ROW_BLOCK])
+        rows, used = _rows_used(bits[:, lo:lo + _ROW_BLOCK], np.float64)
         n = rows.shape[1]
         cube[:, lo:lo + n] = np.square(rows @ gram[:, used].astype(np.float64)).sum(-1)
         shared_quad[:, lo:lo + n] = ((rows @ shared_pairs[:, used[:, None], used]) * rows).sum(-1)

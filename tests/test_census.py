@@ -283,6 +283,34 @@ def test_census_totals_of_a_chunk_equal_each_census(row_block, stack):
     assert census_totals(iter([])) == []
 
 
+@pytest.mark.parametrize("row_block", [3, 32])
+def test_census_of_an_edgeless_row_block(row_block):
+    # rows 32-63 have no edge, so one whole row block uses no column and has no row within two steps
+    rng = random.Random(20)
+    cells = [(i, j) for i in range(80) for j in range(15)
+             if not 32 <= i < 64 and rng.random() < 0.3]
+    gap = from_indexed_edges([f"p{i}" for i in range(80)], [f"s{j}" for j in range(15)], cells)
+    # the same shape with edges in every row block
+    full = hub_graph(rng, 80, 15, 0.2)
+    census_module = sys.modules["bimotif.census"]
+    sizes = []
+
+    def recorded(bits):
+        sizes.append(len(bits))
+        return counted(bits)
+
+    counted = census_module._count
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(census_module, "_ROW_BLOCK", row_block)
+        cen = census(gap)
+        assert cen == pairwise_census(gap)
+        assert cen.config_totals[2] > 0
+        expected = [_totals_of(cen), _totals_of(census(full))]
+        mp.setattr(census_module, "_count", recorded)
+        assert census_totals([biadjacency(gap), biadjacency(full)]) == expected
+        assert sizes == [2]  # one kernel call, in which the other graph has edges in that block
+
+
 def test_census_totals_read_a_nonzero_cell_as_an_edge():
     rng = random.Random(15)
     arrays = [biadjacency(random_bipartite(rng, 12, 9, 0.5)),
@@ -296,7 +324,8 @@ def test_census_totals_read_a_nonzero_cell_as_an_edge():
 
 def test_kernel_transient_memory_is_bounded(davis):
     # the step bound trades memory for speed: at 2¹⁴ one census, or one chunk of
-    # census_totals, peaks at 2.4-2.5 MB on these inputs, and at 2¹⁵ at 2.5-4.5 MB
+    # census_totals, peaks at 2.3-2.9 MB on these inputs, and at 2¹⁵ at 2.9-4.5 MB;
+    # the skewed input's 2.9 MB is part 1's float32 slabs of K·A
     rng = random.Random(14)
     dense = random_bipartite(rng, 100, 100, 0.2)
     skewed = heavy_tailed(rng, 1000, 300, 3000)
@@ -331,6 +360,9 @@ def test_census_of_large_star_is_zero():
         (1000, 10, 133, True),  # the shape of the hub-heavy benchmark input
         (1022, 2048, 1, True),  # 2048³ · 1023² < 2⁵³
         (1023, 2048, 1, False),  # 2048³ · 1024² = 2⁵³
+        # a node of any degree has reach ≥ 1, so the rows of D in float32 stay below 2¹⁷
+        (1, 2**17 - 1, 1, True),
+        (1, 2**17, 1, False),  # 2⁵¹ · 2² = 2⁵³
         (3, 1, 2**24 - 1, True),  # common-neighbour counts kept in float32
         (3, 1, 2**24, False),
     ],
