@@ -114,9 +114,10 @@ _ROW_BLOCK = 32
 # than 2¹²; 2¹⁵ was no faster and held 1.3-1.9 MB more again.
 _STACK = 1 << 14
 # Graphs counted per kernel call by census_totals, and the step at which
-# run_ensemble splits replicas over processes (_chunk_step): as many as fit
-# graphs × na × ns within this budget, and at least one.  Southern Women
-# (18x14) gets 65 a call.  With part 1's products in float32, 2,000 of its
+# run_ensemble cuts replicas into ranges for its forked workers (_chunk_step):
+# as many as fit graphs × na × ns within this budget, and at least one, so a
+# larger graph's replicas are split one at a time.  Southern Women (18x14)
+# gets 65 a call.  With part 1's products in float32, 2,000 of its
 # density replicas were counted in 0.41 s here (medians of 5, two runs), and
 # in 0.37, 0.37-0.39 and 0.38-0.39 s at 2¹⁵, 2¹⁶ and 2¹⁷, where a chunk's
 # tracemalloc peak grows from 2.34 MB to 3.12, 4.67 and 8.09 MB: too little
@@ -407,7 +408,11 @@ def _add_deep_triples(acc, words, lo, co) -> None:
     """
     chunk, na, width = words.shape
     node_words = words.reshape(chunk * na, width)  # node k of graph g is row g·na + k
-    twice = np.triu(co >= 2, lo + 1)
+    n = co.shape[1]
+    twice = co >= 2
+    # q > p: no column before the block, and above the diagonal within its own slab
+    twice[:, :, :lo] = False
+    twice[:, :, lo:lo + n] = np.triu(twice[:, :, lo:lo + n], 1)
     g, p, q = np.nonzero(twice)
     later = np.flatnonzero(twice.any((0, 1)))
     step = max(1, _STACK // max(1, len(later)))

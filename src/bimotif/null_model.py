@@ -20,17 +20,19 @@ them a chunk at a time and gives each replica's global totals; its
 global clustering profile is computed from those alone.  :func:`randomize`
 and :func:`density_rewire` wrap the generators with the graph's labels.
 
-When one kernel call counts two or more replicas (``_CHUNK_CELLS`` //
-(na·ns) ≥ 2) and a run has two or more such chunks, the replicas are
-split at multiples of that step into contiguous ranges, one per usable
-CPU and at most one per chunk.  This process generates and counts the
-first range, and a forked worker each other one; the workers pipe their
-totals back, and they are joined in replica order before any profile
-is computed.  The seeds are per replica and the totals exact integers,
-so every output is byte-identical whatever the number of processes.
-Each process holds its own chunk, so memory is per worker.  Larger
-graphs are counted in this process alone: there the kernel's BLAS
-products already use several threads.
+A run of two or more kernel calls is split at multiples of the chunk
+step (``_CHUNK_CELLS`` // (na·ns), at least one replica) into
+contiguous ranges, one per usable CPU and at most one per chunk.  A
+forked worker generates and counts each range and pipes its totals
+back; this process only joins them in replica order before any
+profile is computed.  The seeds are per replica and the totals exact
+integers, so every output is byte-identical whatever the number of
+processes.  While the workers run, the OpenBLAS that numpy loaded is
+held at one thread, so that each worker's products run on one thread
+instead of on every core; its own count is restored on every exit.
+Where no such setter is found, only runs whose kernel calls hold two
+or more replicas are forked, and larger graphs are counted here.
+Each process holds its own chunk, so memory is per worker.
 
 Per class, the defined values are aggregated into a mean, a 95%
 confidence interval from the correctly rounded Student-t quantile, and
@@ -351,47 +353,103 @@ def _fork(count: Callable[[range], list], part: range):
     return pid, open(reader, "rb")
 
 
+# The (get, set) thread-count calls of OpenBLAS: as numpy's wheels bundle it
+# (scipy-openblas, 64-bit integers), and as other builds link it.
+_BLAS_THREAD_CALLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _blas_threads() -> Optional[tuple[Callable[[], int], Callable[[int], None]]]:
+    """The (get, set) thread-count calls of the OpenBLAS numpy loaded, or None.
+
+    They are looked up by name through the handle of numpy's extension
+    module, which also finds the symbols of the libraries it links.  A
+    build without them, or a lookup that fails, gives None.  Memoised,
+    and called only when an ensemble is about to fork.
+    """
+    import ctypes
+
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        for get_name, set_name in _BLAS_THREAD_CALLS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    except (OSError, AttributeError):
+        pass
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread(calls):
+    """Hold BLAS at one thread through ``calls`` from :func:`_blas_threads`; nothing if None."""
+    if calls is None:
+        yield
+        return
+    get, set_ = calls
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
 def _in_workers(count: Callable[[range], list], runs: int, step: int) -> list:
     """``count(range(runs))``, cut at multiples of ``step`` over forked workers.
 
-    There is one contiguous range per usable CPU, at most one per chunk
-    of ``step``, and none but this process's when ``step`` is 1.  This
-    process counts the first range; the results are joined in replica
-    order.  A worker's exception is raised again here, and a worker
-    that ends without its result raises :class:`BimotifError`.  Whatever
-    leaves this function, every worker has ended or been killed, and
-    has been reaped.
+    There are W = min(usable CPUs, chunks of ``step``) contiguous
+    ranges.  With W ≥ 2 each goes to a forked worker, and this process
+    only joins their results in replica order; with W = 1 it counts
+    alone.  The workers run while BLAS is held at one thread
+    (:func:`_one_blas_thread`).  Where :func:`_blas_threads` finds no
+    setter, a ``step`` of 1 is counted here alone, so that forked
+    processes cannot multiply BLAS threads.  A worker's exception is
+    raised again here, and a worker that ends without its result raises
+    :class:`BimotifError`.  Whatever leaves this function, every worker
+    has ended or been killed and has been reaped, and BLAS has its own
+    thread count back.
     """
     chunks = -(-runs // step)
-    workers = min(_usable_cpus(), chunks) if step >= 2 else 1
+    workers = min(_usable_cpus(), chunks)
+    blas = _blas_threads() if workers >= 2 else None
+    if blas is None and step < 2:
+        workers = 1
+    if workers < 2:
+        return count(range(runs))
     bounds = [min(runs, step * (chunks * k // workers)) for k in range(workers + 1)]
-    parts = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     running = []  # (pid, pipe) of each worker not yet reaped
-    try:
-        for part in parts[1:]:
-            running.append(_fork(count, part))
-        results = count(parts[0])
-        while running:
-            pid, pipe = running[0]
-            data = pipe.read()
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            running.pop(0)
-            pipe.close()
-            if status != 0:
-                raise BimotifError(
-                    f"ensemble worker {pid} ended without its totals (exit status {status})"
-                )
-            ok, value = pickle.loads(data)
-            if not ok:
-                raise value
-            results += value
-        return results
-    finally:
-        for pid, pipe in running:
-            with contextlib.suppress(ProcessLookupError, ChildProcessError):
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-            pipe.close()
+    with _one_blas_thread(blas):
+        try:
+            for lo, hi in zip(bounds, bounds[1:]):
+                running.append(_fork(count, range(lo, hi)))
+            results = []
+            while running:
+                pid, pipe = running[0]
+                data = pipe.read()
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                running.pop(0)
+                pipe.close()
+                if status != 0:
+                    raise BimotifError(
+                        f"ensemble worker {pid} ended without its totals (exit status {status})"
+                    )
+                ok, value = pickle.loads(data)
+                if not ok:
+                    raise value
+                results += value
+            return results
+        finally:
+            for pid, pipe in running:
+                with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+                pipe.close()
 
 
 def run_ensemble(g: BipartiteGraph, cfg: EnsembleConfig) -> EnsembleStats:
@@ -403,15 +461,13 @@ def run_ensemble(g: BipartiteGraph, cfg: EnsembleConfig) -> EnsembleStats:
     integers, so the chunks :func:`census_totals` counts cannot change a
     value.
 
-    When a graph is small enough that one kernel call counts two or
-    more replicas, and there are two or more such chunks, the replicas
-    are generated and counted in forked processes, one per usable CPU
-    at most, each over a contiguous range of whole chunks
-    (:func:`_in_workers`).  The totals come back in replica order and
-    each replica has its own seed, so every output is byte-identical
-    to a single process's.  Each process holds its own chunk, so peak
-    memory grows with the number of processes.  Larger graphs, one per
-    kernel call, are counted here alone.
+    A run of two or more chunks is generated and counted in forked
+    processes, one per usable CPU at most, each over a contiguous range
+    of whole chunks, with BLAS held at one thread (:func:`_in_workers`;
+    it says when a run stays here instead).  The totals come
+    back in replica order and each replica has its own seed, so every
+    output is byte-identical to a single process's.  Each process holds
+    its own chunk, so peak memory grows with the number of processes.
 
     Raises :class:`CensusTooLarge` when a replica or its count does not
     fit in memory, in this process or in a worker.

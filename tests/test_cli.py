@@ -19,7 +19,8 @@ import bimotif
 from bimotif import BimotifError, Side
 from bimotif.cli import main
 from expected_values import INFLUENTIAL_PRIMARY, MIDPOINTS_PRIMARY
-from graphs import RING_EDGES, edge_list, random_bipartite
+from bimotif.census import _chunk_step
+from graphs import RING_EDGES, edge_list, heavy_tailed, random_bipartite
 from oracles import naive_opsahl
 
 WOMEN = str(files("bimotif") / "data" / "southern_women.csv")
@@ -197,19 +198,27 @@ def test_startup_leaves_scipy_unimported(tmp_path):
 
 
 def test_report_independent_of_blas_threads(tmp_path):
-    # an ensemble chunk's part-1 products run through BLAS; the counts stay exact integers
+    # an ensemble chunk's part-1 products run through BLAS; the counts stay exact
+    # integers.  The 200x60 graph is one replica per kernel call, so each of its
+    # replicas is counted in its own forked worker where numpy's BLAS can be held
+    # at one thread.
+    g = heavy_tailed(random.Random(5), 200, 60, 900)
+    assert _chunk_step(200, 60) == 1
+    path = tmp_path / "g.tsv"
+    path.write_text("".join(f"{a}\t{b}\n" for a, b in edge_list(g)), encoding="utf-8")
     src = str(Path(bimotif.__file__).resolve().parents[1])
-    outputs = []
-    for threads in ("1", "2"):
-        out = tmp_path / threads
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
-        subprocess.run(
-            [sys.executable, "-m", "bimotif.cli", "report", "--input", WOMEN, "--runs", "50",
-             "--out", str(out)],
-            env=env, check=True, timeout=120,
-        )
-        outputs.append({name: (out / name).read_bytes() for name in OUTPUTS})
-    assert outputs[0] == outputs[1]
+    for flags in (["--input", WOMEN, "--runs", "50"],
+                  ["--input", str(path), "--null-model", "degree", "--runs", "4"]):
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+            subprocess.run(
+                [sys.executable, "-m", "bimotif.cli", "report", *flags, "--out", str(out)],
+                env=env, check=True, timeout=120,
+            )
+            outputs.append({name: (out / name).read_bytes() for name in OUTPUTS})
+        assert outputs[0] == outputs[1]
 
 
 def test_repeated_edge_row_is_counted_not_warned(tmp_path):
@@ -623,7 +632,7 @@ def test_exit_code_census_too_large_in_replica(tmp_path, caplog, monkeypatch, nu
 @pytest.mark.parametrize("failure", ["memory", "exactness", "exit"])
 def test_failed_worker_exits_cleanly(tmp_path, caplog, capfd, monkeypatch, failure):
     # 200 Southern Women replicas are four kernel calls of 65, so with two CPUs
-    # this process counts the first two chunks and a forked worker the rest
+    # each of two forked workers counts two chunks, and this process none
     monkeypatch.setattr(sys.modules["bimotif.null_model"], "_usable_cpus", lambda: 2)
     parent = os.getpid()
     if failure == "exactness":
@@ -662,19 +671,34 @@ def test_failed_worker_exits_cleanly(tmp_path, caplog, capfd, monkeypatch, failu
 
 @pytest.mark.parametrize("error", [MemoryError, KeyboardInterrupt])
 def test_failed_parent_stops_its_workers(tmp_path, monkeypatch, error):
-    # with four CPUs, three workers count the last three of four chunks; each
-    # sleeps for a minute, so the run ends in time only if they are killed
-    monkeypatch.setattr(sys.modules["bimotif.null_model"], "_usable_cpus", lambda: 4)
+    # with four CPUs, four workers count one of four chunks each; each sleeps
+    # for a minute, so the run ends in time only if they are killed.  This
+    # process fails while it reads the first worker's pipe.
+    null_model = sys.modules["bimotif.null_model"]
+    monkeypatch.setattr(null_model, "_usable_cpus", lambda: 4)
     parent = os.getpid()
 
-    def fail_in_parent(*args):
-        if os.getpid() == parent:
-            raise error
+    def sleep_in_worker(*args):
+        assert os.getpid() != parent
         time.sleep(60)
         os._exit(1)
 
-    monkeypatch.setattr(sys.modules["bimotif.null_model"], "bytearray", fail_in_parent,
-                        raising=False)
+    class FailingPipe:
+        def __init__(self, pipe):
+            self.pipe = pipe
+
+        def read(self):
+            raise error
+
+        def close(self):
+            self.pipe.close()
+
+    def failing_open(fd, mode):
+        pipe = open(fd, mode)
+        return FailingPipe(pipe) if os.getpid() == parent else pipe
+
+    monkeypatch.setattr(null_model, "bytearray", sleep_in_worker, raising=False)
+    monkeypatch.setattr(null_model, "open", failing_open, raising=False)
     argv = ["ensemble", "--input", WOMEN, "--runs", "200", "--out", str(tmp_path / "out")]
     start = time.perf_counter()
     if error is KeyboardInterrupt:

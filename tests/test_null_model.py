@@ -1,5 +1,7 @@
+import ctypes
 import math
 import os
+import pickle
 import random
 import statistics
 import sys
@@ -24,8 +26,16 @@ from bimotif import (
     run_ensemble,
 )
 from bimotif.census import _chunk_step
-from bimotif.null_model import _aggregate, _sampled_rows, _swapped_rows, _t_quantile, _usable_cpus
-from graphs import biadjacency, edge_list, k33, random_bipartite, three_disjoint_edges
+from bimotif.null_model import (
+    _aggregate,
+    _blas_threads,
+    _in_workers,
+    _sampled_rows,
+    _swapped_rows,
+    _t_quantile,
+    _usable_cpus,
+)
+from graphs import biadjacency, edge_list, heavy_tailed, k33, random_bipartite, three_disjoint_edges
 from oracles import divmod_density_rewire, tuple_set_randomize
 
 
@@ -222,22 +232,40 @@ def test_usable_cpus(monkeypatch):
     assert _usable_cpus() == 1
 
 
-@pytest.mark.parametrize("runs", [200, 131])
-def test_ensemble_independent_of_worker_count(davis, monkeypatch, runs):
-    # 65 Southern Women replicas per kernel call: 200 runs are four chunks,
-    # and 131 are three, the last of one replica
-    assert _chunk_step(18, 14) == _chunk_step(14, 18) == 65
-    chunks = -(-runs // 65)
-    forked = []
+def step_one_graph():
+    """A 200x60 heavy-tailed graph: one replica per kernel call, so each is its own range."""
+    g = heavy_tailed(random.Random(5), 200, 60, 900)
+    assert _chunk_step(200, 60) == _chunk_step(60, 200) == 1
+    return g
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """The pids this process forks while the test runs, and none left unreaped after it."""
+    pids = []
     fork = os.fork
 
     def counted_fork():
         pid = fork()
         if pid:
-            forked.append(pid)
+            pids.append(pid)
         return pid
 
     monkeypatch.setattr(os, "fork", counted_fork)
+    yield pids
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("graph, runs", [("women", 200), ("women", 131), ("step-1", 5)],
+                         ids=["200", "131", "step-1"])
+def test_ensemble_independent_of_worker_count(davis, monkeypatch, forked, graph, runs):
+    # 65 Southern Women replicas per kernel call: 200 runs are four chunks,
+    # and 131 are three, the last of one replica.  The step-1 graph's five
+    # replicas are five chunks.
+    g, step = (davis, 65) if graph == "women" else (step_one_graph(), 1)
+    assert _chunk_step(18, 14) == _chunk_step(14, 18) == 65
+    chunks = -(-runs // step)
     null_model = sys.modules["bimotif.null_model"]
     for model in NULL_MODELS:
         for side in Side:
@@ -246,11 +274,96 @@ def test_ensemble_independent_of_worker_count(davis, monkeypatch, runs):
             for cpus in (1, 2, 3, 4):
                 monkeypatch.setattr(null_model, "_usable_cpus", lambda n=cpus: n)
                 forked.clear()
-                results.append(run_ensemble(davis, cfg))
-                assert len(forked) == min(cpus, chunks) - 1
-            assert all(stats == results[0] for stats in results[1:])
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+                results.append(run_ensemble(g, cfg))
+                workers = min(cpus, chunks)
+                # without a BLAS setter a step of 1 is counted here alone
+                assert len(forked) == (workers if workers >= 2 and (step >= 2 or _blas_threads())
+                                       else 0)
+            assert all(pickle.dumps(stats) == pickle.dumps(results[0]) for stats in results[1:])
+
+
+@pytest.fixture
+def blas_threads():
+    """``get`` of numpy's OpenBLAS thread count, set to two for the test and restored after it."""
+    calls = _blas_threads()
+    if calls is None:
+        pytest.skip("numpy's BLAS has no thread-count calls")
+    get, set_ = calls
+    before = get()
+    set_(2)
+    yield get
+    set_(before)
+
+
+@pytest.mark.parametrize("outcome", ["success", "worker failure", "interrupt"])
+def test_blas_thread_count_restored(monkeypatch, forked, blas_threads, outcome):
+    monkeypatch.setattr(sys.modules["bimotif.null_model"], "_usable_cpus", lambda: 2)
+
+    def count(part):
+        if outcome == "worker failure":
+            raise ValueError("counted nothing")
+        return [blas_threads()] * len(part)
+
+    if outcome == "success":
+        # each of two workers counts two replicas at one BLAS thread
+        assert _in_workers(count, 4, 1) == [1, 1, 1, 1]
+    elif outcome == "worker failure":
+        with pytest.raises(ValueError, match="counted nothing"):
+            _in_workers(count, 4, 1)
+    else:
+        def interrupted(data):
+            raise KeyboardInterrupt
+
+        # this process fails while it joins the first worker's totals
+        monkeypatch.setattr(pickle, "loads", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            _in_workers(count, 4, 1)
+    assert len(forked) == 2
+    assert blas_threads() == 2
+
+
+def test_no_blas_setter_counts_step_one_here(davis, monkeypatch, forked):
+    null_model = sys.modules["bimotif.null_model"]
+    lookups = []
+
+    def no_setter():
+        lookups.append(1)
+
+    monkeypatch.setattr(null_model, "_blas_threads", no_setter)
+    monkeypatch.setattr(null_model, "_usable_cpus", lambda: 1)
+    g = step_one_graph()
+    cfg = EnsembleConfig(runs=4, seed=2, null_model="degree")
+    serial = run_ensemble(g, cfg)
+    # one CPU: nothing would fork, so the setter is not looked up
+    assert (forked, lookups) == ([], [])
+    monkeypatch.setattr(null_model, "_usable_cpus", lambda: 4)
+    assert run_ensemble(g, cfg) == serial
+    assert (forked, lookups) == ([], [1])
+    # two or more replicas a kernel call still fork without a setter
+    run_ensemble(davis, EnsembleConfig(runs=200, seed=2))
+    assert len(forked) == 4
+
+
+@pytest.mark.parametrize("error", [OSError, AttributeError])
+def test_failed_blas_lookup_counts_here(monkeypatch, forked, capfd, error):
+    def failed_lookup(*args, **kwargs):
+        raise error("no such library")
+
+    null_model = sys.modules["bimotif.null_model"]
+    g = step_one_graph()
+    cfg = EnsembleConfig(runs=4, seed=2)
+    monkeypatch.setattr(null_model, "_usable_cpus", lambda: 1)
+    serial = run_ensemble(g, cfg)
+    monkeypatch.setattr(null_model, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(ctypes, "CDLL", failed_lookup)
+    _blas_threads.cache_clear()
+    try:
+        assert _blas_threads() is None
+        assert run_ensemble(g, cfg) == serial
+    finally:
+        _blas_threads.cache_clear()
+    assert forked == []
+    assert capfd.readouterr() == ("", "")
 
 
 def oracle_values(g, cfg):
