@@ -46,7 +46,9 @@ each g over all triples in three parts:
 
 1. The sum of g(x, y, z, 0) over every triple.  At t = 0 only xy,
    xy·[z > 0] and xyz survive, and per center they are closed forms in
-   matrix products over the opposite side.
+   matrix products over the opposite side.  The shared-neighbour term
+   xy·[z > 0] is xyz less xy·(z − 1) over the end pairs with z ≥ 2, so
+   part 1 reads it from the same pairs as part 3.
 2. For each opposite node w, the sum over the triples inside N(w) of
    g(·, 1) − g(·, 0), so a triple with t ≥ 1 is counted t times.  Per
    w these are row sums over the co-degree block of N(w) and one
@@ -55,14 +57,16 @@ each g over all triples in three parts:
    a run of d×d blocks.
 3. For each triple with t ≥ 2, g(t) − g(0) − t·(g(1) − g(0)).  These
    triples are listed explicitly, each once as p < q < r with every
-   two of them sharing at least two neighbours, and evaluated a step
-   at a time as they are listed.  There x, y, z ≥ t ≥ 2, so every
-   indicator in g(0) and g(1) is fixed, and :func:`_deep_terms` gives
-   the combination as one short expression per row.
+   two of them sharing at least two neighbours, and evaluated a pool
+   at a time, pooled across the steps that list them.  There
+   x, y, z ≥ t ≥ 2, so every indicator in g(0) and g(1) is fixed, and
+   :func:`_deep_terms` gives the combination as one short expression
+   per row.
 
 Parts 1 and 3 run in one pass over blocks of analysis rows: each
-block's rows of D are computed once and feed both.  Part 2 is a
-separate pass over the opposite side's nodes w.
+block's rows of D are computed once, and their pairs p < q with
+D_pq ≥ 2 feed both.  Part 2 is a separate pass over the opposite
+side's nodes w.
 
 The kernel, :func:`_count`, takes the biadjacency of a chunk of graphs
 with the same node counts as one (chunk, na, ns) boolean array, and
@@ -73,10 +77,11 @@ indices offset per graph.
 
 The boolean array is the kernel's one source: both sides' degrees are
 summed from it once, and the rows of A (part 1) and the members of
-each N(w) (part 2) are read from it.  Part 1's two co-degree products,
-a block's rows of D and of K·A, are float32 matrix products over only
-what the block touches: the columns its rows use, and the analysis
-rows within two steps of it.  No float copy of the whole of A is held.
+each N(w) (part 2) are read from it.  Part 1's co-degree product, a
+block's rows of D, is a float32 matrix product over only the columns
+the block's rows use; its product with U reads only the rows that
+share two neighbours with some row of the block.  No float copy of the
+whole of A is held.
 The rows packed into uint64 bit sets are used only where popcounts
 count overlaps: part 2's co-degree blocks and part 3's t.
 
@@ -113,6 +118,14 @@ _ROW_BLOCK = 32
 # 100x100 graph of 2,000 edges fastest, for 1.1-1.4 MB more tracemalloc peak
 # than 2¹²; 2¹⁵ was no faster and held 1.3-1.9 MB more again.
 _STACK = 1 << 14
+# Part 3's triples with t ≥ 2 pooled across steps and row blocks before they
+# are counted.  The pool is counted before it would pass this many, so no count
+# holds more than this or one step's triples, as when each step was counted
+# alone.  A skewed 1,000x300 graph lists about 800 in some 30 steps, about one
+# per row block, and counts them in two or three flushes; a 100x100 graph of
+# 2,000 edges lists a median of 1,275 a step, so its steps are mostly counted
+# one at a time, as they are listed.
+_POOL = _STACK // 32
 # Graphs counted per kernel call by census_totals, and the step at which
 # run_ensemble cuts replicas into ranges for its forked workers (_chunk_step):
 # as many as fit graphs × na × ns within this budget, and at least one, so a
@@ -233,12 +246,16 @@ def _check_exact(na: int, max_degree: int, max_opposite_degree: int) -> None:
     entries are at most d · max_degree for a neighbourhood of d ≤ reach + 1
     nodes.
 
-    Part 1 counts the rows of D, K·A and AᵀA in float32.  The rows of D
-    are at most max_degree, which the first bound keeps below 2¹⁷
-    (reach ≥ 1 for any node with an edge); the entries of K·A and AᵀA
-    are at most max_opposite_degree.  Every partial sum of such a
-    product adds non-negative integers, so it is an integer no larger
-    than the final value, and float32 accumulates it exactly below 2²⁴.
+    Part 1 counts the rows of D and AᵀA in float32.  The rows of D are
+    at most max_degree, which the first bound keeps below 2¹⁷ (reach ≥ 1
+    for any node with an edge); the entries of AᵀA are at most
+    max_opposite_degree.  Every partial sum of such a product adds
+    non-negative integers, so it is an integer no larger than the final
+    value, and float32 accumulates it exactly below 2²⁴.  Its products
+    with U = (D − 1)·[D ≥ 2] stay in float64: an entry of Aᵀ·U·A is at
+    most max_degree · max_opposite_degree², and max_opposite_degree ≤
+    reach + 1, since the members of one N(w) are within two steps of
+    each other, so the first bound covers them.
     """
     reach = min(na, max_degree * max_opposite_degree)
     if (max_degree ** 3 * (reach + 1) ** 2 >= _EXACT64
@@ -270,10 +287,11 @@ def _overlaps(a, b):
 
 
 def _rows_used(rows, dtype):
-    """A block of boolean rows of A as ``dtype``, restricted to the columns any of them uses.
+    """Boolean rows of A as ``dtype``, restricted to the columns any of them uses.
 
-    Only those columns can add to the block's rows of D, AᵀA and Aᵀ·K·A,
-    or be read by the block's (D³)_cc and (D·K·D)_cc.
+    Only those columns of a block can add to its rows of D, AᵀA and E,
+    or be read by its (D³)_cc and a_cᵀ·E·a_c; only those of the rows
+    ``later`` can add to E.
     """
     used = np.flatnonzero(rows.any((0, 1)))
     return rows[..., used].astype(dtype), used
@@ -284,57 +302,77 @@ def _add_row_blocks(acc, bits, words, deg) -> None:
 
     Each block's rows of D are computed once, as the float32 product of
     the block's rows of A with the columns of ``bits`` that those rows
-    use: part 3 lists the block's triples with t ≥ 2 from them, and
-    part 1 takes its sums over them.  Part 1 reads the analysis degrees
-    from ``deg``, and counts the block's rows of K·A as a second float32
-    product, of the rows of K with the rows of A within two steps of the
-    block.  Only part 3 reads the bit-set rows ``words``.
+    use.  Part 1 takes its sums over them, reading the analysis degrees
+    from ``deg``.  Their pairs p < q with D_pq ≥ 2, p in the block, give
+    ``upper``, the block's rows of U = (D − 1)·[D ≥ 2] above the
+    diagonal; part 1 reads half of Aᵀ·U·A from it, and part 3 lists its
+    triples with t ≥ 2 from the same pairs.  Only part 3 reads the bit-set rows
+    ``words``.
 
     Part 1 adds the sum of g(x, y, z, 0) over all end pairs of each
     center.  Per center c, with r1 and s2 the sums of D_ci and D_ci²
     over i ≠ c: the sum of xy is (r1² − s2)/2, of xyz is ((D³)_cc −
     Σ_i D_ci²·deg_i − 2·deg_c·s2)/2, and of xy·[z > 0] is ((D·K·D)_cc −
-    2·deg_c·r1)/2 with K = [D > 0] off the diagonal.  (D³)_cc =
-    |Aᵀ·A·a_c|² and (D·K·D)_cc = a_cᵀ·(Aᵀ·K·A)·a_c, so no na×na array
-    is formed.  The first pass over the row blocks accumulates both
-    ns×ns forms, AᵀA and Aᵀ·K·A, from each block's rows of A; the second
-    reads ``cube`` = (D³)_cc and ``shared_quad`` = (D·K·D)_cc from them.
+    2·deg_c·r1)/2 with K = [D > 0] off the diagonal.  K is D less its
+    diagonal less U, so (D·K·D)_cc = (D³)_cc − Σ_i D_ci²·deg_i −
+    (D·U·D)_cc.  (D³)_cc = |Aᵀ·A·a_c|² and (D·U·D)_cc = a_cᵀ·(Aᵀ·U·A)·a_c
+    = 2·a_cᵀ·E·a_c, where E = Σ over p < q of U_pq·a_p·a_qᵀ is half of
+    Aᵀ·U·A, so no na×na array is formed.  The first pass over the row
+    blocks accumulates both ns×ns forms, AᵀA and ``excess`` = E, from
+    each block's rows of A and of U; the second reads ``cube`` =
+    (D³)_cc and ``excess_quad`` = a_cᵀ·E·a_c from them.
+
+    Part 3's triples are pooled across steps and row blocks.  The pool
+    is counted before it would pass ``_POOL`` triples, at once when one
+    step alone lists that many, and at the end.
     """
     chunk, na, ns = bits.shape
     gram = np.zeros((chunk, ns, ns), dtype=np.float32)  # AᵀA: common neighbours of opposite nodes
-    shared_pairs = np.zeros((chunk, ns, ns))  # Aᵀ·K·A
+    excess = np.zeros((chunk, ns, ns))  # E, half of Aᵀ·U·A
     sq, wdeg, reach = (np.empty((chunk, na), dtype=np.int64) for _ in range(3))
-    cube, shared_quad = np.empty((chunk, na)), np.empty((chunk, na))
+    cube, excess_quad = np.empty((chunk, na)), np.empty((chunk, na))
+    above = ~np.tri(_ROW_BLOCK, dtype=bool)
+    pool = []  # part 3's triples with t ≥ 2, one tuple of arrays per step
     for lo in range(0, na, _ROW_BLOCK):
         rows, used = _rows_used(bits[:, lo:lo + _ROW_BLOCK], np.float32)
         n = rows.shape[1]
         gram[:, used[:, None], used] += rows.transpose(0, 2, 1) @ rows
         # rows of D
         co = (rows @ bits[:, :, used].astype(np.float32).transpose(0, 2, 1)).astype(np.int64)
-        _add_deep_triples(acc, words, lo, co)
         sq[:, lo:lo + n] = np.einsum("rij,rij->ri", co, co)
         wdeg[:, lo:lo + n] = np.einsum("rij,rij,rj->ri", co, co, deg)
         reach[:, lo:lo + n] = co.sum(-1)
-        shared = co > 0
-        del co  # so that the rows of D and the float slabs of K·A are never held at once
-        shared[:, np.arange(n), np.arange(lo, lo + n)] = False
-        near_rows = np.flatnonzero(shared.any((0, 1)))
-        # row c of K·A: the neighbours of each opposite node within two steps of c
-        near = shared[:, :, near_rows].astype(np.float32) @ bits[:, near_rows].astype(np.float32)
-        # in float64: a sum over the block's rows can pass 2²⁴
-        shared_pairs[:, used] += np.matmul(rows.transpose(0, 2, 1), near, dtype=np.float64)
+        # the block's rows of U for q > p (no column before the block, and above the diagonal
+        # within its own slab), at the columns ``later`` where any of them is nonzero
+        twice = co[:, :, lo:] >= 2
+        twice[:, :, :n] &= above[:n, :n]
+        later = np.flatnonzero(twice.any((0, 1))) + lo
+        upper = np.where(twice[:, :, later - lo], co[:, :, later] - 1, 0)
+        del co, twice  # so that they are not held while part 3 counts a pool
+        # in float64: these products can pass 2²⁴
+        later_rows, later_used = _rows_used(bits[:, later], np.float64)
+        excess[:, used[:, None], later_used] += rows.transpose(0, 2, 1) @ (
+            upper.astype(np.float64) @ later_rows)
+        for found in _deep_triples(words, lo, upper, later):
+            if pool and len(found[0]) + sum(len(f[0]) for f in pool) > _POOL:
+                _add_deep_triples(acc, words, pool)
+            pool.append(found)
+            if len(found[0]) >= _POOL:
+                _add_deep_triples(acc, words, pool)
+    _add_deep_triples(acc, words, pool)
     for lo in range(0, na, _ROW_BLOCK):
         rows, used = _rows_used(bits[:, lo:lo + _ROW_BLOCK], np.float64)
         n = rows.shape[1]
         cube[:, lo:lo + n] = np.square(rows @ gram[:, used].astype(np.float64)).sum(-1)
-        shared_quad[:, lo:lo + n] = ((rows @ shared_pairs[:, used[:, None], used]) * rows).sum(-1)
+        excess_quad[:, lo:lo + n] = ((rows @ excess[:, used[:, None], used]) * rows).sum(-1)
     r1 = reach - deg
     s2 = sq - deg * deg
-    xy_shared = (shared_quad.astype(np.int64) - 2 * deg * r1) // 2
+    cube = cube.astype(np.int64)
+    xy_shared = (cube - wdeg - 2 * deg * r1) // 2 - excess_quad.astype(np.int64)
     acc[_K0] += (r1 * r1 - s2) // 2
     acc[_P0] += xy_shared
     acc[_ANY] += xy_shared
-    acc[_Q0] += (cube.astype(np.int64) - wdeg - 2 * deg * s2) // 2
+    acc[_Q0] += (cube - wdeg - 2 * deg * s2) // 2
 
 
 def _add_single_shares(acc, bits, words, opposite_deg) -> None:
@@ -397,45 +435,59 @@ def _add_single_shares(acc, bits, words, opposite_deg) -> None:
             np.add.at(acc, (at_t1, members), delta)
 
 
-def _add_deep_triples(acc, words, lo, co) -> None:
-    """Part 3 for one row block: add g(t) − g(0) − t·(g(1) − g(0)) for every triple with t ≥ 2.
+def _deep_triples(words, lo, upper, later):
+    """Part 3's triples with t ≥ 2 whose first node is in one row block, a step at a time.
 
     Such a triple is taken once, as p < q < r with p in the block.  Any
     two of its nodes share at least two neighbours, so the pairs p < q
-    come from the block's rows ``co`` of D, and they are matched, in
-    steps of at most _STACK candidates, against every later node that
-    shares two with some p of the block in some graph of the chunk.
+    are the nonzero entries of the block's rows ``upper`` of U, and they
+    are matched, in steps of at most _STACK candidates, against the
+    nodes ``later`` that share two with some p of the block in some
+    graph of the chunk.  Each step yields the graph, p, q, r, t, D_pq
+    and D_pr of its triples, as arrays; p is a node index, not a row of
+    the block.
     """
     chunk, na, width = words.shape
     node_words = words.reshape(chunk * na, width)  # node k of graph g is row g·na + k
-    n = co.shape[1]
-    twice = co >= 2
-    # q > p: no column before the block, and above the diagonal within its own slab
-    twice[:, :, :lo] = False
-    twice[:, :, lo:lo + n] = np.triu(twice[:, :, lo:lo + n], 1)
-    g, p, q = np.nonzero(twice)
-    later = np.flatnonzero(twice.any((0, 1)))
+    g, p, j = np.nonzero(upper)
+    index = np.arange(len(later))  # later is sorted, so r > q where its index is larger
     step = max(1, _STACK // max(1, len(later)))
     for k in range(0, len(p), step):
-        gs, ps, qs = g[k:k + step], p[k:k + step], q[k:k + step]
+        gs, ps, js = g[k:k + step], p[k:k + step], j[k:k + step]
+        qs = later[js]
         both = words[gs, ps + lo] & words[gs, qs]
         candidates = gs[:, None] * na + later
         t = np.zeros(candidates.shape, dtype=np.int64)  # |N_p ∩ N_q ∩ N_r|
-        for w in range(node_words.shape[1]):
+        for w in range(width):
             t += np.bitwise_count(both[:, w, None] & node_words[:, w].take(candidates))
-        i, r = np.nonzero((t >= 2) & (later > qs[:, None]))
-        gs, ps, qs, rs, t = gs[i], ps[i], qs[i], later[r], np.tile(t[i, r], 3)
-        pq, pr = co[gs, ps, qs], co[gs, ps, rs]
-        ps += lo
-        qr = _popcount(words[gs, qs] & words[gs, rs])
-        # centers p, q, r in turn: (x, y, z) = (D_ci, D_cj, D_ij)
-        x = np.concatenate([pq, pq, pr])
-        y = np.concatenate([pr, qr, qr])
-        z = np.concatenate([qr, pr, pq])
-        deep = _deep_terms(x, y, z, t)
-        centers = np.concatenate([ps, qs, rs]) + np.tile(gs, 3) * na
-        for row, values in zip(acc.reshape(16, chunk * na), deep):
-            np.add.at(row, centers, values)
+        i, r = np.nonzero((t >= 2) & (index > js[:, None]))
+        t = t[i, r]  # so that a pool counted at this step does not hold the full t
+        gs, ps, js = gs[i], ps[i], js[i]
+        # D_pq and D_pr are U + 1, as both are at least t ≥ 2
+        yield gs, ps + lo, qs[i], later[r], t, upper[gs, ps, js] + 1, upper[gs, ps, r] + 1
+
+
+def _add_deep_triples(acc, words, pool) -> None:
+    """Part 3: add g(t) − g(0) − t·(g(1) − g(0)) at each center of the pooled triples, and empty the pool.
+
+    ``pool`` holds the steps of :func:`_deep_triples`, from any row
+    blocks; D_qr is counted here from the bit-set rows ``words``.
+    """
+    if not pool:
+        return
+    chunk, na, _ = words.shape
+    # a pool of one step, as on dense graphs, is read without a copy
+    gs, ps, qs, rs, t, pq, pr = pool[0] if len(pool) == 1 else map(np.concatenate, zip(*pool))
+    pool.clear()
+    qr = _popcount(words[gs, qs] & words[gs, rs])
+    # centers p, q, r in turn: (x, y, z) = (D_ci, D_cj, D_ij)
+    x = np.concatenate([pq, pq, pr])
+    y = np.concatenate([pr, qr, qr])
+    z = np.concatenate([qr, pr, pq])
+    deep = _deep_terms(x, y, z, np.tile(t, 3))
+    centers = np.concatenate([ps, qs, rs]) + np.tile(gs, 3) * na
+    for row, values in zip(acc.reshape(16, chunk * na), deep):
+        np.add.at(row, centers, values)
 
 
 def _count(bits):

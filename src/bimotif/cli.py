@@ -27,7 +27,6 @@ import json
 import logging
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
@@ -276,13 +275,7 @@ def _write_replicas_csv(f, ensemble: dict) -> None:
     w = csv.writer(f)
     w.writerow(["replica", "cc0", "cc1", "cc2", "cc3"])
     for r, row in enumerate(ensemble["replica_values"]):
-        w.writerow(
-            [r]
-            + [
-                "n/a" if v is None else format_value(Fraction(v))
-                for v in row
-            ]
-        )
+        w.writerow([r] + [format_value(v) for v in row])
 
 
 def _bands_json(bands, source: Optional[str]) -> dict:

@@ -56,11 +56,14 @@ class ClusteringProfile:
         return tuple(format_value(v) for v in self.cc)
 
 
-def format_value(x: Optional[Fraction]) -> str:
-    """Render a rational for tables: 4 decimal places, half away from zero, zeros trimmed."""
+def format_value(x: Optional[Union[Fraction, float, int]]) -> str:
+    """Render a rational for tables: 4 decimal places, half away from zero, zeros trimmed.
+
+    A float is rendered from its exact binary value, as ``Fraction(x)`` would be.
+    """
     if x is None:
         return "n/a"
-    n, d = x.numerator, x.denominator
+    n, d = x.as_integer_ratio()
     q = (20000 * abs(n) + d) // (2 * d)  # |x|·10⁴ rounded once, in integers
     s = f"{q // 10000}.{q % 10000:04d}".rstrip("0").rstrip(".")
     return "-" + s if n < 0 and q else s

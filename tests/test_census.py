@@ -311,6 +311,53 @@ def test_census_of_an_edgeless_row_block(row_block):
         assert sizes == [2]  # one kernel call, in which the other graph has edges in that block
 
 
+@pytest.mark.parametrize("row_block", [3, 32])
+def test_census_totals_with_pairs_sharing_two_across_row_blocks(row_block):
+    # part 1 takes the shared-neighbour term from the pairs p < q with D_pq ≥ 2, whose rows
+    # of U may sit in any later row block; a graph with no such pair has no later node at all
+    rng = random.Random(22)
+    na, ns = 40, 12
+    single = from_indexed_edges([f"p{i}" for i in range(na)], [f"s{j}" for j in range(ns)],
+                                [(i, i % ns) for i in range(na)])
+    graphs = [single, hub_graph(rng, na, ns, 0.15), random_bipartite(rng, na, ns, 0.3)]
+    twice = [np.argwhere(np.triu(b @ b.T >= 2, 1))
+             for b in (biadjacency(g).astype(int) for g in graphs)]
+    assert len(twice[0]) == 0
+    assert all((p // row_block != q // row_block).any() for p, q in map(np.transpose, twice[1:]))
+    census_module = sys.modules["bimotif.census"]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(census_module, "_ROW_BLOCK", row_block)
+        for side in (Side.PRIMARY, Side.SECONDARY):
+            expected = [pairwise_census(g, side) for g in graphs]
+            assert [census(g, side) for g in graphs] == expected
+            assert census_totals([biadjacency(g, side) for g in graphs]) == list(
+                map(_totals_of, expected))
+
+
+def test_pooled_deep_triples_count_alike_at_any_pool_bound():
+    # part 3 pools its triples with t ≥ 2 across steps and row blocks: counting each step
+    # as it comes (bound 1), pooling a few (5), or only at the end (a bound above any pool)
+    # gives equal per-center sums
+    rng = random.Random(23)
+    chunks = [[random_bipartite(rng, 30, 10, 0.4) for _ in range(3)], [hub_graph(rng, 60, 15, 0.2)]]
+    census_module = sys.modules["bimotif.census"]
+    with pytest.MonkeyPatch.context() as mp:
+        # blocks of 8 rows in steps of at most 50 candidates: many steps, a few triples each
+        mp.setattr(census_module, "_ROW_BLOCK", 8)
+        mp.setattr(census_module, "_STACK", 50)
+        for graphs in chunks:
+            bits = np.stack([biadjacency(g) for g in graphs])
+            counts = []
+            for bound in (1, 5, 1 << 40):
+                mp.setattr(census_module, "_POOL", bound)
+                counts.append(census_module._count(bits))
+            for other in counts[1:]:
+                assert np.array_equal(other, counts[0])
+            expected = [_totals_of(pairwise_census(g)) for g in graphs]
+            assert all(t.config_totals[2] > 0 for t in expected)  # triples with t ≥ 2
+            assert census_totals(bits) == expected
+
+
 def test_census_totals_read_a_nonzero_cell_as_an_edge():
     rng = random.Random(15)
     arrays = [biadjacency(random_bipartite(rng, 12, 9, 0.5)),
@@ -324,8 +371,8 @@ def test_census_totals_read_a_nonzero_cell_as_an_edge():
 
 def test_kernel_transient_memory_is_bounded(davis):
     # the step bound trades memory for speed: at 2¹⁴ one census, or one chunk of
-    # census_totals, peaks at 2.3-2.9 MB on these inputs, and at 2¹⁵ at 2.9-4.5 MB;
-    # the skewed input's 2.9 MB is part 1's float32 slabs of K·A
+    # census_totals, peaks at 1.9-2.2 MB on these inputs (dense 1.94, skewed 2.17,
+    # Southern Women 2.01), and at 2¹⁵ at 2.2-3.4 MB (3.42 on the dense input)
     rng = random.Random(14)
     dense = random_bipartite(rng, 100, 100, 0.2)
     skewed = heavy_tailed(rng, 1000, 300, 3000)

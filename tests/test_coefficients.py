@@ -118,3 +118,10 @@ def test_format_value():
     with decimal.localcontext() as ctx:
         ctx.prec = 3
         assert format_value(Fraction(2, 3)) == "0.6667"
+
+
+@pytest.mark.parametrize("value", [0.0, -0.0, 1e-300, -1e-300, 0.99995, -0.99995, 0.00005,
+                                   -0.00005, 0.12345, -0.8607, 1.0, -2.5, 3, -7, 0])
+def test_format_value_of_a_float_or_int_equals_its_fraction(value):
+    # replica values are floats: rendered from their exact binary value, with no Fraction built
+    assert format_value(value) == format_value(Fraction(value))
