@@ -88,9 +88,10 @@ count overlaps: part 2's co-degree blocks and part 3's t.
 :func:`census_totals` reads its graphs' biadjacencies a chunk at a
 time, as many as fit ``_CHUNK_CELLS``, and returns each graph's global
 totals (:class:`CensusTotals`), which :func:`_totals` reads from the
-per-center sums.  :func:`census` is the chunk of one, built from a
-labelled graph: its :class:`MotifCensus` is those same totals together
-with the per-node rows.
+per-center sums.  :func:`census` is the chunk of one, the graph's own
+biadjacency (its transpose for the secondary side): its
+:class:`MotifCensus` is those same totals together with the per-node
+rows.
 
 All arithmetic is on integers, in int64 or in floating-point products
 whose values are integers small enough to be exact;
@@ -100,7 +101,6 @@ kernel's input, could break that.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -108,7 +108,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .errors import BimotifError
+from .errors import CensusTooLarge, _in_memory
 from .graph import BipartiteGraph, Side
 
 # Analysis rows per block of D (parts 1 and 3).
@@ -149,10 +149,6 @@ _EXACT32 = 1 << 24
  _Q0, _Q1, _Q2, _Q3, _ANY, _S1, _S2) = range(16)
 # The rows that can be nonzero at t = 1.
 _AT_T1 = [_K0, _K1, _P0, _U0, _V1, _Q0, _Q1, _ANY, _S1]
-
-
-class CensusTooLarge(BimotifError):
-    """The graph is too large for the census to count exactly or in memory."""
 
 
 @dataclass(frozen=True)
@@ -509,26 +505,6 @@ def _count(bits):
     return acc
 
 
-def _biadjacency(g: BipartiteGraph) -> np.ndarray:
-    """The (primary, secondary) boolean biadjacency of ``g``; ``.T`` has secondary rows."""
-    adj = g.adjacency_primary
-    bits = np.zeros((len(adj), len(g.secondary_labels)), dtype=bool)
-    bits[np.repeat(np.arange(len(adj)), [len(n) for n in adj]),
-         list(itertools.chain.from_iterable(adj))] = True
-    return bits
-
-
-@contextlib.contextmanager
-def _in_memory(na: int, ns: int):
-    """Turn a failed allocation while counting na × ns graphs into :class:`CensusTooLarge`."""
-    try:
-        yield
-    except MemoryError:
-        raise CensusTooLarge(
-            f"graph too large to count in memory: {na} analysis and {ns} opposite nodes"
-        ) from None
-
-
 def _totals(rows) -> CensusTotals:
     """Global totals from one graph's per-center sums (16 rows, one value per center)."""
     s = [sum(row) for row in rows]
@@ -559,9 +535,9 @@ def census(g: BipartiteGraph, side: Side = Side.PRIMARY) -> MotifCensus:
     chunk of one graph.  Raises :class:`CensusTooLarge` when the counts
     could not be exact, or when the arrays do not fit in memory.
     """
-    with _in_memory(g.node_count(side), g.node_count(side.other())):
-        bits = _biadjacency(g)
-        acc = _count((bits if side is Side.PRIMARY else bits.T)[None])[:, 0]
+    bits = g.biadjacency if side is Side.PRIMARY else g.biadjacency.T
+    with _in_memory(*bits.shape):
+        acc = _count(bits[None])[:, 0]
     return MotifCensus(
         **vars(_totals(acc.tolist())),
         path_counts=_per_node([acc[_K0], acc[_K1], 2 * acc[_K2]]),

@@ -1,4 +1,6 @@
-"""Shared exception base for the package."""
+"""Shared exception base for the package, and the guard on allocations."""
+
+import contextlib
 
 
 class BimotifError(Exception):
@@ -10,3 +12,18 @@ class BimotifError(Exception):
     """
 
     exit_code = 2
+
+
+class CensusTooLarge(BimotifError):
+    """The graph is too large to hold in memory, or for the census to count exactly or in memory."""
+
+
+@contextlib.contextmanager
+def _in_memory(na: int, ns: int):
+    """Turn a failed allocation for an na × ns graph into :class:`CensusTooLarge`."""
+    try:
+        yield
+    except MemoryError:
+        raise CensusTooLarge(
+            f"graph too large to count in memory: {na} analysis and {ns} opposite nodes"
+        ) from None

@@ -1,8 +1,11 @@
 """Immutable bipartite graph model with loaders for common text formats.
 
 Nodes live on two sides (primary and secondary) and edges only cross
-sides.  Graphs are frozen after construction; analyses of the secondary
-side take a ``side`` argument rather than mutating the graph.
+sides.  A graph is its two label tuples and one read-only (primary,
+secondary) boolean biadjacency, which the loaders fill directly and
+every count reads; the secondary side is its transpose, so analyses of
+that side take a ``side`` argument rather than another graph.  A graph
+too large to allocate raises :class:`CensusTooLarge`.
 """
 
 from __future__ import annotations
@@ -15,7 +18,9 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .errors import BimotifError
+import numpy as np
+
+from .errors import BimotifError, _in_memory
 
 
 class EmptyInput(BimotifError):
@@ -56,20 +61,48 @@ class Side(Enum):
         return Side.SECONDARY if self is Side.PRIMARY else Side.PRIMARY
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BipartiteGraph:
     """A simple, immutable two-mode graph.
 
-    ``adjacency_primary[i]`` is the sorted tuple of secondary indices
-    adjacent to primary node ``i``; ``adjacency_secondary`` is its
-    mirror.  Both views describe the same edge set.
+    ``biadjacency`` is a read-only (primary, secondary) boolean array,
+    True where primary node ``i`` meets secondary node ``j``; its
+    transpose has the secondary rows.  The constructor takes a copy of
+    any array of that shape.  Graphs are equal when their labels and
+    cells are.
     """
 
     primary_labels: tuple[str, ...]
     secondary_labels: tuple[str, ...]
-    adjacency_primary: tuple[tuple[int, ...], ...]
-    adjacency_secondary: tuple[tuple[int, ...], ...]
-    edge_count: int
+    biadjacency: np.ndarray
+
+    def __post_init__(self):
+        shape = (len(self.primary_labels), len(self.secondary_labels))
+        with _in_memory(*shape):
+            bits = np.array(self.biadjacency, dtype=bool, order="C")
+        if bits.shape != shape:
+            raise DimensionMismatch(f"a {bits.shape} biadjacency for {shape} labels")
+        bits.flags.writeable = False
+        object.__setattr__(self, "biadjacency", bits)
+
+    def __eq__(self, other):
+        if not isinstance(other, BipartiteGraph):
+            return NotImplemented
+        return (self.primary_labels, self.secondary_labels) == (
+            other.primary_labels, other.secondary_labels
+        ) and np.array_equal(self.biadjacency, other.biadjacency)
+
+    def __hash__(self):
+        return hash((self.primary_labels, self.secondary_labels, self.biadjacency.tobytes()))
+
+    @property
+    def edge_count(self) -> int:
+        return int(np.count_nonzero(self.biadjacency))
+
+    @property
+    def adjacency_primary(self) -> tuple[tuple[int, ...], ...]:
+        # read only by bench/traced.py::_edge_set, until the benchmark reads a trace instead
+        return tuple(tuple(np.flatnonzero(row).tolist()) for row in self.biadjacency)
 
     def labels(self, side: Side) -> tuple[str, ...]:
         return self.primary_labels if side is Side.PRIMARY else self.secondary_labels
@@ -77,36 +110,23 @@ class BipartiteGraph:
     def node_count(self, side: Side) -> int:
         return len(self.labels(side))
 
-    def adjacency(self, side: Side) -> tuple[tuple[int, ...], ...]:
-        """Per-node neighbor tuples for nodes of ``side``."""
-        if side is Side.PRIMARY:
-            return self.adjacency_primary
-        return self.adjacency_secondary
-
     def degree_sequence(self, side: Side) -> tuple[int, ...]:
-        return tuple(len(nbrs) for nbrs in self.adjacency(side))
+        return tuple(self.biadjacency.sum(axis=1 if side is Side.PRIMARY else 0).tolist())
 
 
-
-def _assemble(
+def _from_cells(
     primary_labels: Sequence[str],
     secondary_labels: Sequence[str],
-    edges: Iterable[tuple[int, int]],
+    cells: Iterable[int],
 ) -> BipartiteGraph:
-    """Build a graph from unique index edges, deriving both adjacency views."""
-    adj_p: list[list[int]] = [[] for _ in primary_labels]
-    adj_s: list[list[int]] = [[] for _ in secondary_labels]
-    ordered = sorted(edges)
-    for i, j in ordered:
-        adj_p[i].append(j)
-        adj_s[j].append(i)  # sorted too, as i ascends
-    return BipartiteGraph(
-        primary_labels=tuple(primary_labels),
-        secondary_labels=tuple(secondary_labels),
-        adjacency_primary=tuple(map(tuple, adj_p)),
-        adjacency_secondary=tuple(map(tuple, adj_s)),
-        edge_count=len(ordered),
-    )
+    """The graph whose biadjacency is True at the row-major offsets ``cells``."""
+    shape = (len(primary_labels), len(secondary_labels))
+    with _in_memory(*shape):
+        flat = bytearray(shape[0] * shape[1])
+    for c in cells:
+        flat[c] = 1
+    bits = np.frombuffer(flat, dtype=bool).reshape(shape)
+    return BipartiteGraph(tuple(primary_labels), tuple(secondary_labels), bits)
 
 
 def from_indexed_edges(
@@ -119,11 +139,11 @@ def from_indexed_edges(
     Raises :class:`DimensionMismatch` for an index outside ``[0, count)``
     of its side.
     """
-    unique = set(edges)
+    edges = list(edges)
     n_p, n_s = len(primary_labels), len(secondary_labels)
-    if not all(0 <= i < n_p and 0 <= j < n_s for i, j in unique):
+    if not all(0 <= i < n_p and 0 <= j < n_s for i, j in edges):
         raise DimensionMismatch(f"edge index outside {n_p} primary and {n_s} secondary nodes")
-    return _assemble(primary_labels, secondary_labels, unique)
+    return _from_cells(primary_labels, secondary_labels, (i * n_s + j for i, j in edges))
 
 
 def from_edge_list(
@@ -137,31 +157,20 @@ def from_edge_list(
     """
     if not rows:
         raise EmptyInput("edge list is empty")
-    p_index: dict[str, int] = {}
+    p_index: dict[str, int] = {}  # label -> index, in order of first appearance
     s_index: dict[str, int] = {}
-    p_labels: list[str] = []
-    s_labels: list[str] = []
     edges: set[tuple[int, int]] = set()
-    duplicates = 0
     for a, b in rows:
         if not a or not b:
             raise EmptyInput(f"empty label in row ({a!r}, {b!r})")
-        if a in s_index:
+        if a == b or a in s_index:
             raise BipartiteViolation(f"label {a!r} appears on both sides")
         if b in p_index:
             raise BipartiteViolation(f"label {b!r} appears on both sides")
-        if a not in p_index:
-            p_index[a] = len(p_labels)
-            p_labels.append(a)
-        if b not in s_index:
-            s_index[b] = len(s_labels)
-            s_labels.append(b)
-        e = (p_index[a], s_index[b])
-        if e in edges:
-            duplicates += 1
-        else:
-            edges.add(e)
-    return _assemble(p_labels, s_labels, edges), duplicates
+        edges.add((p_index.setdefault(a, len(p_index)), s_index.setdefault(b, len(s_index))))
+    n_s = len(s_index)
+    cells = (i * n_s + j for i, j in edges)
+    return _from_cells(list(p_index), list(s_index), cells), len(rows) - len(edges)
 
 
 def from_biadjacency(
@@ -183,7 +192,7 @@ def from_biadjacency(
     both = set(row_labels) & set(col_labels)
     if both:
         raise BipartiteViolation(f"label {sorted(both)[0]!r} appears on both sides")
-    edges = []
+    cells = []
     for i, row in enumerate(matrix):
         if len(row) != len(col_labels):
             raise DimensionMismatch(
@@ -191,10 +200,10 @@ def from_biadjacency(
             )
         for j, entry in enumerate(row):
             if entry == 1:
-                edges.append((i, j))
+                cells.append(i * len(row) + j)
             elif entry != 0:
                 raise NonBinaryEntry(f"entry {entry!r} at ({i}, {j})")
-    return _assemble(row_labels, col_labels, edges)
+    return _from_cells(row_labels, col_labels, cells)
 
 
 def _data_lines(path: str | Path) -> Iterator[str]:

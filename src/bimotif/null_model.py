@@ -9,16 +9,16 @@ Two replica generators are available:
   preserve both degree sequences exactly (the swap null model of
   Strona et al., Nat. Commun. 5, 2014).
 
-A replica is made as bit rows: the generators map the input's
-(primary, secondary) boolean biadjacency, built once per run, to a
-replica's, filled cell by cell from the random stream.  The density
+A replica is made as bit rows: the generators map the graph's
+read-only (primary, secondary) boolean biadjacency to a replica's,
+filled cell by cell from the random stream.  The density
 model sets the cells of one ``rng.sample`` call; the degree model runs
 its swap chain on integer edge lists and a byte per cell.
 :func:`run_ensemble` hands the replicas, in order, to
 :func:`census_totals` (transposed for the secondary side), which counts
 them a chunk at a time and gives each replica's global totals; its
 global clustering profile is computed from those alone.  :func:`randomize`
-and :func:`density_rewire` wrap the generators with the graph's labels.
+and :func:`density_rewire` give a generator's array the graph's labels.
 
 A run of two or more kernel calls is split at multiples of the chunk
 step (``_CHUNK_CELLS`` // (na·ns), at least one replica) into
@@ -58,10 +58,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .census import census  # unused here; kept because bench/traced.py wraps null_model.census
-from .census import _biadjacency, _chunk_step, _in_memory, census_totals
+from .census import _chunk_step, census_totals
 from .coefficients import SEMANTICS, global_profile
-from .errors import BimotifError
-from .graph import BipartiteGraph, Side, from_indexed_edges
+from .errors import BimotifError, _in_memory
+from .graph import BipartiteGraph, Side
 
 NULL_MODELS = ("density", "degree")
 
@@ -191,12 +191,6 @@ def _sampled_rows(bits: np.ndarray, seed: int) -> np.ndarray:
     return np.frombuffer(cells, dtype=bool).reshape(bits.shape)
 
 
-def _graph(g: BipartiteGraph, rows: np.ndarray) -> BipartiteGraph:
-    """The graph with ``g``'s labels and the edges of the biadjacency ``rows``."""
-    edges = zip(*(index.tolist() for index in np.nonzero(rows)))
-    return from_indexed_edges(g.primary_labels, g.secondary_labels, edges)
-
-
 def randomize(g: BipartiteGraph, seed: int, swaps_per_edge: int = 10) -> BipartiteGraph:
     """Degree-preserving rewiring by attempted double edge swaps (the ``degree`` model).
 
@@ -206,7 +200,9 @@ def randomize(g: BipartiteGraph, seed: int, swaps_per_edge: int = 10) -> Biparti
     count attempts are made.  Deterministic for a given seed, and the
     replica that :func:`run_ensemble` counts for that seed.
     """
-    return _graph(g, _swapped_rows(_biadjacency(g), seed, swaps_per_edge))
+    return BipartiteGraph(
+        g.primary_labels, g.secondary_labels, _swapped_rows(g.biadjacency, seed, swaps_per_edge)
+    )
 
 
 def density_rewire(g: BipartiteGraph, seed: int) -> BipartiteGraph:
@@ -214,7 +210,7 @@ def density_rewire(g: BipartiteGraph, seed: int) -> BipartiteGraph:
 
     The replica that :func:`run_ensemble` counts for that seed.
     """
-    return _graph(g, _sampled_rows(_biadjacency(g), seed))
+    return BipartiteGraph(g.primary_labels, g.secondary_labels, _sampled_rows(g.biadjacency, seed))
 
 
 def _two_sided(t: Decimal, nu: int) -> Decimal:
@@ -476,15 +472,14 @@ def run_ensemble(g: BipartiteGraph, cfg: EnsembleConfig) -> EnsembleStats:
     def replica(r: int) -> np.ndarray:
         rs = replica_seed(cfg.seed, r)
         if cfg.null_model == "degree":
-            rows = _swapped_rows(bits, rs, cfg.swaps_per_edge)
+            rows = _swapped_rows(g.biadjacency, rs, cfg.swaps_per_edge)
         else:
-            rows = _sampled_rows(bits, rs)
+            rows = _sampled_rows(g.biadjacency, rs)
         return rows if cfg.side is Side.PRIMARY else rows.T
 
     na, ns = g.node_count(cfg.side), g.node_count(cfg.side.other())
-    # the input and its replicas are allocated outside the kernel's guard, so guard them too
+    # the replicas are allocated outside the kernel's guard, so guard them too
     with _in_memory(na, ns):
-        bits = _biadjacency(g)
         totals_per_replica = _in_workers(
             lambda part: census_totals(map(replica, part)), cfg.runs, _chunk_step(na, ns)
         )

@@ -16,30 +16,26 @@ RING_EDGES = [
 RING_CHORDS = [("v0", "w1"), ("v1", "w2"), ("v2", "w0")]
 
 
+def neighbours(g: BipartiteGraph, side: Side = Side.PRIMARY) -> list[set[int]]:
+    """Each ``side`` node's opposite-side neighbours, as a set of indices."""
+    rows = g.biadjacency if side is Side.PRIMARY else g.biadjacency.T
+    return [set(np.flatnonzero(row).tolist()) for row in rows]
+
+
 def edge_list(g: BipartiteGraph) -> list[tuple[str, str]]:
     """Edges as (primary_label, secondary_label) pairs in index order."""
     return [(g.primary_labels[i], g.secondary_labels[j])
-            for i, nbrs in enumerate(g.adjacency_primary) for j in nbrs]
+            for i, nbrs in enumerate(neighbours(g)) for j in sorted(nbrs)]
 
 
 def biadjacency(g: BipartiteGraph, side: Side = Side.PRIMARY) -> np.ndarray:
-    """Boolean biadjacency with ``side`` as rows, set one edge at a time."""
-    bits = np.zeros((g.node_count(side), g.node_count(side.other())), dtype=bool)
-    for i, nbrs in enumerate(g.adjacency(side)):
-        for j in nbrs:
-            bits[i, j] = True
-    return bits
+    """A writable copy of the boolean biadjacency with ``side`` as rows."""
+    return np.array(g.biadjacency if side is Side.PRIMARY else g.biadjacency.T)
 
 
 def mirror(g: BipartiteGraph) -> BipartiteGraph:
     """The same graph with primary and secondary roles exchanged."""
-    return BipartiteGraph(
-        primary_labels=g.secondary_labels,
-        secondary_labels=g.primary_labels,
-        adjacency_primary=g.adjacency_secondary,
-        adjacency_secondary=g.adjacency_primary,
-        edge_count=g.edge_count,
-    )
+    return BipartiteGraph(g.secondary_labels, g.primary_labels, g.biadjacency.T)
 
 
 def c6() -> BipartiteGraph:

@@ -24,6 +24,7 @@ from bimotif import BipartiteGraph, MotifCensus, Side, from_indexed_edges
 from bimotif.census import (
     _ANY, _K0, _K1, _K2, _K3, _P0, _Q0, _Q1, _Q2, _Q3, _S1, _S2, _U0, _U1, _V1, _V2,
 )
+from graphs import neighbours
 
 
 class SixCycleClass(IntEnum):
@@ -59,28 +60,17 @@ class FourPath:
     extra_edges: int
 
 
-def _adjacency_sets(g: BipartiteGraph, side: Side):
-    """(analysis-side, other-side) adjacency as sets for membership tests."""
-    return (
-        [set(t) for t in g.adjacency(side)],
-        [set(t) for t in g.adjacency(side.other())],
-    )
-
-
 def canonical_four_path(
-    g: BipartiteGraph, v0: int, w0: int, v1: int, w1: int, v2: int,
-    side: Side = Side.PRIMARY,
+    adj_a: list[set[int]], v0: int, w0: int, v1: int, w1: int, v2: int,
 ) -> FourPath:
-    """Validate the nodes as a 4-path and return its canonical form."""
-    adj_a, _ = _adjacency_sets(g, side)
-    na = g.node_count(side)
-    ns = g.node_count(side.other())
+    """Validate the nodes as a 4-path and return its canonical form.
+
+    ``adj_a`` is the analysis side's ``neighbours``; a via outside the
+    opposite side is in none of them, so it fails as a missing edge.
+    """
     for v in (v0, v1, v2):
-        if not 0 <= v < na:
+        if not 0 <= v < len(adj_a):
             raise NotAPath(f"analysis node {v} out of range")
-    for w in (w0, w1):
-        if not 0 <= w < ns:
-            raise NotAPath(f"via node {w} out of range")
     if len({v0, v1, v2}) != 3 or w0 == w1:
         raise NotAPath("path nodes repeat")
     for v, w in ((v0, w0), (v1, w0), (v1, w1), (v2, w1)):
@@ -95,19 +85,13 @@ def canonical_four_path(
     return FourPath(center=v1, ends=(v0, v2), vias=(w0, w1), extra_edges=extra)
 
 
-def classify_four_path(
-    g: BipartiteGraph, v0: int, w0: int, v1: int, w1: int, v2: int,
-    side: Side = Side.PRIMARY,
-) -> int:
+def classify_four_path(adj_a: list[set[int]], v0: int, w0: int, v1: int, w1: int, v2: int) -> int:
     """Number of extra edges (0, 1 or 2) on a validated 4-path."""
-    return canonical_four_path(g, v0, w0, v1, w1, v2, side).extra_edges
+    return canonical_four_path(adj_a, v0, w0, v1, w1, v2).extra_edges
 
 
-def closures_of(
-    g: BipartiteGraph, p: FourPath, side: Side = Side.PRIMARY,
-) -> list[tuple[int, SixCycleClass]]:
+def closures_of(adj_a: list[set[int]], p: FourPath) -> list[tuple[int, SixCycleClass]]:
     """All closing nodes of a path with the class of the resulting 6-cycle."""
-    adj_a, _ = _adjacency_sets(g, side)
     v0, v2 = p.ends
     candidates = (adj_a[v0] & adj_a[v2]) - set(p.vias)
     out = []
@@ -144,7 +128,7 @@ def brute_force_census(g: BipartiteGraph, side: Side = Side.PRIMARY) -> MotifCen
     ns = g.node_count(side.other())
     if na > 16 or ns > 16:
         raise TooLarge(f"brute force limited to 16 nodes per side, got {na}x{ns}")
-    adj_a, _ = _adjacency_sets(g, side)
+    adj_a = neighbours(g, side)
 
     found: set[FourPath] = set()
     for v0 in range(na):
@@ -160,7 +144,7 @@ def brute_force_census(g: BipartiteGraph, side: Side = Side.PRIMARY) -> MotifCen
                     for v2 in range(na):
                         if v2 in (v0, v1) or w1 not in adj_a[v2]:
                             continue
-                        found.add(canonical_four_path(g, v0, w0, v1, w1, v2, side))
+                        found.add(canonical_four_path(adj_a, v0, w0, v1, w1, v2))
 
     paths = [[0, 0, 0] for _ in range(na)]
     path_closed = [[0, 0, 0, 0] for _ in range(na)]
@@ -169,7 +153,7 @@ def brute_force_census(g: BipartiteGraph, side: Side = Side.PRIMARY) -> MotifCen
     by_support: dict[tuple, list[FourPath]] = {}
     for p in found:
         paths[p.center][p.extra_edges] += 1
-        closures = closures_of(g, p, side)
+        closures = closures_of(adj_a, p)
         classes = set()
         for _, cls in closures:
             pairs[p.center][cls] += 1
@@ -194,7 +178,7 @@ def brute_force_census(g: BipartiteGraph, side: Side = Side.PRIMARY) -> MotifCen
         config_totals[cls] += 1
         closed_to = set()
         for p in members:
-            for _, c in closures_of(g, p, side):
+            for _, c in closures_of(adj_a, p):
                 closed_to.add(c)
         for c in closed_to:
             closed_totals[c] += 1
@@ -240,10 +224,10 @@ def pairwise_census(g: BipartiteGraph, side: Side = Side.PRIMARY) -> MotifCensus
     """
     na = g.node_count(side)
     adj_a = [0] * na
-    for i, nbrs in enumerate(g.adjacency(side)):
+    for i, nbrs in enumerate(neighbours(g, side)):
         for w in nbrs:
             adj_a[i] |= 1 << w
-    other = g.adjacency(side.other())
+    other = neighbours(g, side.other())
     ns = len(other)
     adj_w = [0] * ns
     for w, nbrs in enumerate(other):
@@ -428,7 +412,7 @@ def raw_six_cycles(g: BipartiteGraph) -> int:
     Walks start on the primary side, so each cycle is seen 6 times
     (3 starting nodes x 2 directions).
     """
-    adj = [set(t) for t in g.adjacency_primary]
+    adj = neighbours(g)
     na = len(adj)
     count = 0
     for v0 in range(na):
@@ -453,7 +437,7 @@ def raw_six_cycles(g: BipartiteGraph) -> int:
 
 def naive_opsahl(g: BipartiteGraph, side: Side):
     """(tau, closed, per-node tau, per-node closed) by raw 5-tuple scan."""
-    adj = [set(t) for t in g.adjacency(side)]
+    adj = neighbours(g, side)
     na = len(adj)
     ns = g.node_count(side.other())
     tau2 = [0] * na
@@ -483,8 +467,8 @@ def naive_opsahl(g: BipartiteGraph, side: Side):
 def tuple_set_randomize(g: BipartiteGraph, seed: int, swaps_per_edge: int = 10) -> BipartiteGraph:
     """The degree model: attempted double edge swaps on a list and a set of edge tuples."""
     edges = []
-    for i, nbrs in enumerate(g.adjacency_primary):
-        for j in nbrs:
+    for i, nbrs in enumerate(neighbours(g)):
+        for j in sorted(nbrs):
             edges.append((i, j))
     m = len(edges)
     if m < 2:

@@ -26,6 +26,7 @@ from graphs import (
     hub_graph,
     k33,
     mirror,
+    neighbours,
     random_bipartite,
     ring_plus_chords,
     small_graphs,
@@ -64,10 +65,10 @@ def test_k33_census():
 
 
 def test_classify_four_path_examples():
-    g = c6()
+    g = neighbours(c6())
     assert classify_four_path(g, 0, 0, 1, 1, 2) == 0
-    assert classify_four_path(k33(), 0, 0, 1, 1, 2) == 2
-    one = ring_plus_chords(1)  # ring plus the chord v0-w1
+    assert classify_four_path(neighbours(k33()), 0, 0, 1, 1, 2) == 2
+    one = neighbours(ring_plus_chords(1))  # ring plus the chord v0-w1
     # the chord crosses the path centered at v1 exactly once
     assert classify_four_path(one, 2, 1, 1, 0, 0) == 1
     paths = [classify_four_path(one, *t) for t in [(0, 0, 1, 1, 2), (1, 1, 2, 2, 0), (2, 2, 0, 0, 1)]]
@@ -75,7 +76,7 @@ def test_classify_four_path_examples():
 
 
 def test_classify_four_path_rejects_non_paths():
-    g = c6()
+    g = neighbours(c6())
     with pytest.raises(NotAPath):
         classify_four_path(g, 0, 0, 0, 1, 2)  # repeated node
     with pytest.raises(NotAPath):
@@ -88,7 +89,7 @@ def test_canonical_form_is_reversal_invariant():
     rng = random.Random(7)
     for _ in range(50):
         g = random_bipartite(rng, rng.randint(3, 8), rng.randint(3, 8), 0.5)
-        adj = [set(t) for t in g.adjacency_primary]
+        adj = neighbours(g)
         na = len(adj)
         ns = len(g.secondary_labels)
         for v0 in range(na):
@@ -97,10 +98,10 @@ def test_canonical_form_is_reversal_invariant():
                     for w1 in range(ns):
                         for v2 in range(na):
                             try:
-                                p = canonical_four_path(g, v0, w0, v1, w1, v2)
+                                p = canonical_four_path(adj, v0, w0, v1, w1, v2)
                             except NotAPath:
                                 continue
-                            q = canonical_four_path(g, v2, w1, v1, w0, v0)
+                            q = canonical_four_path(adj, v2, w1, v1, w0, v0)
                             assert p == q
                             if p.extra_edges == 1:
                                 # the orientation rule: extra edge sits at v0-w1
@@ -108,10 +109,10 @@ def test_canonical_form_is_reversal_invariant():
 
 
 def test_closures_of_classes():
-    g = c6()
+    g = neighbours(c6())
     p = canonical_four_path(g, 0, 0, 1, 1, 2)
     assert closures_of(g, p) == [(2, SixCycleClass.UNCONNECTED)]
-    gk = k33()
+    gk = neighbours(k33())
     p = canonical_four_path(gk, 0, 0, 1, 1, 2)
     assert closures_of(gk, p) == [(2, SixCycleClass.COMPLETE)]
 
@@ -120,7 +121,7 @@ def test_closures_match_naive_scan():
     rng = random.Random(99)
     for _ in range(20):
         g = random_bipartite(rng, 8, 8, 0.4)
-        adj = [set(t) for t in g.adjacency_primary]
+        adj = neighbours(g)
         cen = brute_force_census(g)
         na = len(adj)
         ns = len(g.secondary_labels)
@@ -130,7 +131,7 @@ def test_closures_match_naive_scan():
                     for w1 in range(ns):
                         for v2 in range(na):
                             try:
-                                p = canonical_four_path(g, v0, w0, v1, w1, v2)
+                                p = canonical_four_path(adj, v0, w0, v1, w1, v2)
                             except NotAPath:
                                 continue
                             expected = []
@@ -140,7 +141,7 @@ def test_closures_match_naive_scan():
                                 if w2 in adj[p.ends[0]] and w2 in adj[p.ends[1]]:
                                     bump = 1 if w2 in adj[p.center] else 0
                                     expected.append((w2, p.extra_edges + bump))
-                            got = [(w, int(c)) for w, c in closures_of(g, p)]
+                            got = [(w, int(c)) for w, c in closures_of(adj, p)]
                             assert got == expected
                             # closure class never strays from e or e+1
                             for _, c in got:

@@ -535,6 +535,8 @@ def test_exit_code_bad_interval_values(tmp_path, caplog, ci_text):
         pytest.param("analyze", ",x,y\na,1,2\n", (), 1, id="NonBinaryEntry"),
         pytest.param("analyze", ",x,y\na,1\n", (), 1, id="DimensionMismatch"),
         pytest.param("analyze", "a\tb\nb\tc\n", (), 2, id="BipartiteViolation"),
+        pytest.param("analyze", "x\tx\n", (), 2, id="BipartiteViolation-equal-labels"),
+        pytest.param("analyze", "a\ty\nx\tx\n", (), 2, id="BipartiteViolation-equal-labels-later"),
         pytest.param("score", "{", (), 1, id="JSONDecodeError"),
         pytest.param("score", "[" * 100_000 + "]" * 100_000, (), 1, id="deeply-nested"),
         pytest.param(
@@ -589,7 +591,7 @@ def test_exit_code_census_too_large_in_ensemble_chunk(tmp_path, caplog, monkeypa
         # of seed 4, replicas 0 and 1 pass and replica 2, with a degree 9, does not
         g = bimotif.load_southern_women()
         degrees = [
-            max(map(len, bimotif.density_rewire(g, bimotif.replica_seed(4, r)).adjacency_primary))
+            max(bimotif.density_rewire(g, bimotif.replica_seed(4, r)).degree_sequence(Side.PRIMARY))
             for r in range(3)
         ]
         assert degrees == [6, 7, 9]

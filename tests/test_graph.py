@@ -1,9 +1,14 @@
 import csv
+import sys
+from importlib.resources import files
 
+import numpy as np
 import pytest
 
 from bimotif import (
+    BipartiteGraph,
     BipartiteViolation,
+    CensusTooLarge,
     DimensionMismatch,
     EmptyInput,
     MalformedInput,
@@ -16,8 +21,12 @@ from bimotif import (
     load_biadjacency,
     load_edge_list,
     load_graph,
+    load_southern_women,
 )
-from graphs import edge_list, mirror
+from bimotif.cli import main
+from graphs import edge_list, mirror, neighbours
+
+WOMEN = str(files("bimotif") / "data" / "southern_women.csv")
 
 
 def test_from_edge_list_basic():
@@ -52,6 +61,14 @@ def test_label_on_both_sides_rejected():
         from_edge_list([("a", "b"), ("b", "c")])
 
 
+@pytest.mark.parametrize(
+    "rows", [[("x", "x")], [("a", "y"), ("x", "x")]], ids=["alone", "after-a-row"]
+)
+def test_row_with_equal_labels_rejected(rows):
+    with pytest.raises(BipartiteViolation, match="'x' appears on both sides"):
+        from_edge_list(rows)
+
+
 def test_from_biadjacency_identity_and_full():
     eye = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
     g = from_biadjacency(eye, ["a", "b", "c"], ["x", "y", "z"])
@@ -82,15 +99,6 @@ def test_from_indexed_edges_rejects_index_outside_its_side(edge):
         from_indexed_edges([], [], [edge])
 
 
-def test_mirror_consistency_full_scan(davis):
-    for i, nbrs in enumerate(davis.adjacency_primary):
-        for j in nbrs:
-            assert i in davis.adjacency_secondary[j]
-    for j, nbrs in enumerate(davis.adjacency_secondary):
-        for i in nbrs:
-            assert j in davis.adjacency_primary[i]
-
-
 def test_degree_sums_equal_edge_count(davis):
     assert sum(davis.degree_sequence(Side.PRIMARY)) == davis.edge_count
     assert sum(davis.degree_sequence(Side.SECONDARY)) == davis.edge_count
@@ -111,7 +119,7 @@ def test_round_trip(davis):
 def test_mirror_swaps_roles(davis):
     m = mirror(davis)
     assert m.primary_labels == davis.secondary_labels
-    assert m.adjacency_primary == davis.adjacency_secondary
+    assert neighbours(m) == neighbours(davis, Side.SECONDARY)
     assert mirror(m) == davis
 
 
@@ -130,7 +138,7 @@ def test_load_edge_list_tab_and_comma(tmp_path):
     csvf = tmp_path / "edges.csv"
     csvf.write_text("a,x\nb,x\na,y\n", encoding="utf-8")
     g2, _ = load_edge_list(csvf)
-    assert g2.adjacency_primary == g.adjacency_primary
+    assert g2 == g
 
 
 def test_load_edge_list_malformed(tmp_path):
@@ -199,3 +207,83 @@ def test_detect_format(tmp_path):
     assert detect_format(el) == "edgelist"
     g, _ = load_graph(bi, "auto")
     assert g.edge_count == 1
+
+
+def test_biadjacency_is_read_only(davis):
+    with pytest.raises(ValueError, match="read-only"):
+        davis.biadjacency[0, 0] = not davis.biadjacency[0, 0]
+    with pytest.raises(ValueError, match="read-only"):
+        davis.biadjacency.T[0, 0] = True
+    # the graph holds a copy, so the caller's array stays writable and apart
+    cells = np.eye(2, dtype=bool)
+    g = BipartiteGraph(("a", "b"), ("x", "y"), cells)
+    cells[0, 1] = True
+    assert g.edge_count == 2
+    assert not g.biadjacency[0, 1]
+
+
+def test_biadjacency_shape_must_match_the_labels():
+    with pytest.raises(DimensionMismatch):
+        BipartiteGraph(("a", "b"), ("x",), np.ones((1, 2), dtype=bool))
+
+
+def test_equal_graphs_compare_and_hash_equal(davis):
+    rows = edge_list(davis)
+    cells = davis.biadjacency.astype(int).tolist()
+    same = [
+        load_southern_women(),
+        from_biadjacency(cells, list(davis.primary_labels), list(davis.secondary_labels)),
+        from_indexed_edges(davis.primary_labels, davis.secondary_labels, zip(*np.nonzero(cells))),
+        BipartiteGraph(davis.primary_labels, davis.secondary_labels, np.array(cells, np.int8)),
+        mirror(mirror(davis)),
+    ]
+    for g in same:
+        assert g == davis
+        assert hash(g) == hash(davis)
+    assert len({davis, *same}) == 1
+    flipped = [row[:] for row in cells]
+    flipped[3][5] = 1 - flipped[3][5]
+    relabelled = ("Evelyn2",) + davis.primary_labels[1:]
+    different = [
+        from_biadjacency(flipped, davis.primary_labels, davis.secondary_labels),
+        BipartiteGraph(relabelled, davis.secondary_labels, davis.biadjacency),
+        from_edge_list(rows[:-1])[0],
+    ]
+    for g in different:
+        assert g != davis
+        assert hash(g) != hash(davis)
+
+
+def test_edge_count_and_degrees_match_the_file(davis, tmp_path):
+    with open(WOMEN, encoding="utf-8") as f:
+        header, *rows = csv.reader(f)
+    cells = [[int(c) for c in row[1:]] for row in rows]
+    assert davis.edge_count == sum(map(sum, cells)) == 89
+    assert davis.degree_sequence(Side.PRIMARY) == tuple(map(sum, cells))
+    assert davis.degree_sequence(Side.SECONDARY) == tuple(map(sum, zip(*cells)))
+
+    f = tmp_path / "edges.tsv"
+    f.write_text("a\tx\nb\tx\na\ty\na\tx\nc\tz\n", encoding="utf-8")
+    g, dups = load_graph(f)
+    assert (g.edge_count, dups) == (4, 1)
+    assert g.degree_sequence(Side.PRIMARY) == (2, 1, 1)
+    assert g.degree_sequence(Side.SECONDARY) == (2, 1, 1)
+
+
+def test_failed_allocation_in_a_loader_exits_2(tmp_path, caplog, monkeypatch):
+    # each builder allocates its graph's cells first; fail that allocation
+    def exhausted(size):
+        raise MemoryError
+
+    monkeypatch.setattr(sys.modules["bimotif.graph"], "bytearray", exhausted, raising=False)
+    with pytest.raises(CensusTooLarge, match="18 analysis and 14 opposite nodes"):
+        load_southern_women()
+    f = tmp_path / "edges.tsv"
+    f.write_text("a\tx\nb\ty\n", encoding="utf-8")
+    for path in (f, WOMEN):
+        assert main(["analyze", "--input", str(path), "--out", str(tmp_path / "out")]) == 2
+        (record,) = [r for r in caplog.records if r.levelname == "ERROR"]
+        assert "too large to count in memory" in record.getMessage()
+        assert "\n" not in record.getMessage()
+        assert not (tmp_path / "out" / "report.json").exists()
+        caplog.clear()

@@ -35,7 +35,9 @@ from bimotif.null_model import (
     _t_quantile,
     _usable_cpus,
 )
-from graphs import biadjacency, edge_list, heavy_tailed, k33, random_bipartite, three_disjoint_edges
+from graphs import (
+    biadjacency, edge_list, heavy_tailed, k33, neighbours, random_bipartite, three_disjoint_edges,
+)
 from oracles import divmod_density_rewire, tuple_set_randomize
 
 
@@ -116,10 +118,7 @@ T_975 = {
 
 
 def degree_pair(g):
-    return (
-        tuple(len(n) for n in g.adjacency_primary),
-        tuple(len(n) for n in g.adjacency_secondary),
-    )
+    return tuple(tuple(map(len, neighbours(g, side))) for side in Side)
 
 
 def test_randomize_preserves_degrees():
