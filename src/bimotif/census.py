@@ -536,7 +536,7 @@ def census(g: BipartiteGraph, side: Side = Side.PRIMARY) -> MotifCensus:
     could not be exact, or when the arrays do not fit in memory.
     """
     bits = g.biadjacency if side is Side.PRIMARY else g.biadjacency.T
-    with _in_memory(*bits.shape):
+    with _in_memory("count", *bits.shape):
         acc = _count(bits[None])[:, 0]
     return MotifCensus(
         **vars(_totals(acc.tolist())),
@@ -576,7 +576,7 @@ def census_totals(biadjacencies: Iterable[np.ndarray]) -> list[CensusTotals]:
     while chunk := list(itertools.islice(biadjacencies, step)):
         if any(bits.shape != (na, ns) for bits in chunk):
             raise ValueError("a census chunk needs graphs with equal node counts")
-        with _in_memory(na, ns):
+        with _in_memory("count", na, ns):
             acc = _count(np.stack(chunk))
         totals += [_totals(acc[:, k].tolist()) for k in range(len(chunk))]
     return totals

@@ -111,7 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--swaps-per-edge",
             type=int,
             default=10,
-            help="swap attempts per edge for the degree model (default: 10)",
+            help="degree model: Curveball rounds, as 3/2 of this rounded down "
+            "(default: 10, so 15 rounds)",
         )
         p.add_argument(
             "--null-model",

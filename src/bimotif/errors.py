@@ -18,12 +18,22 @@ class CensusTooLarge(BimotifError):
     """The graph is too large to hold in memory, or for the census to count exactly or in memory."""
 
 
+# What an allocation was for, and what its two node counts are.
+_STAGES = {"hold": ("primary", "secondary"), "count": ("analysis", "opposite")}
+
+
 @contextlib.contextmanager
-def _in_memory(na: int, ns: int):
-    """Turn a failed allocation for an na × ns graph into :class:`CensusTooLarge`."""
+def _in_memory(stage: str, na: int, ns: int):
+    """Turn a failed allocation into :class:`CensusTooLarge`, naming its stage.
+
+    ``stage`` is "hold", for a graph of na primary and ns secondary
+    nodes, or "count", for a census or replica with na analysis and ns
+    opposite nodes.
+    """
     try:
         yield
     except MemoryError:
+        first, second = _STAGES[stage]
         raise CensusTooLarge(
-            f"graph too large to count in memory: {na} analysis and {ns} opposite nodes"
+            f"graph too large to {stage} in memory: {na} {first} and {ns} {second} nodes"
         ) from None

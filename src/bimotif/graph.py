@@ -78,7 +78,7 @@ class BipartiteGraph:
 
     def __post_init__(self):
         shape = (len(self.primary_labels), len(self.secondary_labels))
-        with _in_memory(*shape):
+        with _in_memory("hold", *shape):
             bits = np.array(self.biadjacency, dtype=bool, order="C")
         if bits.shape != shape:
             raise DimensionMismatch(f"a {bits.shape} biadjacency for {shape} labels")
@@ -121,7 +121,7 @@ def _from_cells(
 ) -> BipartiteGraph:
     """The graph whose biadjacency is True at the row-major offsets ``cells``."""
     shape = (len(primary_labels), len(secondary_labels))
-    with _in_memory(*shape):
+    with _in_memory("hold", *shape):
         flat = bytearray(shape[0] * shape[1])
     for c in cells:
         flat[c] = 1

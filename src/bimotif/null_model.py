@@ -5,20 +5,22 @@ Two replica generators are available:
 * ``density``: a fresh uniform graph with the same node counts and the
   same number of edges.  This is the default and is what the bundled
   reference midpoints were produced with.
-* ``degree``: attempted double edge swaps on the original graph, which
-  preserve both degree sequences exactly (the swap null model of
-  Strona et al., Nat. Commun. 5, 2014).
+* ``degree``: a global Curveball on the original graph, which
+  preserves both degree sequences exactly (the fixed-degree null model
+  of Strona et al., Nat. Commun. 5, 2014, sampled as in Carstens,
+  Berger & Strona, arXiv:1609.05137).
 
 A replica is made as bit rows: the generators map the graph's
 read-only (primary, secondary) boolean biadjacency to a replica's,
-filled cell by cell from the random stream.  The density
-model sets the cells of one ``rng.sample`` call; the degree model runs
-its swap chain on integer edge lists and a byte per cell.
-:func:`run_ensemble` hands the replicas, in order, to
-:func:`census_totals` (transposed for the secondary side), which counts
-them a chunk at a time and gives each replica's global totals; its
-global clustering profile is computed from those alone.  :func:`randomize`
-and :func:`density_rewire` give a generator's array the graph's labels.
+filled from the random stream.  The density model sets the cells of
+one ``rng.sample`` call; the degree model runs the Curveball rounds of
+a whole chunk of replicas together, in numpy, with each replica's keys
+drawn from its own ``random.Random``.  :func:`run_ensemble` hands the
+replicas, in order, to :func:`census_totals` (transposed for the
+secondary side), which counts them a chunk at a time and gives each
+replica's global totals; its global clustering profile is computed
+from those alone.  :func:`randomize` and :func:`density_rewire` give a
+generator's array the graph's labels.
 
 A run of two or more kernel calls is split at multiples of the chunk
 step (``_CHUNK_CELLS`` // (na·ns), at least one replica) into
@@ -66,6 +68,9 @@ from .graph import BipartiteGraph, Side
 NULL_MODELS = ("density", "degree")
 
 _MASK64 = (1 << 64) - 1
+# Curveball rounds per unit of swaps_per_edge, as (numerator, denominator):
+# 15 rounds at the default of 10 (see README, "Null models").
+_ROUNDS_PER_SWAP = (3, 2)
 # Newton steps _t_quantile may take; nu = 1 needs 11.
 _NEWTON_STEPS = 16
 
@@ -78,7 +83,12 @@ class InvalidConfig(BimotifError):
 
 @dataclass(frozen=True)
 class EnsembleConfig:
-    """Parameters of one ensemble run."""
+    """Parameters of one ensemble run.
+
+    ``swaps_per_edge`` sets the degree model's Curveball rounds:
+    swaps_per_edge × 3 // 2 of them, so 15 at the default of 10.  The
+    density model ignores it.
+    """
 
     runs: int = 100
     seed: int = 0
@@ -145,42 +155,81 @@ def replica_seed(seed: int, replica: int) -> int:
     return _mix64((seed ^ replica) & _MASK64)
 
 
-def _swapped_rows(bits: np.ndarray, seed: int, swaps_per_edge: int) -> np.ndarray:
-    """The degree model's replica (see :func:`randomize`) of the boolean biadjacency ``bits``.
+def _curveball_rows(bits: np.ndarray, seeds: list[int], swaps_per_edge: int) -> np.ndarray:
+    """The degree model's replica (see :func:`randomize`) of ``bits`` for each seed, stacked.
 
-    The edges are listed as ``np.nonzero`` lists them: edge k is
-    (heads[k], tails[k]), with the head as the offset of its row's first
-    cell, and keeps its place in the list when it is rewired.  The edge
-    set is a copy of ``bits``, one byte per cell.  An index below n is
-    drawn exactly as CPython's ``Random`` draws an integer in range(n):
-    by rejection from ``getrandbits`` of n's bit length.  The first
-    index of an attempt is below m and the second below m − 1.
+    ``bits`` is an n × k boolean biadjacency of m edges; the result
+    has shape (len(seeds), n, k), and the replicas run their
+    swaps_per_edge × 3 // 2 rounds together.  Slot s is the input's edge
+    s in the order of ``np.nonzero``: it keeps its column, and only its
+    row changes.  A round draws a replica's n + m 64-bit keys with one
+    ``getrandbits`` call, read as little-endian words: a key per row,
+    then a key per slot.  It pairs the rows in the order of their keys,
+    the first with the second and so on (with n odd the last sits the
+    round out).  In each pair (a, b) the slots whose column only one of
+    the two rows has are put in the order of their keys; a takes as
+    many of the first of them as it had, and b the rest.
+
+    A key is sorted with its low bits replaced by the index: the low
+    (n − 1).bit_length() bits for a row, and for a slot the low
+    (m − 1).bit_length() bits once it is shifted down to make room for
+    its pair (n // 2 for a slot that stays) in the top
+    (n // 2).bit_length() bits.  So no two sort keys are equal, and a
+    replica depends on its seed alone, not on the seeds it runs with.
     """
-    rows, cols = np.divmod(np.flatnonzero(bits), bits.shape[1])  # np.nonzero's order, 10x faster
-    heads, tails = (rows * bits.shape[1]).tolist(), cols.tolist()
-    cells = bytearray(bits)
-    m = len(heads)
-    if m >= 2:
-        draw = random.Random(seed).getrandbits
-        # they differ when m is a power of two
-        k_first, k_second = m.bit_length(), (m - 1).bit_length()
-        for _ in range(swaps_per_edge * m):
-            i = draw(k_first)
-            while i >= m:
-                i = draw(k_first)
-            j = draw(k_second)
-            while j >= m - 1:
-                j = draw(k_second)
-            if j >= i:
-                j += 1
-            a, b = heads[i], heads[j]
-            x, y = tails[i], tails[j]
-            if a == b or x == y or cells[a + y] or cells[b + x]:
-                continue
-            cells[a + x] = cells[b + y] = 0
-            cells[a + y] = cells[b + x] = 1
-            tails[i], tails[j] = y, x
-    return np.frombuffer(cells, dtype=bool).reshape(bits.shape)
+    n, k = bits.shape
+    rows, cols = np.divmod(np.flatnonzero(bits), k)  # np.nonzero's order, 10x faster
+    m, q = len(cols), len(seeds)
+    out = np.frombuffer(bytearray(q * bits.size), dtype=bool).reshape(q, n, k)
+    out[:] = bits
+    half = n // 2
+    if half == 0 or m == 0:
+        return out  # no slot can move
+    row_mask = np.uint64((1 << (n - 1).bit_length()) - 1)
+    slot_mask = np.uint64((1 << (m - 1).bit_length()) - 1)
+    pair_bits = np.uint64(half.bit_length())  # a pair, or half for a slot that stays
+    pair_shift = np.uint64(64) - pair_bits
+    row_ids, slot_ids = np.arange(n, dtype=np.uint64), np.arange(m, dtype=np.uint64)
+    # Over the stacked replicas, row i of replica r is r·n + i, slot s is
+    # r·m + s, and cell (i, c) is (r·n + i)·k + c.
+    cells = out.reshape(-1)
+    replica = np.repeat(np.arange(q), m)
+    first_row = replica * n
+    row = np.tile(rows, q) + first_row
+    col = np.tile(cols, q)
+    degree = np.tile(np.bincount(rows, minlength=n), q)
+    place = np.empty(q * n, np.intp)  # each row's place in its replica's order
+    draws = [random.Random(seed).getrandbits for seed in seeds]
+    words = n + m
+    for _ in range(swaps_per_edge * _ROUNDS_PER_SWAP[0] // _ROUNDS_PER_SWAP[1]):
+        keys = np.frombuffer(
+            b"".join(draw(64 * words).to_bytes(8 * words, "little") for draw in draws), "<u8"
+        ).reshape(q, words)
+        order = np.sort(keys[:, :n] & ~row_mask | row_ids, axis=1) & row_mask
+        order = (order.astype(np.intp) + np.arange(0, q * n, n)[:, np.newaxis]).reshape(-1)
+        place[order] = np.tile(np.arange(n), q)
+        at = place[row]
+        partner = order[first_row + np.minimum(at ^ 1, n - 1)]  # itself for a row sitting out
+        pair = np.where(cells[partner * k + col], half, at // 2).reshape(q, m)
+        ranked = np.sort(
+            pair.astype(np.uint64) << pair_shift | keys[:, n:] >> pair_bits & ~slot_mask | slot_ids,
+            axis=1,
+        ).reshape(-1)
+        pair = (ranked >> pair_shift).astype(np.intp)
+        moves = pair < half
+        in_replica = replica[moves]
+        slot = (ranked[moves] & slot_mask).astype(np.intp) + in_replica * m
+        group = in_replica * half + pair[moves]
+        pairs = order.reshape(q, n)[:, :2 * half].reshape(-1)  # pair j is rows 2j and 2j + 1
+        counts = np.bincount(group, minlength=q * half)
+        # of the slots that move, (its degree − the other's + their count) / 2 are the first row's
+        firsts = (degree[pairs[0::2]] - degree[pairs[1::2]] + counts) // 2
+        rank = np.arange(len(group)) - (np.cumsum(counts) - counts)[group]
+        new = pairs[2 * group + (rank >= firsts[group])]
+        cells[row[slot] * k + col[slot]] = False
+        cells[new * k + col[slot]] = True
+        row[slot] = new
+    return out
 
 
 def _sampled_rows(bits: np.ndarray, seed: int) -> np.ndarray:
@@ -192,17 +241,17 @@ def _sampled_rows(bits: np.ndarray, seed: int) -> np.ndarray:
 
 
 def randomize(g: BipartiteGraph, seed: int, swaps_per_edge: int = 10) -> BipartiteGraph:
-    """Degree-preserving rewiring by attempted double edge swaps (the ``degree`` model).
+    """Degree-preserving rewiring by a global Curveball (the ``degree`` model).
 
-    Picks two distinct edges (a,x), (b,y) uniformly; if a != b, x != y
-    and neither (a,y) nor (b,x) exists, the pair is rewired to (a,y),
-    (b,x); otherwise the attempt is skipped.  swaps_per_edge * edge
-    count attempts are made.  Deterministic for a given seed, and the
-    replica that :func:`run_ensemble` counts for that seed.
+    Each round pairs the primary nodes at random, and each pair
+    shuffles the secondary nodes that only one of the two has, each
+    keeping its count, so both degree sequences hold exactly (Carstens,
+    Berger & Strona, arXiv:1609.05137).  ``swaps_per_edge`` × 3 // 2
+    rounds are run.  Deterministic for a given seed, and the replica
+    that :func:`run_ensemble` counts for that seed.
     """
-    return BipartiteGraph(
-        g.primary_labels, g.secondary_labels, _swapped_rows(g.biadjacency, seed, swaps_per_edge)
-    )
+    rows = _curveball_rows(g.biadjacency, [seed], swaps_per_edge)[0]
+    return BipartiteGraph(g.primary_labels, g.secondary_labels, rows)
 
 
 def density_rewire(g: BipartiteGraph, seed: int) -> BipartiteGraph:
@@ -469,20 +518,23 @@ def run_ensemble(g: BipartiteGraph, cfg: EnsembleConfig) -> EnsembleStats:
     fit in memory, in this process or in a worker.
     """
 
-    def replica(r: int) -> np.ndarray:
-        rs = replica_seed(cfg.seed, r)
-        if cfg.null_model == "degree":
-            rows = _swapped_rows(g.biadjacency, rs, cfg.swaps_per_edge)
-        else:
-            rows = _sampled_rows(g.biadjacency, rs)
-        return rows if cfg.side is Side.PRIMARY else rows.T
-
     na, ns = g.node_count(cfg.side), g.node_count(cfg.side.other())
+    step = _chunk_step(na, ns)
+
+    def replicas(part: range):
+        # a chunk at a time, so that the degree model runs one chunk's rounds together
+        for lo in range(part.start, part.stop, step):
+            seeds = [replica_seed(cfg.seed, r) for r in range(lo, min(lo + step, part.stop))]
+            if cfg.null_model == "degree":
+                chunk = _curveball_rows(g.biadjacency, seeds, cfg.swaps_per_edge)
+            else:
+                chunk = [_sampled_rows(g.biadjacency, seed) for seed in seeds]
+            for rows in chunk:
+                yield rows if cfg.side is Side.PRIMARY else rows.T
+
     # the replicas are allocated outside the kernel's guard, so guard them too
-    with _in_memory(na, ns):
-        totals_per_replica = _in_workers(
-            lambda part: census_totals(map(replica, part)), cfg.runs, _chunk_step(na, ns)
-        )
+    with _in_memory("count", na, ns):
+        totals_per_replica = _in_workers(lambda part: census_totals(replicas(part)), cfg.runs, step)
     rows = []
     for totals in totals_per_replica:
         prof = global_profile(totals, cfg.semantics)

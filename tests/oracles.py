@@ -6,10 +6,11 @@ structures chosen to be different from the library's kernels.
 pairs of opposite-side nodes; it is fast enough for graphs beyond the
 brute-force guard.  ``region_terms`` states the kernel's 16 per-triple
 counts directly, one function of the regions each, for the kernel's
-closed forms to be checked against.  ``tuple_set_randomize`` and
-``divmod_density_rewire`` are the package's earlier replica generators,
-on tuples and a set of edges, drawing through ``randrange`` and
-``sample``.
+closed forms to be checked against.  ``set_curveball`` is the degree
+model on one neighbour set per row, and ``divmod_density_rewire`` the
+density model on tuples, drawing through ``sample``.
+``tuple_set_randomize`` is the swap chain the degree model replaced,
+kept as the reference its mixing is compared with.
 """
 
 import random
@@ -465,7 +466,7 @@ def naive_opsahl(g: BipartiteGraph, side: Side):
 
 
 def tuple_set_randomize(g: BipartiteGraph, seed: int, swaps_per_edge: int = 10) -> BipartiteGraph:
-    """The degree model: attempted double edge swaps on a list and a set of edge tuples."""
+    """The earlier degree model: attempted double edge swaps on a list and a set of edge tuples."""
     edges = []
     for i, nbrs in enumerate(neighbours(g)):
         for j in sorted(nbrs):
@@ -493,6 +494,47 @@ def tuple_set_randomize(g: BipartiteGraph, seed: int, swaps_per_edge: int = 10) 
         edges[i] = (a, y)
         edges[j] = (b, x)
     return from_indexed_edges(g.primary_labels, g.secondary_labels, edges)
+
+
+def set_curveball(g: BipartiteGraph, seed: int, swaps_per_edge: int = 10) -> BipartiteGraph:
+    """The degree model: a global Curveball on one neighbour set per primary node.
+
+    Edge slot s is the s-th edge in row order, then column order; it
+    keeps its column.  Each of swaps_per_edge * 3 // 2 rounds takes
+    n + m keys of 64 bits, lowest first, from one ``getrandbits`` call:
+    one per row, then one per slot.  The rows are paired in key order.
+    Each pair's slots whose column only one of its rows has are put in
+    key order, and the first row gets as many of them as it had.  Keys
+    are compared without their low bits, which the package fills with
+    indices: (n − 1).bit_length() of them for a row, and for a slot
+    (n // 2).bit_length() + (m − 1).bit_length(); ties go by index.
+    """
+    nbrs = neighbours(g)
+    n = len(nbrs)
+    cols = [j for row in nbrs for j in sorted(row)]
+    owner = [i for i, row in enumerate(nbrs) for _ in row]
+    m = len(cols)
+    if n < 2 or m == 0:
+        return g
+    row_shift = (n - 1).bit_length()
+    slot_shift = (n // 2).bit_length() + (m - 1).bit_length()
+    rng = random.Random(seed)
+    for _ in range(swaps_per_edge * 3 // 2):
+        drawn = rng.getrandbits(64 * (n + m))
+        keys = [drawn >> (64 * i) & (2**64 - 1) for i in range(n + m)]
+        order = sorted(range(n), key=lambda i: (keys[i] >> row_shift, i))
+        for a, b in zip(order[0::2], order[1::2]):
+            both = nbrs[a] & nbrs[b]
+            moving = [s for s in range(m) if owner[s] in (a, b) and cols[s] not in both]
+            moving.sort(key=lambda s: (keys[n + s] >> slot_shift, s))
+            kept = len(nbrs[a]) - len(both)
+            for s in moving[:kept]:
+                owner[s] = a
+            for s in moving[kept:]:
+                owner[s] = b
+            nbrs[a] = both | {cols[s] for s in moving[:kept]}
+            nbrs[b] = both | {cols[s] for s in moving[kept:]}
+    return from_indexed_edges(g.primary_labels, g.secondary_labels, list(zip(owner, cols)))
 
 
 def divmod_density_rewire(g: BipartiteGraph, seed: int) -> BipartiteGraph:

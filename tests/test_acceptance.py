@@ -198,7 +198,7 @@ def test_criterion_5_ensemble_reproduces_reference_intervals(davis):
         assert mid == pytest.approx(float(expected), abs=0.03)
     assert run_ensemble(davis, cfg_p) == stats_p
 
-    # the swap-based generator preserves both degree sequences exactly
+    # the degree model's Curveball preserves both degree sequences exactly
     degrees = (davis.degree_sequence(Side.PRIMARY), davis.degree_sequence(Side.SECONDARY))
     moved = 0
     for seed in range(50):

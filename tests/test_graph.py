@@ -276,14 +276,15 @@ def test_failed_allocation_in_a_loader_exits_2(tmp_path, caplog, monkeypatch):
         raise MemoryError
 
     monkeypatch.setattr(sys.modules["bimotif.graph"], "bytearray", exhausted, raising=False)
-    with pytest.raises(CensusTooLarge, match="18 analysis and 14 opposite nodes"):
+    with pytest.raises(CensusTooLarge,
+                       match="too large to hold in memory: 18 primary and 14 secondary nodes"):
         load_southern_women()
     f = tmp_path / "edges.tsv"
     f.write_text("a\tx\nb\ty\n", encoding="utf-8")
     for path in (f, WOMEN):
         assert main(["analyze", "--input", str(path), "--out", str(tmp_path / "out")]) == 2
         (record,) = [r for r in caplog.records if r.levelname == "ERROR"]
-        assert "too large to count in memory" in record.getMessage()
+        assert "too large to hold in memory" in record.getMessage()
         assert "\n" not in record.getMessage()
         assert not (tmp_path / "out" / "report.json").exists()
         caplog.clear()

@@ -25,20 +25,20 @@ from bimotif import (
     replica_seed,
     run_ensemble,
 )
-from bimotif.census import _chunk_step
+from bimotif.census import _chunk_step, census_totals
 from bimotif.null_model import (
     _aggregate,
     _blas_threads,
+    _curveball_rows,
     _in_workers,
     _sampled_rows,
-    _swapped_rows,
     _t_quantile,
     _usable_cpus,
 )
 from graphs import (
     biadjacency, edge_list, heavy_tailed, k33, neighbours, random_bipartite, three_disjoint_edges,
 )
-from oracles import divmod_density_rewire, tuple_set_randomize
+from oracles import divmod_density_rewire, set_curveball, tuple_set_randomize
 
 
 # The double nearest the 0.975 quantile of Student's t, per degrees of
@@ -371,7 +371,7 @@ def oracle_values(g, cfg):
     for r in range(cfg.runs):
         rs = replica_seed(cfg.seed, r)
         if cfg.null_model == "degree":
-            replica = tuple_set_randomize(g, rs, cfg.swaps_per_edge)
+            replica = set_curveball(g, rs, cfg.swaps_per_edge)
         else:
             replica = divmod_density_rewire(g, rs)
         cc = global_profile(census(replica, cfg.side), cfg.semantics).cc
@@ -379,17 +379,25 @@ def oracle_values(g, cfg):
     return tuple(values)
 
 
-# 64 and 128 edges: the two indices of a swap are drawn with different bit
-# lengths only when the edge count is a power of two
+# A slot's index fills the low (m - 1).bit_length() bits of its sort key: 6
+# bits for 63 and 64 edges, 7 for 65 and 128.
 EDGE_COUNTS = (0, 1, 2, 3, 63, 64, 65, 128)
+# Graph shapes: any; an odd number of rows, the first of them empty; one row.
+SHAPES = ("any", "odd rows, one empty", "one row")
 
 
-def graph_with_edges(rng, m):
-    """A random graph of exactly m edges, with room for swaps."""
-    na, ns = rng.randint(3, 16), rng.randint(3, 16)
-    while na * ns < m + 2:
-        na, ns = na + 1, ns + 1
-    cells = rng.sample(range(na * ns), m)
+def graph_with_edges(rng, m, shape="any"):
+    """A random graph of exactly m edges, with room for them to move, of a shape from ``SHAPES``."""
+    if shape == "one row":
+        na, ns = 1, m + rng.randint(0, 4)
+    else:
+        na, ns = rng.randint(3, 16), rng.randint(3, 16)
+        while (na - 1) * ns < m + 2:
+            na, ns = na + 1, ns + 1
+        if shape != "any":
+            na |= 1
+    empty = ns if shape == "odd rows, one empty" else 0  # the cells of the first row
+    cells = rng.sample(range(empty, na * ns), m)
     return from_indexed_edges([f"p{i}" for i in range(na)], [f"s{j}" for j in range(ns)],
                               [divmod(c, ns) for c in cells])
 
@@ -398,10 +406,11 @@ def graph_with_edges(rng, m):
 def test_replica_rows_equal_the_oracle_generators(m):
     rng = random.Random(m)
     for seed in range(200):
-        g = graph_with_edges(rng, m)
+        g = graph_with_edges(rng, m, SHAPES[seed % 3])
         for swaps in (0, 1, 10):
-            expected = tuple_set_randomize(g, seed, swaps)
-            assert np.array_equal(_swapped_rows(biadjacency(g), seed, swaps), biadjacency(expected))
+            expected = set_curveball(g, seed, swaps)
+            assert np.array_equal(_curveball_rows(biadjacency(g), [seed], swaps)[0],
+                                  biadjacency(expected))
             assert randomize(g, seed, swaps) == expected
         expected = divmod_density_rewire(g, seed)
         assert np.array_equal(_sampled_rows(biadjacency(g), seed), biadjacency(expected))
@@ -414,18 +423,62 @@ def test_generators_leave_the_input_rows_alone():
     bits = biadjacency(g)
     before = bits.copy()
     for seed in range(20):
-        swapped = _swapped_rows(bits, seed, 10)
-        assert np.array_equal(_swapped_rows(bits, seed, 10), swapped)
+        shuffled = _curveball_rows(bits, [seed], 10)
+        assert np.array_equal(_curveball_rows(bits, [seed], 10), shuffled)
         sampled = _sampled_rows(bits, seed)
         assert np.array_equal(_sampled_rows(bits, seed), sampled)
     assert np.array_equal(bits, before)
 
 
+def test_a_chunk_of_replicas_equals_each_seed_alone(davis):
+    # a replica depends on its seed alone, not on the seeds it runs with
+    rng = random.Random(3)
+    for g in (davis, graph_with_edges(rng, 65), graph_with_edges(rng, 64, SHAPES[1])):
+        bits = biadjacency(g)
+        seeds = [replica_seed(4, r) for r in range(70)]
+        together = _curveball_rows(bits, seeds, 10)
+        assert together.shape == (70, *bits.shape)
+        for seed, rows in zip(seeds, together):
+            assert np.array_equal(rows, _curveball_rows(bits, [seed], 10)[0])
+        assert np.array_equal(_curveball_rows(bits, seeds[5:], 10), together[5:])
+
+
+def edges_moved(bits, replicas):
+    """The fraction of the input's edges each replica does not have."""
+    return [1 - np.count_nonzero(bits & rows) / np.count_nonzero(bits) for rows in replicas]
+
+
+def test_curveball_mixes_like_the_swap_chain(davis):
+    # The degree model at its default 15 rounds against the swap chain it
+    # replaced, at 10 swaps per edge; the seeds are fixed.
+    seeds = [replica_seed(1, r) for r in range(400)]
+    chain = [biadjacency(tuple_set_randomize(davis, seed)) for seed in seeds]
+    curveball = run_ensemble(davis, EnsembleConfig(runs=400, seed=1, null_model="degree"))
+    # each Southern Women class mean within three standard errors of the difference
+    chain_values = [global_profile(totals).cc for totals in census_totals(chain)]
+    for k, stats in enumerate(curveball.classes):
+        values = [float(row[k]) for row in chain_values]
+        assert stats.defined_count == len(values) == 400
+        error = math.sqrt((stats.std**2 + statistics.variance(values)) / 400)
+        assert abs(stats.mean - statistics.fmean(values)) < 3 * error
+    # the mean fraction of edges moved within one replica standard deviation of the chain's
+    heavy = heavy_tailed(random.Random(1), 1000, 300, 3000)
+    for g, reference in ((davis, chain),
+                         (heavy, [biadjacency(tuple_set_randomize(heavy, s)) for s in seeds[:20]])):
+        bits, runs = biadjacency(g), len(reference)
+        step = _chunk_step(*bits.shape)
+        moved = edges_moved(bits, [rows for lo in range(0, runs, step)
+                                   for rows in _curveball_rows(bits, seeds[lo:lo + step], 10)])
+        reference = edges_moved(bits, reference)
+        gap = abs(statistics.fmean(moved) - statistics.fmean(reference))
+        assert gap < statistics.stdev(reference)
+
+
 @pytest.mark.parametrize("m", EDGE_COUNTS)
 def test_ensemble_equals_census_of_oracle_replicas(m):
     rng = random.Random(1000 + m)
-    for seed in range(3):
-        g = graph_with_edges(rng, m)
+    for seed, shape in enumerate(SHAPES):
+        g = graph_with_edges(rng, m, shape)
         for side in Side:
             for swaps in (0, 1, 10):
                 cfg = EnsembleConfig(runs=4, seed=seed, swaps_per_edge=swaps, side=side,

@@ -7,12 +7,15 @@ Runs ``python -m bimotif.cli`` from this checkout (``PYTHONPATH=src``),
 one command at a time, with OUT_DIR as the working directory and
 relative paths, since ``report.json`` echoes ``--input`` and
 ``--ci-file``.  Command n writes its files into ``OUT_DIR/<n>/``,
-next to ``command`` (its arguments), ``exit_code``, ``stdout`` and
-``stderr``.  The inputs are written into ``OUT_DIR/inputs/`` by
-``bench/inputs.py``.  Last, ``OUT_DIR/manifest.json`` gets one sha256
-per command and per file of ``FILES``, under a header naming the Python
-and numpy versions; ``tests/data/output_manifest.json`` is that file,
-and ``tests/test_output_matrix.py`` checks the CLI against it in-process.
+next to ``command`` (its arguments), ``exit_code``, ``stdout``,
+``stderr`` and ``wall_s``: the seconds its cold CLI process took from
+start to exit, which the manifest leaves out, so that one run of the
+matrix times every command.  The inputs are written into
+``OUT_DIR/inputs/`` by ``bench/inputs.py``.  Last,
+``OUT_DIR/manifest.json`` gets one sha256 per command and per file of
+``FILES``, under a header naming the Python and numpy versions;
+``tests/data/output_manifest.json`` is that file, and
+``tests/test_output_matrix.py`` checks the CLI against it in-process.
 
 The matrix: Southern Women × both sides × the three semantics ×
 {analyze, ensemble density, ensemble degree, report, report
@@ -43,6 +46,7 @@ import os
 import platform
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -120,17 +124,20 @@ def main(argv: list[str]) -> int:
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     for n, args in enumerate(commands(), start=1):
         args = [*args, "--out", str(n)]
+        start = time.perf_counter()
         done = subprocess.run(
             [sys.executable, "-m", "bimotif.cli", *args],
             cwd=out_dir, env=env, capture_output=True, text=True,
         )
+        wall_s = time.perf_counter() - start
         run_dir = out_dir / str(n)
         run_dir.mkdir(exist_ok=True)
         (run_dir / "command").write_text(" ".join(args) + "\n")
         (run_dir / "exit_code").write_text(f"{done.returncode}\n")
         (run_dir / "stdout").write_text(done.stdout)
         (run_dir / "stderr").write_text(done.stderr)
-        print(f"{n:2d} exit {done.returncode}  {' '.join(args)}", file=sys.stderr)
+        (run_dir / "wall_s").write_text(f"{wall_s:.3f}\n")
+        print(f"{n:2d} exit {done.returncode} {wall_s:7.3f} s  {' '.join(args)}", file=sys.stderr)
     (out_dir / "manifest.json").write_text(json.dumps(manifest(out_dir), indent=1) + "\n")
     return 0
 
