@@ -53,8 +53,9 @@ each g over all triples in three parts:
    g(·, 1) − g(·, 0), so a triple with t ≥ 1 is counted t times.  Per
    w these are row sums over the co-degree block of N(w) and one
    product of two such blocks: a hub costs one d×d block, not C(d, 3)
-   triples.  The N(w) of one degree d are stacked, so that a stack is
-   a run of d×d blocks.
+   triples.  The N(w) are sorted by size and stacked in that order,
+   each padded to its stack's largest size with an empty node, so a
+   stack of mixed sizes is one run of equal blocks.
 3. For each triple with t ≥ 2, g(t) − g(0) − t·(g(1) − g(0)).  These
    triples are listed explicitly, each once as p < q < r with every
    two of them sharing at least two neighbours, and evaluated a pool
@@ -64,24 +65,26 @@ each g over all triples in three parts:
    per row.
 
 Parts 1 and 3 run in one pass over blocks of analysis rows: each
-block's rows of D are computed once, and their pairs p < q with
-D_pq ≥ 2 feed both.  Part 2 is a separate pass over the opposite
-side's nodes w.
+block's rows of D are computed once, from the block's first column on
+(the upper triangle, with the block's own square), and their pairs
+p < q with D_pq ≥ 2 feed both.  Part 2 is a separate pass over the
+opposite side's nodes w.
 
 The kernel, :func:`_count`, takes the biadjacency of a chunk of graphs
 with the same node counts as one (chunk, na, ns) boolean array, and
 every array after it carries that leading chunk axis: a row block of
 parts 1 and 3 is the same rows of every graph in the chunk, and a
-part-2 stack takes the N(w) of one degree from any of them, with node
-indices offset per graph.
+part-2 stack takes its N(w) from any of them, with node indices offset
+per graph.
 
 The boolean array is the kernel's one source: both sides' degrees are
-summed from it once, and the rows of A (part 1) and the members of
-each N(w) (part 2) are read from it.  Part 1's co-degree product, a
-block's rows of D, is a float32 matrix product over only the columns
-the block's rows use; its product with U reads only the rows that
-share two neighbours with some row of the block.  No float copy of the
-whole of A is held.
+summed from it once, the rows of A (part 1) are read from it, and a
+contiguous boolean copy of its transpose gives the later rows of a
+block's product and the members of each N(w) (part 2).  Part 1's
+co-degree product, a block's rows of D, is a float32 matrix product
+over only the columns the block's rows use; its product with U reads
+only the rows that share two neighbours with some row of the block.
+No float copy of the whole of A is held.
 The rows packed into uint64 bit sets are used only where popcounts
 count overlaps: part 2's co-degree blocks and part 3's t.
 
@@ -240,7 +243,8 @@ def _check_exact(na: int, max_degree: int, max_opposite_degree: int) -> None:
     max_degree³ · (reach + 1)²; below 2⁵³ that is exact in float64 and
     cannot overflow int64.  This covers part 2's product ĀF, whose
     entries are at most d · max_degree for a neighbourhood of d ≤ reach + 1
-    nodes.
+    nodes, and part 1's float64 sums of D_cj² and D_cj²·deg_j, at most
+    (reach + 1) · max_degree³.
 
     Part 1 counts the rows of D and AᵀA in float32.  The rows of D are
     at most max_degree, which the first bound keeps below 2¹⁷ (reach ≥ 1
@@ -275,8 +279,8 @@ def _words(bits):
 
 
 def _overlaps(a, b):
-    """|a_i ∩ b_j| for bit-set rows a (..., n, w) and b (..., m, w), as (..., n, m)."""
-    out = np.zeros(a.shape[:-1] + b.shape[-2:-1], dtype=np.int64)
+    """|a_i ∩ b_j| for bit-set rows a (..., n, w) and b (..., m, w), as float64 (..., n, m)."""
+    out = np.zeros(a.shape[:-1] + b.shape[-2:-1])
     for k in range(a.shape[-1]):
         out += np.bitwise_count(a[..., :, None, k] & b[..., None, :, k])
     return out
@@ -293,17 +297,22 @@ def _rows_used(rows, dtype):
     return rows[..., used].astype(dtype), used
 
 
-def _add_row_blocks(acc, bits, words, deg) -> None:
+def _add_row_blocks(acc, bits, bits_t, words, deg, opposite_deg) -> None:
     """Parts 1 and 3, a block of analysis rows of every graph in the chunk at a time.
 
-    Each block's rows of D are computed once, as the float32 product of
-    the block's rows of A with the columns of ``bits`` that those rows
-    use.  Part 1 takes its sums over them, reading the analysis degrees
-    from ``deg``.  Their pairs p < q with D_pq ≥ 2, p in the block, give
-    ``upper``, the block's rows of U = (D − 1)·[D ≥ 2] above the
-    diagonal; part 1 reads half of Aᵀ·U·A from it, and part 3 lists its
-    triples with t ≥ 2 from the same pairs.  Only part 3 reads the bit-set rows
-    ``words``.
+    Each block's rows of D are computed once, and only from the block's
+    first column on: the float32 product of the block's rows of A with
+    the rows of ``bits_t``, the transposed biadjacency, that those rows
+    use, from that column on.  Part 1's sums Σ_j D_cj² and
+    Σ_j D_cj²·deg_j, with the analysis degrees ``deg``, are the block's
+    row sums over these columns, plus, for each later row j, the column
+    sums of D_pj over the rows p of every earlier block; both are one
+    float64 product with (1, deg).  Σ_j D_cj is a row's degrees on the
+    opposite side, ``opposite_deg``, summed over its neighbours.  The
+    block's pairs p < q with D_pq ≥ 2 give ``upper``, the block's rows
+    of U = (D − 1)·[D ≥ 2] above the diagonal; part 1 reads half of
+    Aᵀ·U·A from it, and part 3 lists its triples with t ≥ 2 from the
+    same pairs.  Only part 3 reads the bit-set rows ``words``.
 
     Part 1 adds the sum of g(x, y, z, 0) over all end pairs of each
     center.  Per center c, with r1 and s2 the sums of D_ci and D_ci²
@@ -325,25 +334,31 @@ def _add_row_blocks(acc, bits, words, deg) -> None:
     chunk, na, ns = bits.shape
     gram = np.zeros((chunk, ns, ns), dtype=np.float32)  # AᵀA: common neighbours of opposite nodes
     excess = np.zeros((chunk, ns, ns))  # E, half of Aᵀ·U·A
-    sq, wdeg, reach = (np.empty((chunk, na), dtype=np.int64) for _ in range(3))
+    sums = np.zeros((chunk, na, 2))  # Σ_j D_cj² and Σ_j D_cj²·deg_j
+    reach = np.empty((chunk, na))
     cube, excess_quad = np.empty((chunk, na)), np.empty((chunk, na))
+    opposite = opposite_deg.astype(np.float64)[..., None]
+    weights = np.stack([np.ones((chunk, na)), deg], axis=-1)
     above = ~np.tri(_ROW_BLOCK, dtype=bool)
     pool = []  # part 3's triples with t ≥ 2, one tuple of arrays per step
     for lo in range(0, na, _ROW_BLOCK):
         rows, used = _rows_used(bits[:, lo:lo + _ROW_BLOCK], np.float32)
         n = rows.shape[1]
         gram[:, used[:, None], used] += rows.transpose(0, 2, 1) @ rows
-        # rows of D
-        co = (rows @ bits[:, :, used].astype(np.float32).transpose(0, 2, 1)).astype(np.int64)
-        sq[:, lo:lo + n] = np.einsum("rij,rij->ri", co, co)
-        wdeg[:, lo:lo + n] = np.einsum("rij,rij,rj->ri", co, co, deg)
-        reach[:, lo:lo + n] = co.sum(-1)
-        # the block's rows of U for q > p (no column before the block, and above the diagonal
-        # within its own slab), at the columns ``later`` where any of them is nonzero
-        twice = co[:, :, lo:] >= 2
+        reach[:, lo:lo + n] = (rows @ opposite[:, used])[..., 0]
+        # rows of D from the block's first column on; the entries before it are
+        # column sums of earlier blocks
+        co = rows @ bits_t[:, used, lo:].astype(np.float32)
+        co2 = np.square(co, dtype=np.float64)
+        sums[:, lo:lo + n] += co2 @ weights[:, lo:]
+        sums[:, lo + n:] += co2[:, :, n:].transpose(0, 2, 1) @ weights[:, lo:lo + n]
+        del co2
+        # the block's rows of U for q > p (above the diagonal within its own slab),
+        # at the columns ``later`` where any of them is nonzero
+        twice = co >= 2
         twice[:, :, :n] &= above[:n, :n]
         later = np.flatnonzero(twice.any((0, 1))) + lo
-        upper = np.where(twice[:, :, later - lo], co[:, :, later] - 1, 0)
+        upper = np.where(twice[:, :, later - lo], co[:, :, later - lo] - 1, 0).astype(np.int64)
         del co, twice  # so that they are not held while part 3 counts a pool
         # in float64: these products can pass 2²⁴
         later_rows, later_used = _rows_used(bits[:, later], np.float64)
@@ -361,7 +376,8 @@ def _add_row_blocks(acc, bits, words, deg) -> None:
         n = rows.shape[1]
         cube[:, lo:lo + n] = np.square(rows @ gram[:, used].astype(np.float64)).sum(-1)
         excess_quad[:, lo:lo + n] = ((rows @ excess[:, used[:, None], used]) * rows).sum(-1)
-    r1 = reach - deg
+    sq, wdeg = sums.astype(np.int64).transpose(2, 0, 1)
+    r1 = reach.astype(np.int64) - deg
     s2 = sq - deg * deg
     cube = cube.astype(np.int64)
     xy_shared = (cube - wdeg - 2 * deg * r1) // 2 - excess_quad.astype(np.int64)
@@ -371,64 +387,83 @@ def _add_row_blocks(acc, bits, words, deg) -> None:
     acc[_Q0] += (cube - wdeg - 2 * deg * s2) // 2
 
 
-def _add_single_shares(acc, bits, words, opposite_deg) -> None:
+def _add_single_shares(acc, bits_t, words, opposite_deg) -> None:
     """Part 2: add g(·, 1) − g(·, 0) over the triples inside each N(w).
 
     Each w's degree comes from ``opposite_deg`` and the members of N(w)
-    from its column of ``bits``; the co-degree block of N(w) is counted
-    from the members' bit-set rows in ``words``.  Per w of degree d: X
-    is the co-degree block of N(w), Ā = X − 1 and F = [X ≥ 2] off the
-    diagonal.  For a triple (c; i, j) inside N(w), taken with t = 1,
-    a = Ā_ci, b = Ā_cj, f = Ā_ij, [a > 0] = F_ci and [f > 0] = F_ij, so
-    every sum over the end pairs of c is a row sum of Ā, F and the
-    product ĀF.  Only the N(w) of one degree are stacked, so every block
-    of a stack is d×d.  The blocks are float64, so that ĀF is a BLAS
-    product; every value is an integer within the bound
-    :func:`_check_exact` enforces.
+    from its row of ``bits_t``, the chunk's transposed biadjacency; the
+    co-degree block of N(w) is counted from the members' bit-set rows in
+    ``words``.  Per w of degree d: X is the co-degree block of N(w),
+    Ā = max(X − 1, 0) and F = [Ā > 0], both with a zero diagonal.  For a
+    triple (c; i, j) inside N(w), taken with t = 1, a = Ā_ci, b = Ā_cj,
+    f = Ā_ij, [a > 0] = F_ci and [f > 0] = F_ij, so every sum over the
+    end pairs of c is a row sum of Ā, F and the product ĀF.
+
+    The w of degree 3 or more, from every graph of the chunk, are sorted
+    by degree and cut in that order into stacks of at most ``_STACK``
+    entries, counting each block at the stack's largest degree; a w
+    larger than that is a stack alone.  Each N(w) is padded to its
+    stack's largest degree with the empty bit-set row after the chunk's
+    last node, so padded rows and columns of X, Ā and F are 0, add to
+    no sum, and are dropped only where the sums are added to ``acc``.
+    The blocks are float64, so that ĀF is a BLAS product; every value is
+    an integer within the bound :func:`_check_exact` enforces.
     """
-    chunk, na, ns = bits.shape
+    chunk, na, width = words.shape
+    ns = bits_t.shape[1]
     acc = acc.reshape(16, chunk * na)
-    node_words = words.reshape(chunk * na, words.shape[2])  # node k of graph g is row g·na + k
+    # node k of graph g is row g·na + k, and row chunk·na, the padding, is empty
+    node_words = np.zeros((chunk * na + 1, width), dtype=np.uint64)
+    node_words[:-1] = words.reshape(chunk * na, width)
     deg = opposite_deg.reshape(chunk * ns)  # opposite node w of graph g is entry g·ns + w
-    at_t1 = np.array(_AT_T1)[:, None, None]  # the row of acc for each row of delta
-    for d in np.unique(deg[deg >= 3]).tolist():
+    order = np.flatnonzero(deg >= 3)
+    order = order[np.argsort(deg[order], kind="stable")]
+    sizes = deg[order]
+    owner, member = np.nonzero(bits_t.reshape(chunk * ns, na)[order])
+    member += order[owner] // ns * na  # N(w) of each w in turn, as rows of node_words
+    first = np.cumsum(sizes) - sizes  # where each N(w) starts in member
+    at_t1 = np.array(_AT_T1)[:, None]  # the row of acc for each row of delta
+    lo = 0
+    while lo < len(order):
+        # the longest run from lo whose blocks, each padded to the run's last size, fit _STACK
+        padded = np.arange(1, len(order) - lo + 1) * sizes[lo:] ** 2
+        hi = lo + max(1, int(np.searchsorted(padded, _STACK, side="right")))
+        top = int(sizes[hi - 1])
+        d = sizes[lo:hi, None]
+        slot = np.arange(top)
+        real = slot < d
+        members = np.where(real, member.take(first[lo:hi, None] + slot, mode="clip"), chunk * na)
+        block = node_words[members]
+        abar = _overlaps(block, block)
+        abar -= 1
+        np.maximum(abar, 0, out=abar)
+        abar[:, slot, slot] = 0
+        flat = (abar > 0).astype(np.float64)
+        prod = abar @ flat
+        r = abar.sum(2)  # also Σ Ā·F, as Ā > 0 exactly where F = 1
+        q = flat.sum(2)
+        aa = np.einsum("kij,kij->ki", abar, abar)
+        aq = prod.sum(2)
         pairs = (d - 1) * (d - 2) // 2  # end pairs of each center
-        diag = np.arange(d)
-        graph, w = np.divmod(np.flatnonzero(deg == d), ns)
-        _, cols = np.nonzero(bits[graph, :, w])
-        nodes = cols.reshape(len(w), d) + (graph * na)[:, None]
-        step = max(1, _STACK // (d * d))
-        for lo in range(0, len(nodes), step):
-            members = nodes[lo:lo + step]
-            block = node_words[members]
-            abar = _overlaps(block, block).astype(np.float64)
-            abar[:, diag, diag] = 1
-            flat = (abar >= 2).astype(np.float64)
-            abar -= 1
-            prod = abar @ flat
-            r = abar.sum(2)
-            q = flat.sum(2)
-            aa = np.einsum("kij,kij->ki", abar, abar)
-            af = np.einsum("kij,kij->ki", abar, flat)
-            aq = prod.sum(2)
-            u_ab = (r * r - aa) // 2  # ab
-            u_s = (d - 2) * r  # a + b
-            u_f = r.sum(1, keepdims=True) // 2 - r  # f
-            u_sflat = aq - af  # (a + b)[f > 0]
-            u_sf = np.einsum("kij,kj->ki", abar, r) - aa  # (a + b)f
-            u_xy = u_ab + u_s + pairs
-            delta = np.stack([
-                -(u_s + pairs),
-                u_s,
-                np.einsum("kij,kij->ki", prod, abar) // 2 - u_xy,
-                u_ab,
-                u_sflat,
-                -(u_ab + u_sf + u_s + u_f + pairs),
-                u_ab + u_sf,
-                u_sflat - u_s - pairs,
-                aq + r * q - 2 * af - np.einsum("kij,kij->ki", prod, flat),
-            ]).astype(np.int64)
-            np.add.at(acc, (at_t1, members), delta)
+        u_ab = (r * r - aa) // 2  # ab
+        u_s = (d - 2) * r  # a + b
+        u_f = r.sum(1, keepdims=True) // 2 - r  # f
+        u_sflat = aq - r  # (a + b)[f > 0]
+        u_sf = np.einsum("kij,kj->ki", abar, r) - aa  # (a + b)f
+        u_xy = u_ab + u_s + pairs
+        delta = np.stack([
+            -(u_s + pairs),
+            u_s,
+            np.einsum("kij,kij->ki", prod, abar) // 2 - u_xy,
+            u_ab,
+            u_sflat,
+            -(u_ab + u_sf + u_s + u_f + pairs),
+            u_ab + u_sf,
+            u_sflat - u_s - pairs,
+            aq + r * q - 2 * r - np.einsum("kij,kij->ki", prod, flat),
+        ])[:, real].astype(np.int64)
+        np.add.at(acc, (at_t1, members[real]), delta)
+        lo = hi
 
 
 def _deep_triples(words, lo, upper, later):
@@ -498,10 +533,11 @@ def _count(bits):
     chunk, na, _ = bits.shape
     deg, opposite_deg = bits.sum(2), bits.sum(1)
     _check_exact(na, int(deg.max(initial=0)), int(opposite_deg.max(initial=0)))
+    bits_t = np.ascontiguousarray(bits.transpose(0, 2, 1))
     words = _words(bits)
     acc = np.zeros((16, chunk, na), dtype=np.int64)
-    _add_row_blocks(acc, bits, words, deg)
-    _add_single_shares(acc, bits, words, opposite_deg)
+    _add_row_blocks(acc, bits, bits_t, words, deg, opposite_deg)
+    _add_single_shares(acc, bits_t, words, opposite_deg)
     return acc
 
 

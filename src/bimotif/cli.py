@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import logging
 import os
@@ -64,6 +65,11 @@ log = logging.getLogger("bimotif")
 SCHEMA_VERSION = 1
 
 _ARROWS = {"below": "↓", "inside": "=", "above": "↑", None: "n/a"}
+# Encoder chunks joined per write of report.json.  A 1,000-node report has
+# about 131,000 chunks: one write each took 48 ms of CPU, batches 46 ms.
+# Encoding the whole object at once peaked at 7.1 MB of tracemalloc, where
+# the stream stays under 0.1 MB.
+_JSON_BATCH = 256
 
 
 class _Parser(argparse.ArgumentParser):
@@ -211,7 +217,10 @@ def _report_skeleton(args, meta: dict) -> dict:
 
 
 def _write_json(f, obj: dict) -> None:
-    json.dump(obj, f, indent=2, allow_nan=False)
+    """Stream ``obj`` as indented JSON, ``_JSON_BATCH`` encoder chunks per write."""
+    chunks = json.JSONEncoder(indent=2, allow_nan=False).iterencode(obj)
+    while batch := list(itertools.islice(chunks, _JSON_BATCH)):
+        f.write("".join(batch))
     f.write("\n")
 
 

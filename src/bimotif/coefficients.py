@@ -89,9 +89,13 @@ def _semantic_counts(c: CensusTotals, semantics: str, scope: Union[str, int]):
     return c.path_counts[i], c.closure_pairs[i]
 
 
-def _profile(counts: Sequence[int], closed: Sequence[int]) -> ClusteringProfile:
+def _denominators(counts: Sequence[int]) -> tuple[int, int, int, int]:
     n0, n1, n2 = counts
-    denominators = (n0, n0 + n1, n1 + n2, n2)
+    return n0, n0 + n1, n1 + n2, n2
+
+
+def _profile(counts: Sequence[int], closed: Sequence[int]) -> ClusteringProfile:
+    denominators = _denominators(counts)
     numerators = tuple(closed)
     cc = tuple(
         Fraction(num, den) if den else None
@@ -104,6 +108,16 @@ def global_profile(c: CensusTotals, semantics: str = "configuration") -> Cluster
     """Whole-network coefficients from global totals, such as those a :class:`MotifCensus` carries."""
     counts, closed = _semantic_counts(c, semantics, "global")
     return _profile(counts, closed)
+
+
+def global_values(c: CensusTotals, semantics: str = "configuration") -> tuple[Optional[float], ...]:
+    """The four global coefficients as floats, None where undefined, with no Fraction built.
+
+    Each is the integer ratio of :func:`global_profile`'s numerator and
+    denominator; int / int is correctly rounded, as ``float(Fraction)`` is.
+    """
+    counts, closed = _semantic_counts(c, semantics, "global")
+    return tuple(num / den if den else None for num, den in zip(closed, _denominators(counts)))
 
 
 def local_profile(c: MotifCensus, i: int, semantics: str = "configuration") -> ClusteringProfile:

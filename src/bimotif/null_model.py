@@ -61,7 +61,8 @@ import numpy as np
 
 from .census import census  # unused here; kept because bench/traced.py wraps null_model.census
 from .census import _chunk_step, census_totals
-from .coefficients import SEMANTICS, global_profile
+from .coefficients import global_profile  # unused here; kept because bench/traced.py wraps it
+from .coefficients import SEMANTICS, global_values
 from .errors import BimotifError, _in_memory
 from .graph import BipartiteGraph, Side
 
@@ -535,10 +536,7 @@ def run_ensemble(g: BipartiteGraph, cfg: EnsembleConfig) -> EnsembleStats:
     # the replicas are allocated outside the kernel's guard, so guard them too
     with _in_memory("count", na, ns):
         totals_per_replica = _in_workers(lambda part: census_totals(replicas(part)), cfg.runs, step)
-    rows = []
-    for totals in totals_per_replica:
-        prof = global_profile(totals, cfg.semantics)
-        rows.append(tuple(None if v is None else float(v) for v in prof.cc))
+    rows = [global_values(totals, cfg.semantics) for totals in totals_per_replica]
 
     classes = []
     for k in range(4):

@@ -12,10 +12,13 @@ whole network; the global score is thus the network scored against
 itself.  Nodes scoring above the global score are influential; nodes
 with a negative score drive against the clustering behaviour.
 
-Scores are exact Fractions until presentation.  Per-class direction
-flags compare the local coefficient with the confidence interval:
-below it, inside it, or above it (with only a midpoint available,
-"inside" degenerates to exact equality).
+Scores are exact Fractions until presentation.  They are computed in
+integers: a component for the local value n/d and the midpoint P/Q is
+(P·d − n·Q)/(P·d) or (n·Q − P·d)/(d·(Q − P)), the components are summed
+over one integer denominator, and each score is one Fraction.  Per-class
+direction flags compare the local coefficient with the confidence
+interval by cross-multiplication: below it, inside it, or above it (with
+only a midpoint available, "inside" degenerates to exact equality).
 """
 
 from __future__ import annotations
@@ -102,30 +105,39 @@ class DrivingScoreReport:
         return tuple(n.label for n in self.nodes if n.anti_driver)
 
 
-def _branch(numerator: Fraction, denominator: Fraction) -> Fraction:
-    if denominator == 0:
-        if numerator == 0:
-            return Fraction(0)
-        raise DegenerateMidpoint("zero denominator in score branch")
-    return numerator / denominator
+def _below(value: Rational, mid: Rational) -> bool:
+    """value < mid, by cross-multiplication."""
+    return value.numerator * mid.denominator < mid.numerator * value.denominator
 
 
-def g_component(cc_k: Rational, ci_k: Rational) -> Fraction:
-    """Normalized distance of one global coefficient from its midpoint."""
-    cc_k = Fraction(cc_k)
-    ci_k = Fraction(ci_k)
-    if cc_k < ci_k:
-        return _branch(ci_k - cc_k, ci_k)
-    return _branch(cc_k - ci_k, 1 - ci_k)
+def _component(n: int, d: int, p: int, q: int, global_below: bool) -> tuple[int, int]:
+    """f_k for the local value n/d and the midpoint p/q (d, q > 0), as integers (num, den).
+
+    With t = n·q − p·d, the local value is below the midpoint when t < 0;
+    its component is then (p·d − n·q)/(p·d), else (n·q − p·d)/(d·(q − p)),
+    negated when ``global_below`` says the global value is on the other
+    side.  A zero denominator gives 0 over a zero numerator and raises
+    :class:`DegenerateMidpoint` otherwise.
+    """
+    t = n * q - p * d
+    num, den = (-t, p * d) if t < 0 else (t, d * (q - p))
+    if not den:
+        if num:
+            raise DegenerateMidpoint("zero denominator in score branch")
+        return 0, 1
+    return (-num if global_below != (t < 0) else num), den
 
 
 def f_component(cc_global: Rational, cc_local: Rational, ci_k: Rational) -> Fraction:
     """The node's g_component, negated when it opposes the network's side of CI_k."""
-    ci_k = Fraction(ci_k)
-    g = g_component(cc_local, ci_k)
-    if (Fraction(cc_global) < ci_k) != (Fraction(cc_local) < ci_k):
-        return -g
-    return g
+    local, mid = Fraction(cc_local), Fraction(ci_k)
+    return Fraction(*_component(local.numerator, local.denominator, mid.numerator,
+                                mid.denominator, _below(Fraction(cc_global), mid)))
+
+
+def g_component(cc_k: Rational, ci_k: Rational) -> Fraction:
+    """Normalized distance of one global coefficient from its midpoint."""
+    return f_component(cc_k, cc_k, ci_k)
 
 
 def _cc4(values) -> tuple[Optional[Fraction], ...]:
@@ -142,23 +154,36 @@ def _bands(bands) -> tuple[Optional[CIBand], ...]:
     )
 
 
-def _node_score(local, global_cc, bands, literal_divisor) -> tuple[Optional[Fraction], int]:
-    """(ds_node score, count of classes with global, local and band all defined)."""
-    comps = [
-        f_component(g, l, b.midpoint)
-        for g, l, b in zip(global_cc, local, bands)
-        if g is not None and l is not None and b is not None
-    ]
-    if not comps:
+def _classes(global_cc, bands) -> tuple[Optional[tuple[int, int, bool]], ...]:
+    """Per class, (p, q, global value < p/q) for the midpoint p/q; None where either is undefined."""
+    return tuple(
+        None if g is None or b is None
+        else (b.midpoint.numerator, b.midpoint.denominator, _below(g, b.midpoint))
+        for g, b in zip(global_cc, bands)
+    )
+
+
+def _node_score(local, classes, literal_divisor) -> tuple[Optional[Fraction], int]:
+    """(ds_node score, count of classes with global, local and band all defined).
+
+    The components are summed over one integer denominator, and the
+    score is the one Fraction built.
+    """
+    num, den, count = 0, 1, 0
+    for value, k in zip(local, classes):
+        if value is not None and k is not None:
+            n, d = _component(value.numerator, value.denominator, *k)
+            num, den = num * d + n * den, den * d
+            count += 1
+    if not count:
         return None, 0
-    divisor = 4 if literal_divisor else len(comps)
-    return sum(comps, Fraction(0)) / divisor, len(comps)
+    return Fraction(num, den * (4 if literal_divisor else count)), count
 
 
 def ds_global(global_cc, ci) -> Fraction:
     """Mean g_component over the defined classes: the network scored against itself."""
     cc = _cc4(global_cc)
-    score, _ = _node_score(cc, cc, _bands(ci), literal_divisor=False)
+    score, _ = _node_score(cc, _classes(cc, _bands(ci)), literal_divisor=False)
     if score is None:
         raise AllUndefined("no class has both a coefficient and a midpoint")
     return score
@@ -170,20 +195,29 @@ def ds_node(local_cc, global_cc, ci, literal_divisor: bool = False) -> Optional[
     With literal_divisor=True undefined components contribute zero and
     the divisor stays 4.
     """
-    return _node_score(_cc4(local_cc), _cc4(global_cc), _bands(ci), literal_divisor)[0]
+    classes = _classes(_cc4(global_cc), _bands(ci))
+    return _node_score(_cc4(local_cc), classes, literal_divisor)[0]
+
+
+def _bounds(band: CIBand) -> tuple[Fraction, Fraction]:
+    """The band's (low, high); a missing bound is the midpoint."""
+    return (band.low if band.low is not None else band.midpoint,
+            band.high if band.high is not None else band.midpoint)
+
+
+def _direction(value: Rational, low: Rational, high: Rational) -> str:
+    if _below(value, low):
+        return DIRECTION_BELOW
+    if _below(high, value):
+        return DIRECTION_ABOVE
+    return DIRECTION_INSIDE
 
 
 def direction_of(local: Optional[Fraction], band: Optional[CIBand]) -> Optional[str]:
     """Where the local coefficient sits relative to the interval."""
     if local is None or band is None:
         return None
-    low = band.low if band.low is not None else band.midpoint
-    high = band.high if band.high is not None else band.midpoint
-    if local < low:
-        return DIRECTION_BELOW
-    if local > high:
-        return DIRECTION_ABOVE
-    return DIRECTION_INSIDE
+    return _direction(Fraction(local), *_bounds(band))
 
 
 def classify(
@@ -203,14 +237,17 @@ def classify(
     c = census_result if census_result is not None else census(g, side)
     gp = global_profile(c, semantics)
     ds_g = ds_global(gp, bands)
+    classes = _classes(gp.cc, bands)
+    bounds = tuple(None if b is None else _bounds(b) for b in bands)
     labels = g.labels(side)
     degrees = g.degree_sequence(side)
     nodes = []
     for i in range(c.node_count):
         lp = local_profile(c, i, semantics)
-        ds, defined = _node_score(lp.cc, gp.cc, bands, literal_divisor)
+        ds, defined = _node_score(lp.cc, classes, literal_divisor)
         directions = tuple(
-            direction_of(lk, b) for lk, b in zip(lp.cc, bands)
+            None if lk is None or b is None else _direction(lk, *b)
+            for lk, b in zip(lp.cc, bounds)
         )
         nodes.append(
             NodeScore(

@@ -10,7 +10,12 @@ closed forms to be checked against.  ``set_curveball`` is the degree
 model on one neighbour set per row, and ``divmod_density_rewire`` the
 density model on tuples, drawing through ``sample``.
 ``tuple_set_randomize`` is the swap chain the degree model replaced,
-kept as the reference its mixing is compared with.
+kept as the reference its mixing is compared with.  ``fraction_g``,
+``fraction_f``, ``fraction_ds`` and ``fraction_direction`` are the
+driving score's components, node score and directions computed in
+``Fraction`` arithmetic, as the package did before it scored in
+integers; ``g_branches`` and ``f_branches`` write g and f branch by
+branch.
 """
 
 import random
@@ -21,7 +26,7 @@ from math import comb
 
 import numpy as np
 
-from bimotif import BipartiteGraph, MotifCensus, Side, from_indexed_edges
+from bimotif import BipartiteGraph, DegenerateMidpoint, MotifCensus, Side, from_indexed_edges
 from bimotif.census import (
     _ANY, _K0, _K1, _K2, _K3, _P0, _Q0, _Q1, _Q2, _Q3, _S1, _S2, _U0, _U1, _V1, _V2,
 )
@@ -565,3 +570,56 @@ def f_branches(cc_global, cc_local, ci) -> Fraction:
     if cc_global >= ci and cc_local >= ci:
         return (cc_local - ci) / (1 - ci)
     return -(ci - cc_local) / ci
+
+
+def _branch(numerator: Fraction, denominator: Fraction) -> Fraction:
+    """A score branch: 0/0 is 0, and any other zero denominator is DegenerateMidpoint."""
+    if denominator == 0:
+        if numerator == 0:
+            return Fraction(0)
+        raise DegenerateMidpoint("zero denominator in score branch")
+    return numerator / denominator
+
+
+def fraction_g(cc_k, ci_k) -> Fraction:
+    """g_component in Fractions."""
+    cc_k = Fraction(cc_k)
+    ci_k = Fraction(ci_k)
+    if cc_k < ci_k:
+        return _branch(ci_k - cc_k, ci_k)
+    return _branch(cc_k - ci_k, 1 - ci_k)
+
+
+def fraction_f(cc_global, cc_local, ci_k) -> Fraction:
+    """f_component in Fractions: g of the local value, negated when it opposes the global side."""
+    ci_k = Fraction(ci_k)
+    g = fraction_g(cc_local, ci_k)
+    if (Fraction(cc_global) < ci_k) != (Fraction(cc_local) < ci_k):
+        return -g
+    return g
+
+
+def fraction_ds(local, global_cc, midpoints, literal_divisor=False):
+    """(node score, defined component count) in Fractions; (None, 0) when no class is defined."""
+    comps = [
+        fraction_f(g, l, m)
+        for g, l, m in zip(global_cc, local, midpoints)
+        if g is not None and l is not None and m is not None
+    ]
+    if not comps:
+        return None, 0
+    divisor = 4 if literal_divisor else len(comps)
+    return sum(comps, Fraction(0)) / divisor, len(comps)
+
+
+def fraction_direction(local, band):
+    """direction_of by Fraction comparisons; a missing bound is the midpoint."""
+    if local is None or band is None:
+        return None
+    low = band.low if band.low is not None else band.midpoint
+    high = band.high if band.high is not None else band.midpoint
+    if local < low:
+        return "below"
+    if local > high:
+        return "above"
+    return "inside"

@@ -335,6 +335,60 @@ def test_census_totals_with_pairs_sharing_two_across_row_blocks(row_block):
                 map(_totals_of, expected))
 
 
+def test_single_shares_in_degree_sorted_padded_stacks():
+    # part 2 sorts the opposite nodes of degree ≥ 3 by degree and cuts them into stacks
+    # whose block count × largest degree² stays within _STACK, padding every block to that
+    # degree.  At 100 the degrees 3, 4, 5, 5 | 6, 7 | 13 give two stacks of mixed, padded
+    # blocks and a hub of 169 entries alone; degrees 1 and 2 have no triple
+    rng = random.Random(25)
+    degrees = [5, 1, 13, 3, 7, 2, 5, 6, 4]
+    na = 16
+
+    def graph():
+        edges = [(i, j) for j, d in enumerate(degrees) for i in rng.sample(range(na), d)]
+        return from_indexed_edges([f"p{i}" for i in range(na)],
+                                  [f"s{j}" for j in range(len(degrees))], edges)
+
+    graphs = [graph(), graph()]
+    census_module = sys.modules["bimotif.census"]
+    shapes = []
+
+    def recorded(a, b):
+        shapes.append(a.shape[:2])
+        return overlaps(a, b)
+
+    overlaps = census_module._overlaps
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(census_module, "_STACK", 100)
+        mp.setattr(census_module, "_overlaps", recorded)
+        each = [census(g) for g in graphs]
+        assert each == [pairwise_census(g) for g in graphs]
+        assert shapes == [(4, 5), (2, 7), (1, 13)] * 2
+        # a chunk's stacks take the nodes of both graphs: 3, 3, 4, 4 | 5 × 4 | 6, 6 | 7, 7 | 13 | 13
+        shapes.clear()
+        assert census_totals([biadjacency(g) for g in graphs]) == list(map(_totals_of, each))
+        assert shapes == [(4, 4), (4, 5), (2, 6), (2, 7), (1, 13), (1, 13)]
+        for g in graphs:
+            assert census(g, Side.SECONDARY) == pairwise_census(g, Side.SECONDARY)
+
+
+@pytest.mark.parametrize("row_block", [1, 2, 7])
+def test_row_sums_of_d_from_column_sums_of_earlier_blocks(row_block):
+    # part 1 computes a block's rows of D only from the block's first column on; a later
+    # row's sums of D² and D²·deg over the earlier columns are column sums of earlier blocks
+    rng = random.Random(26)
+    graphs = [hub_graph(rng, 23, 9, 0.25), heavy_tailed(rng, 30, 10, 70),
+              random_bipartite(rng, 17, 11, 0.4)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sys.modules["bimotif.census"], "_ROW_BLOCK", row_block)
+        for side in (Side.PRIMARY, Side.SECONDARY):
+            expected = [pairwise_census(g, side) for g in graphs]
+            assert [census(g, side) for g in graphs] == expected
+        chunk = [hub_graph(rng, 23, 9, 0.25) for _ in range(3)]
+        assert census_totals([biadjacency(g) for g in chunk]) == [
+            _totals_of(pairwise_census(g)) for g in chunk]
+
+
 def test_pooled_deep_triples_count_alike_at_any_pool_bound():
     # part 3 pools its triples with t ≥ 2 across steps and row blocks: counting each step
     # as it comes (bound 1), pooling a few (5), or only at the end (a bound above any pool)
@@ -372,8 +426,8 @@ def test_census_totals_read_a_nonzero_cell_as_an_edge():
 
 def test_kernel_transient_memory_is_bounded(davis):
     # the step bound trades memory for speed: at 2¹⁴ one census, or one chunk of
-    # census_totals, peaks at 1.9-2.2 MB on these inputs (dense 1.94, skewed 2.17,
-    # Southern Women 2.01), and at 2¹⁵ at 2.2-3.4 MB (3.42 on the dense input)
+    # census_totals, peaks at 1.9-2.2 MB on these inputs (dense 1.94, skewed 2.16,
+    # Southern Women 2.06), and at 2¹⁵ at 2.2-3.4 MB (3.42 on the dense input)
     rng = random.Random(14)
     dense = random_bipartite(rng, 100, 100, 0.2)
     skewed = heavy_tailed(rng, 1000, 300, 3000)

@@ -197,6 +197,24 @@ def test_startup_leaves_scipy_unimported(tmp_path):
     assert not [m for m in modules if m.split(".")[0] == "scipy"]
 
 
+def test_census_leaves_numpy_ma_unimported(tmp_path):
+    # np.unique imports numpy.ma on its first call, about 14 ms of a cold command
+    src = str(Path(bimotif.__file__).resolve().parents[1])
+    script = (
+        "import sys\n"
+        "import bimotif.cli\n"
+        "for argv in (['analyze'], ['report', '--runs', '50']):\n"
+        "    assert bimotif.cli.main(argv + ['--input', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+        "    assert 'numpy.ma' not in sys.modules, argv[0]\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script, WOMEN, str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert (tmp_path / "out" / "replicas.csv").exists()
+
+
 def test_report_independent_of_blas_threads(tmp_path):
     # an ensemble chunk's part-1 products run through BLAS; the counts stay exact
     # integers.  The 200x60 graph is one replica per kernel call, so each of its
@@ -600,10 +618,10 @@ def test_exit_code_census_too_large_in_ensemble_chunk(tmp_path, caplog, monkeypa
     else:
         counted = census_module._add_row_blocks
 
-        def exhausted(acc, bits, words, deg):
+        def exhausted(acc, bits, *rest):
             if len(bits) > 1:  # a chunk of several graphs, not the input
                 raise MemoryError
-            counted(acc, bits, words, deg)
+            counted(acc, bits, *rest)
 
         monkeypatch.setattr(census_module, "_add_row_blocks", exhausted)
         message = "too large to count in memory"

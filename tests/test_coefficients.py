@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 
 from bimotif import (
+    SEMANTICS,
+    CensusTotals,
     InvalidNode,
     Side,
     census,
@@ -12,6 +14,7 @@ from bimotif import (
     global_profile,
     local_profile,
 )
+from bimotif.coefficients import global_values
 from expected_values import (
     GLOBAL_PRIMARY_EXACT,
     GLOBAL_SECONDARY_EXACT,
@@ -125,3 +128,21 @@ def test_format_value():
 def test_format_value_of_a_float_or_int_equals_its_fraction(value):
     # replica values are floats: rendered from their exact binary value, with no Fraction built
     assert format_value(value) == format_value(Fraction(value))
+
+
+def test_global_values_equal_the_profile_floats(davis):
+    # an ensemble reads each replica's coefficients as int / int, with no Fraction;
+    # both round the exact ratio once, so they agree beyond 2⁵³ too
+    rng = random.Random(27)
+
+    def totals(n):
+        big = [rng.choice([0, 1, 3, rng.randrange(2 ** 40), rng.randrange(2 ** 90)]) for _ in range(n)]
+        return tuple(6 * v for v in big)  # a common factor, so no ratio is in lowest terms
+
+    cases = [census(davis), census(c6())]
+    for _ in range(200):
+        cases.append(CensusTotals(totals(3), totals(4), totals(4), totals(1)[0], totals(3), totals(4)))
+    for c in cases:
+        for semantics in SEMANTICS:
+            expected = tuple(None if v is None else float(v) for v in global_profile(c, semantics).cc)
+            assert global_values(c, semantics) == expected

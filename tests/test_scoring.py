@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bimotif import (
@@ -37,7 +37,14 @@ from expected_values import (
     NOORDIN_ROWS,
 )
 from graphs import k33, small_graphs
-from oracles import f_branches, g_branches
+from oracles import (
+    f_branches,
+    fraction_direction,
+    fraction_ds,
+    fraction_f,
+    fraction_g,
+    g_branches,
+)
 
 
 def test_g_component_examples():
@@ -221,6 +228,10 @@ def test_aggregation_matches_branch_oracles(g, bands):
                 expected = total / (4 if literal else len(defined)) if defined else None
                 assert node.ds == expected
                 assert ds_node(local, gp, bands, literal) == expected
+                assert node.directions == tuple(
+                    fraction_direction(lk, b if b is None or isinstance(b, CIBand) else CIBand(b))
+                    for lk, b in zip(local, bands)
+                )
 
 
 def test_load_ci_bands_midpoint_file(tmp_path):
@@ -279,3 +290,63 @@ def test_load_ci_bands_rejects_unusable(tmp_path):
     path.write_text(json.dumps({"ci_midpoints": [0.1, 0.2]}), encoding="utf-8")
     with pytest.raises(MissingCI):
         load_ci_bands(path)
+
+
+# values around the midpoints: the midpoint itself, 0 and 1, negative and above 1
+_VALUES = st.fractions(min_value=-2, max_value=3, max_denominator=12)
+
+
+@st.composite
+def _scored_class(draw):
+    """One class's (global value, local value, band), each possibly undefined."""
+    mid = draw(st.sampled_from([Fraction(0), Fraction(1)]) | _VALUES)
+    value = st.none() | st.just(mid) | _VALUES
+    glob, local = draw(value), draw(value)
+    bound = st.none() | st.just(mid) | _VALUES
+    low, high = draw(bound), draw(bound)
+    band = CIBand(
+        mid,
+        None if low is None else min(low, mid),
+        None if high is None else max(high, mid),
+    )
+    return glob, local, draw(st.none() | st.just(mid) | st.just(band))
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except DegenerateMidpoint:
+        return DegenerateMidpoint
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(classes=st.lists(_scored_class(), min_size=4, max_size=4), literal=st.booleans())
+# midpoint 0 under a negative local value, and 1 under a local value above 1
+@example([(Fraction(1), Fraction(-1), Fraction(0))] + [(None, None, None)] * 3, False)
+@example([(Fraction(1), Fraction(2), Fraction(1))] + [(None, None, None)] * 3, True)
+# 0/0 branches: local value equal to a midpoint of 0 and of 1
+@example([(Fraction(0), Fraction(0), Fraction(0)), (Fraction(1), Fraction(1), Fraction(1))]
+         + [(None, None, None)] * 2, True)
+def test_integer_scoring_equals_fraction_oracles(classes, literal):
+    glob, local, bands = zip(*classes)
+    mids = [b.midpoint if isinstance(b, CIBand) else b for b in bands]
+    for g, lk, m in zip(glob, local, mids):
+        if m is None:
+            continue
+        for value in (g, lk):
+            if value is not None:
+                assert _outcome(g_component, value, m) == _outcome(fraction_g, value, m)
+        if g is not None and lk is not None:
+            assert _outcome(f_component, g, lk, m) == _outcome(fraction_f, g, lk, m)
+    expected = _outcome(fraction_ds, local, glob, mids, literal)
+    score = _outcome(ds_node, local, glob, bands, literal)
+    assert score == (expected if expected is DegenerateMidpoint else expected[0])
+    own = _outcome(fraction_ds, glob, glob, mids)
+    if own == (None, 0):
+        with pytest.raises(AllUndefined):
+            ds_global(glob, bands)
+    else:
+        assert _outcome(ds_global, glob, bands) == (own if own is DegenerateMidpoint else own[0])
+    for lk, b in zip(local, bands):
+        band = b if b is None or isinstance(b, CIBand) else CIBand(b)
+        assert direction_of(lk, band) == fraction_direction(lk, band)
