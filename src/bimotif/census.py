@@ -88,13 +88,13 @@ No float copy of the whole of A is held.
 The rows packed into uint64 bit sets are used only where popcounts
 count overlaps: part 2's co-degree blocks and part 3's t.
 
-:func:`census_totals` reads its graphs' biadjacencies a chunk at a
-time, as many as fit ``_CHUNK_CELLS``, and returns each graph's global
-totals (:class:`CensusTotals`), which :func:`_totals` reads from the
-per-center sums.  :func:`census` is the chunk of one, the graph's own
-biadjacency (its transpose for the secondary side): its
-:class:`MotifCensus` is those same totals together with the per-node
-rows.
+:func:`census_totals` takes a (graphs, na, ns) stack of biadjacencies,
+counts it a slice at a time, as many graphs as fit ``_CHUNK_CELLS``,
+and returns each graph's global totals (:class:`CensusTotals`), which
+:func:`_totals` reads from the per-center sums.  :func:`census` is the
+chunk of one, the graph's own biadjacency (its transpose for the
+secondary side): its :class:`MotifCensus` is those same totals
+together with the per-node rows.
 
 All arithmetic is on integers, in int64 or in floating-point products
 whose values are integers small enough to be exact;
@@ -104,10 +104,9 @@ kernel's input, could break that.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -590,31 +589,23 @@ def _chunk_step(na: int, ns: int) -> int:
     return max(1, _CHUNK_CELLS // max(1, na * ns))
 
 
-def census_totals(biadjacencies: Iterable[np.ndarray]) -> list[CensusTotals]:
-    """The global totals of each graph, given as its (na, ns) biadjacency.
+def census_totals(bits: np.ndarray) -> list[CensusTotals]:
+    """The global totals of each graph of ``bits``, a (graphs, na, ns) stack of biadjacencies.
 
     Any nonzero cell is an edge.  The analysis side is the rows (pass
-    ``bits.T`` to count the columns), and every array must have the
-    first one's shape.  The arrays are read and counted a chunk at a
-    time, as many per kernel call as fit ``_CHUNK_CELLS``, so many
-    small graphs cost little more than one; the totals equal those of
-    :func:`census` on each graph.  Raises :class:`CensusTooLarge` as
-    :func:`census` does.
+    ``bits.transpose(0, 2, 1)`` to count the columns).  The stack is
+    counted a slice at a time, as many graphs per kernel call as fit
+    ``_CHUNK_CELLS``, so many small graphs cost little more than one;
+    the totals equal those of :func:`census` on each graph.  Raises
+    :class:`CensusTooLarge` as :func:`census` does.
     """
-    biadjacencies = iter(biadjacencies)
-    first = next(biadjacencies, None)
-    if first is None:
-        return []
-    na, ns = first.shape
+    _, na, ns = bits.shape
     step = _chunk_step(na, ns)
-    biadjacencies = itertools.chain([first], biadjacencies)
     totals = []
-    while chunk := list(itertools.islice(biadjacencies, step)):
-        if any(bits.shape != (na, ns) for bits in chunk):
-            raise ValueError("a census chunk needs graphs with equal node counts")
+    for lo in range(0, len(bits), step):
         with _in_memory("count", na, ns):
-            acc = _count(np.stack(chunk))
-        totals += [_totals(acc[:, k].tolist()) for k in range(len(chunk))]
+            acc = _count(bits[lo:lo + step])
+        totals += map(_totals, acc.transpose(1, 0, 2).tolist())
     return totals
 
 

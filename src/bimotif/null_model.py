@@ -10,17 +10,18 @@ Two replica generators are available:
   of Strona et al., Nat. Commun. 5, 2014, sampled as in Carstens,
   Berger & Strona, arXiv:1609.05137).
 
-A replica is made as bit rows: the generators map the graph's
-read-only (primary, secondary) boolean biadjacency to a replica's,
-filled from the random stream.  The density model sets the cells of
-one ``rng.sample`` call; the degree model runs the Curveball rounds of
-a whole chunk of replicas together, in numpy, with each replica's keys
-drawn from its own ``random.Random``.  :func:`run_ensemble` hands the
-replicas, in order, to :func:`census_totals` (transposed for the
-secondary side), which counts them a chunk at a time and gives each
-replica's global totals; its global clustering profile is computed
-from those alone.  :func:`randomize` and :func:`density_rewire` give a
-generator's array the graph's labels.
+A replica is made as bit rows: each generator maps the graph's
+read-only (primary, secondary) boolean biadjacency and a list of
+seeds to one (seeds, primary, secondary) stack of replicas, each drawn
+from its own ``random.Random``.  The density model sets the cells of
+one ``rng.sample`` call per replica; the degree model runs the
+Curveball rounds of the whole stack together, in numpy.
+:func:`run_ensemble` makes a chunk's stack, transposes it once for the
+secondary side, and hands it to :func:`census_totals`, which gives
+each replica's global totals; its global clustering profile is
+computed from those alone.  :func:`randomize` and
+:func:`density_rewire` give a generator's replica for one seed the
+graph's labels.
 
 A run of two or more kernel calls is split at multiples of the chunk
 step (``_CHUNK_CELLS`` // (na·ns), at least one replica) into
@@ -233,12 +234,20 @@ def _curveball_rows(bits: np.ndarray, seeds: list[int], swaps_per_edge: int) -> 
     return out
 
 
-def _sampled_rows(bits: np.ndarray, seed: int) -> np.ndarray:
-    """The density model's replica of ``bits``: its edge count of cells, drawn by ``rng.sample``."""
-    cells = bytearray(bits.size)
-    for c in random.Random(seed).sample(range(bits.size), int(np.count_nonzero(bits))):
-        cells[c] = 1
-    return np.frombuffer(cells, dtype=bool).reshape(bits.shape)
+def _sampled_rows(bits: np.ndarray, seeds: list[int]) -> np.ndarray:
+    """The density model's replica of ``bits`` for each seed, stacked.
+
+    The result has shape (len(seeds), n, k).  Each replica sets the
+    input's edge count of its n·k cells, drawn by one ``rng.sample``
+    call of its own ``random.Random``, so it depends on its seed alone.
+    """
+    size, m = bits.size, int(np.count_nonzero(bits))
+    cells = bytearray(len(seeds) * size)
+    for r, seed in enumerate(seeds):
+        # sample draws the same positions from any range of this length
+        for c in random.Random(seed).sample(range(r * size, (r + 1) * size), m):
+            cells[c] = 1
+    return np.frombuffer(cells, dtype=bool).reshape(len(seeds), *bits.shape)
 
 
 def randomize(g: BipartiteGraph, seed: int, swaps_per_edge: int = 10) -> BipartiteGraph:
@@ -260,7 +269,8 @@ def density_rewire(g: BipartiteGraph, seed: int) -> BipartiteGraph:
 
     The replica that :func:`run_ensemble` counts for that seed.
     """
-    return BipartiteGraph(g.primary_labels, g.secondary_labels, _sampled_rows(g.biadjacency, seed))
+    rows = _sampled_rows(g.biadjacency, [seed])[0]
+    return BipartiteGraph(g.primary_labels, g.secondary_labels, rows)
 
 
 def _two_sided(t: Decimal, nu: int) -> Decimal:
@@ -522,20 +532,21 @@ def run_ensemble(g: BipartiteGraph, cfg: EnsembleConfig) -> EnsembleStats:
     na, ns = g.node_count(cfg.side), g.node_count(cfg.side.other())
     step = _chunk_step(na, ns)
 
-    def replicas(part: range):
+    def count(part: range) -> list:
         # a chunk at a time, so that the degree model runs one chunk's rounds together
+        totals = []
         for lo in range(part.start, part.stop, step):
             seeds = [replica_seed(cfg.seed, r) for r in range(lo, min(lo + step, part.stop))]
             if cfg.null_model == "degree":
                 chunk = _curveball_rows(g.biadjacency, seeds, cfg.swaps_per_edge)
             else:
-                chunk = [_sampled_rows(g.biadjacency, seed) for seed in seeds]
-            for rows in chunk:
-                yield rows if cfg.side is Side.PRIMARY else rows.T
+                chunk = _sampled_rows(g.biadjacency, seeds)
+            totals += census_totals(chunk if cfg.side is Side.PRIMARY else chunk.transpose(0, 2, 1))
+        return totals
 
     # the replicas are allocated outside the kernel's guard, so guard them too
     with _in_memory("count", na, ns):
-        totals_per_replica = _in_workers(lambda part: census_totals(replicas(part)), cfg.runs, step)
+        totals_per_replica = _in_workers(count, cfg.runs, step)
     rows = [global_values(totals, cfg.semantics) for totals in totals_per_replica]
 
     classes = []

@@ -413,7 +413,7 @@ def test_replica_rows_equal_the_oracle_generators(m):
                                   biadjacency(expected))
             assert randomize(g, seed, swaps) == expected
         expected = divmod_density_rewire(g, seed)
-        assert np.array_equal(_sampled_rows(biadjacency(g), seed), biadjacency(expected))
+        assert np.array_equal(_sampled_rows(biadjacency(g), [seed])[0], biadjacency(expected))
         assert density_rewire(g, seed) == expected
 
 
@@ -425,8 +425,8 @@ def test_generators_leave_the_input_rows_alone():
     for seed in range(20):
         shuffled = _curveball_rows(bits, [seed], 10)
         assert np.array_equal(_curveball_rows(bits, [seed], 10), shuffled)
-        sampled = _sampled_rows(bits, seed)
-        assert np.array_equal(_sampled_rows(bits, seed), sampled)
+        sampled = _sampled_rows(bits, [seed])
+        assert np.array_equal(_sampled_rows(bits, [seed]), sampled)
     assert np.array_equal(bits, before)
 
 
@@ -436,11 +436,12 @@ def test_a_chunk_of_replicas_equals_each_seed_alone(davis):
     for g in (davis, graph_with_edges(rng, 65), graph_with_edges(rng, 64, SHAPES[1])):
         bits = biadjacency(g)
         seeds = [replica_seed(4, r) for r in range(70)]
-        together = _curveball_rows(bits, seeds, 10)
-        assert together.shape == (70, *bits.shape)
-        for seed, rows in zip(seeds, together):
-            assert np.array_equal(rows, _curveball_rows(bits, [seed], 10)[0])
-        assert np.array_equal(_curveball_rows(bits, seeds[5:], 10), together[5:])
+        for generate in (lambda s: _curveball_rows(bits, s, 10), lambda s: _sampled_rows(bits, s)):
+            together = generate(seeds)
+            assert together.shape == (70, *bits.shape)
+            for seed, rows in zip(seeds, together):
+                assert np.array_equal(rows, generate([seed])[0])
+            assert np.array_equal(generate(seeds[5:]), together[5:])
 
 
 def edges_moved(bits, replicas):
@@ -455,7 +456,7 @@ def test_curveball_mixes_like_the_swap_chain(davis):
     chain = [biadjacency(tuple_set_randomize(davis, seed)) for seed in seeds]
     curveball = run_ensemble(davis, EnsembleConfig(runs=400, seed=1, null_model="degree"))
     # each Southern Women class mean within three standard errors of the difference
-    chain_values = [global_profile(totals).cc for totals in census_totals(chain)]
+    chain_values = [global_profile(totals).cc for totals in census_totals(np.stack(chain))]
     for k, stats in enumerate(curveball.classes):
         values = [float(row[k]) for row in chain_values]
         assert stats.defined_count == len(values) == 400

@@ -89,8 +89,7 @@ def _inputs(seed: int) -> dict:
         "skewed-replica": _curveball_rows(skewed, [replica_seed(seed, 0)], 10),
         "skewed-secondary": skewed.T[None],
         "dense": graphs["dense"].biadjacency[None],
-        "women-chunk": np.stack([_sampled_rows(women, replica_seed(seed, r))
-                                 for r in range(WOMEN_CHUNK)]),
+        "women-chunk": _sampled_rows(women, [replica_seed(seed, r) for r in range(WOMEN_CHUNK)]),
     }
 
 
