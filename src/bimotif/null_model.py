@@ -153,8 +153,13 @@ def _mix64(x: int) -> int:
 
 
 def replica_seed(seed: int, replica: int) -> int:
-    """Derived seed for one replica; stable across runs counts."""
-    return _mix64((seed ^ replica) & _MASK64)
+    """Derived seed for one replica; stable across runs counts.
+
+    The base seed is mixed before it meets the replica index, so that
+    base seeds differing only in their low bits do not give one set of
+    replica seeds in another order.
+    """
+    return _mix64(_mix64(seed & _MASK64) ^ replica)
 
 
 def _curveball_rows(bits: np.ndarray, seeds: list[int], swaps_per_edge: int) -> np.ndarray:

@@ -175,6 +175,16 @@ def test_replica_seed_spread():
     assert replica_seed(42, 7) != replica_seed(43, 7)
 
 
+def test_replica_seeds_depend_on_the_whole_base_seed(davis):
+    # base seeds that differed only in low bits once gave one set of replica seeds
+    # in another order, and so identical intervals
+    seeds = {replica_seed(seed, r) for seed in range(16) for r in range(2000)}
+    assert len(seeds) == 16 * 2000
+    classes = {run_ensemble(davis, EnsembleConfig(runs=200, seed=seed)).classes
+               for seed in (0, 1, 5, 7)}
+    assert len(classes) == 4
+
+
 def test_ensemble_prefix_property(davis):
     short = run_ensemble(davis, EnsembleConfig(runs=5, seed=9))
     long = run_ensemble(davis, EnsembleConfig(runs=10, seed=9))
