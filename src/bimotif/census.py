@@ -15,8 +15,7 @@ Counting happens at two granularities:
 * configuration level: the 5-node set {three analysis nodes, two via
   nodes} induced by a path.  A configuration of class e (its induced
   edge count minus 4) has e+1 centers and closes to class c when any
-  of its internal paths does.  Per-node counts anchor a configuration
-  at each of its centers; global totals count it once.
+  of its internal paths does.
 
 The configuration level is what the clustering coefficients use by
 default; the path level feeds the alternate closure policies and the
@@ -88,13 +87,11 @@ No float copy of the whole of A is held.
 The rows packed into uint64 bit sets are used only where popcounts
 count overlaps: part 2's co-degree blocks and part 3's t.
 
-:func:`census_totals` takes a (graphs, na, ns) stack of biadjacencies,
-counts it a slice at a time, as many graphs as fit ``_CHUNK_CELLS``,
-and returns each graph's global totals (:class:`CensusTotals`), which
-:func:`_totals` reads from the per-center sums.  :func:`census` is the
-chunk of one, the graph's own biadjacency (its transpose for the
-secondary side): its :class:`MotifCensus` is those same totals
-together with the per-node rows.
+:func:`_groups` is the one table from the kernel's 16 per-center sums
+to the six count groups: applied to each center's sums it gives the
+per-node rows, and applied to their sums over all centers the global
+totals.  :func:`census_totals` reads the totals of each graph of a
+stack, and :func:`census` reads both for one graph.
 
 All arithmetic is on integers, in int64 or in floating-point products
 whose values are integers small enough to be exact;
@@ -167,13 +164,9 @@ class CensusTotals:
 
 @dataclass(frozen=True)
 class MotifCensus(CensusTotals):
-    """The global totals of one census run, with the per-node rows they sum.
+    """The global totals of one census run, with one row per analysis node in each group.
 
-    Each per-node row holds the counts anchored at one analysis node.  A
-    path-level total is the sum of its per-node rows; configuration
-    totals are deduplicated (a configuration with several centers is
-    counted once globally).  Both are read from the per-node sums of the
-    16 per-triple counts, as :func:`census_totals` reads them.
+    A node's row holds the counts anchored at it (see :func:`_groups`).
     """
 
     path_counts: tuple[tuple[int, int, int], ...]
@@ -527,61 +520,64 @@ def _count(bits):
     array in which any nonzero cell is an edge.  Both sides' degrees are
     summed from it once, for :func:`_check_exact` and for parts 1 and 2;
     its rows are packed once into the bit sets that count overlaps.
+    Raises :class:`CensusTooLarge` when the counts could not be exact,
+    or when an allocation fails: this is the census's one memory guard.
     """
-    bits = bits.astype(bool, copy=False)
-    chunk, na, _ = bits.shape
-    deg, opposite_deg = bits.sum(2), bits.sum(1)
-    _check_exact(na, int(deg.max(initial=0)), int(opposite_deg.max(initial=0)))
-    bits_t = np.ascontiguousarray(bits.transpose(0, 2, 1))
-    words = _words(bits)
-    acc = np.zeros((16, chunk, na), dtype=np.int64)
-    _add_row_blocks(acc, bits, bits_t, words, deg, opposite_deg)
-    _add_single_shares(acc, bits_t, words, opposite_deg)
-    return acc
+    chunk, na, ns = bits.shape
+    with _in_memory("count", na, ns):
+        bits = bits.astype(bool, copy=False)
+        deg, opposite_deg = bits.sum(2), bits.sum(1)
+        _check_exact(na, int(deg.max(initial=0)), int(opposite_deg.max(initial=0)))
+        bits_t = np.ascontiguousarray(bits.transpose(0, 2, 1))
+        words = _words(bits)
+        acc = np.zeros((16, chunk, na), dtype=np.int64)
+        _add_row_blocks(acc, bits, bits_t, words, deg, opposite_deg)
+        _add_single_shares(acc, bits_t, words, opposite_deg)
+        return acc
+
+
+def _groups(s, per_node: bool) -> tuple:
+    """The six count groups of :class:`CensusTotals`, in field order, from the 16 per-center sums ``s``.
+
+    Per node, ``s`` holds each row's values at every center, and a
+    configuration counts at each of its centers.  Globally, ``s`` holds
+    the rows' sums over all centers, and a class-1 or class-2
+    configuration, counted at each of its 2 or 3 centers, is divided by
+    them.
+    """
+    one, two = (1, 1) if per_node else (2, 3)
+    return (
+        (s[_K0], s[_K1], 2 * s[_K2]),
+        (s[_P0], s[_U0] + s[_V1], s[_U1] + s[_V2], 2 * s[_K3]),
+        (s[_Q0], s[_Q1], s[_Q2], s[_Q3]),
+        s[_ANY],
+        (s[_K0], s[_K1] // one, s[_K2] // two),
+        (s[_P0], s[_U0] + s[_S1] // one, s[_U1] // one + s[_S2] // two, s[_K3] // two),
+    )
 
 
 def _totals(rows) -> CensusTotals:
     """Global totals from one graph's per-center sums (16 rows, one value per center)."""
-    s = [sum(row) for row in rows]
-    return CensusTotals(
-        path_totals=(s[_K0], s[_K1], 2 * s[_K2]),
-        path_closed_totals=(s[_P0], s[_U0] + s[_V1], s[_U1] + s[_V2], 2 * s[_K3]),
-        closure_pair_totals=(s[_Q0], s[_Q1], s[_Q2], s[_Q3]),
-        path_closed_any_total=s[_ANY],
-        config_totals=(s[_K0], s[_K1] // 2, s[_K2] // 3),
-        config_closed_totals=(
-            s[_P0],
-            s[_U0] + s[_S1] // 2,
-            s[_U1] // 2 + s[_S2] // 3,
-            s[_K3] // 3,
-        ),
-    )
+    return CensusTotals(*_groups([sum(row) for row in rows], per_node=False))
 
 
-def _per_node(columns) -> tuple:
-    return tuple(map(tuple, np.stack(columns, axis=1).tolist()))
+def _rows(group) -> tuple:
+    """A per-node count group as Python rows: a tuple per node, or one int per node."""
+    if isinstance(group, tuple):
+        return tuple(zip(*(column.tolist() for column in group)))
+    return tuple(group.tolist())
 
 
 def census(g: BipartiteGraph, side: Side = Side.PRIMARY) -> MotifCensus:
     """Count paths, configurations and their closures for one side.
 
-    Sums the 16 per-triple counts over every center and pair of ends, in
-    the three parts the module docstring describes; the kernel runs on a
-    chunk of one graph.  Raises :class:`CensusTooLarge` when the counts
-    could not be exact, or when the arrays do not fit in memory.
+    The kernel, :func:`_count`, counts a chunk of one graph: its
+    biadjacency for the primary side, the transpose for the secondary.
+    Raises :class:`CensusTooLarge` as the kernel does.
     """
     bits = g.biadjacency if side is Side.PRIMARY else g.biadjacency.T
-    with _in_memory("count", *bits.shape):
-        acc = _count(bits[None])[:, 0]
-    return MotifCensus(
-        **vars(_totals(acc.tolist())),
-        path_counts=_per_node([acc[_K0], acc[_K1], 2 * acc[_K2]]),
-        path_closed=_per_node([acc[_P0], acc[_U0] + acc[_V1], acc[_U1] + acc[_V2], 2 * acc[_K3]]),
-        closure_pairs=_per_node([acc[_Q0], acc[_Q1], acc[_Q2], acc[_Q3]]),
-        path_closed_any=tuple(acc[_ANY].tolist()),
-        config_counts=_per_node([acc[_K0], acc[_K1], acc[_K2]]),
-        config_closed=_per_node([acc[_P0], acc[_U0] + acc[_S1], acc[_U1] + acc[_S2], acc[_K3]]),
-    )
+    acc = _count(bits[None])[:, 0]
+    return MotifCensus(*vars(_totals(acc.tolist())).values(), *map(_rows, _groups(acc, per_node=True)))
 
 
 def _chunk_step(na: int, ns: int) -> int:
@@ -595,17 +591,14 @@ def census_totals(bits: np.ndarray) -> list[CensusTotals]:
     Any nonzero cell is an edge.  The analysis side is the rows (pass
     ``bits.transpose(0, 2, 1)`` to count the columns).  The stack is
     counted a slice at a time, as many graphs per kernel call as fit
-    ``_CHUNK_CELLS``, so many small graphs cost little more than one;
-    the totals equal those of :func:`census` on each graph.  Raises
-    :class:`CensusTooLarge` as :func:`census` does.
+    ``_CHUNK_CELLS``, so many small graphs cost little more than one.
+    Raises :class:`CensusTooLarge` as the kernel, :func:`_count`, does.
     """
     _, na, ns = bits.shape
     step = _chunk_step(na, ns)
     totals = []
     for lo in range(0, len(bits), step):
-        with _in_memory("count", na, ns):
-            acc = _count(bits[lo:lo + step])
-        totals += map(_totals, acc.transpose(1, 0, 2).tolist())
+        totals += map(_totals, _count(bits[lo:lo + step]).transpose(1, 0, 2).tolist())
     return totals
 
 
@@ -613,13 +606,14 @@ def opsahl(c: MotifCensus) -> OpsahlStats:
     """Reference closure measure: closed 4-paths over all 4-paths.
 
     Opsahl's ratio (Social Networks 35, 2013), read from the census path
-    layer: a node's 4-paths are its path counts summed over the three
-    classes, and its closed ones are those with at least one closure.
+    layer: 4-paths are the path counts summed over the three classes,
+    and the closed ones are those with at least one closure, per node
+    from the rows and globally from the totals.
     """
     per_tau = tuple(sum(row) for row in c.path_counts)
     per_closed = c.path_closed_any
-    tau = sum(per_tau)
-    closed = sum(per_closed)
+    tau = sum(c.path_totals)
+    closed = c.path_closed_any_total
     per_c = tuple(
         Fraction(k, t) if t else None for k, t in zip(per_closed, per_tau)
     )
