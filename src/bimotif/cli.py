@@ -369,10 +369,14 @@ def _write_files(out_dir: Path, files) -> None:
 
 
 def _file_bands(args, side: Side):
-    file_side, bands = load_ci_bands(args.ci_file)
+    file_side, file_semantics, bands = load_ci_bands(args.ci_file)
     if file_side is not None and file_side is not side:
         raise InvalidConfig(
             f"--ci-file is for the {file_side.value} side, requested {side.value}"
+        )
+    if file_semantics is not None and file_semantics != args.semantics:
+        raise InvalidConfig(
+            f"--ci-file is for the {file_semantics} semantics, requested {args.semantics}"
         )
     return bands
 

@@ -107,6 +107,8 @@ class EnsembleConfig:
                 raise InvalidConfig(f"{name} must be an integer: {getattr(self, name)!r}") from None
         if self.runs < 2:
             raise InvalidConfig(f"runs must be >= 2, got {self.runs}")
+        if not 0 <= self.seed <= _MASK64:
+            raise InvalidConfig(f"seed must be in [0, 2**64), got {self.seed}")
         if self.swaps_per_edge < 0:
             raise InvalidConfig("swaps_per_edge must be >= 0")
         if self.null_model not in NULL_MODELS:
@@ -155,11 +157,12 @@ def _mix64(x: int) -> int:
 def replica_seed(seed: int, replica: int) -> int:
     """Derived seed for one replica; stable across runs counts.
 
-    The base seed is mixed before it meets the replica index, so that
-    base seeds differing only in their low bits do not give one set of
-    replica seeds in another order.
+    The base seed, in [0, 2⁶⁴) as :class:`EnsembleConfig` checks, is
+    mixed before it meets the replica index, so that base seeds
+    differing only in their low bits do not give one set of replica
+    seeds in another order.
     """
-    return _mix64(_mix64(seed & _MASK64) ^ replica)
+    return _mix64(_mix64(seed) ^ replica)
 
 
 def _curveball_rows(bits: np.ndarray, seeds: list[int], swaps_per_edge: int) -> np.ndarray:

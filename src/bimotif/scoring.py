@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from .census import MotifCensus, census
-from .coefficients import ClusteringProfile, format_value, global_profile, local_profile
+from .coefficients import SEMANTICS, ClusteringProfile, format_value, global_profile, local_profile
 from .errors import BimotifError
 from .graph import BipartiteGraph, Side
 
@@ -314,31 +314,41 @@ def bands_from_classes(classes) -> tuple[Optional[CIBand], ...]:
     return tuple(_band(c.get("midpoint"), c.get("ci_low"), c.get("ci_high")) for c in classes)
 
 
-def load_ci_bands(path: str | Path) -> tuple[Optional[Side], tuple[Optional[CIBand], ...]]:
-    """Read interval midpoints from a JSON file.
+def load_ci_bands(
+    path: str | Path,
+) -> tuple[Optional[Side], Optional[str], tuple[Optional[CIBand], ...]]:
+    """Read interval midpoints from a JSON file, with the side and semantics it names.
 
     Accepts either a midpoint file {"side": ..., "ci_midpoints": [4]}
     with optional 4-entry "ci_low"/"ci_high" arrays, or a previously
-    written ensemble report (its per-class stats are reused).  Numbers
-    are parsed exactly, not through binary floats.  Anything else, or a
-    band that fails the checks of :func:`_band`, raises MissingCI.
+    written ensemble report (its per-class stats are reused).  The side
+    and the semantics are read at the top level, else under "config",
+    and are None when the file names none.  Numbers are parsed exactly,
+    not through binary floats.  Anything else, an unknown side or
+    semantics, or a band that fails the checks of :func:`_band`, raises
+    MissingCI.
     """
     text = Path(path).read_text(encoding="utf-8")
     try:
         obj = json.loads(text, parse_float=Decimal, parse_int=Decimal)
     except RecursionError:
         raise json.JSONDecodeError("too deeply nested", text, 0) from None
-    side = None
-    raw_side = None
-    if isinstance(obj, dict):
-        raw_side = obj.get("side")
-        if raw_side is None and isinstance(obj.get("config"), dict):
-            raw_side = obj["config"].get("side")
-    if raw_side is not None:
+
+    def named(key):
+        if not isinstance(obj, dict):
+            return None
+        if obj.get(key) is None and isinstance(obj.get("config"), dict):
+            return obj["config"].get(key)
+        return obj.get(key)
+
+    side, semantics = named("side"), named("semantics")
+    if side is not None:
         try:
-            side = Side(raw_side)
+            side = Side(side)
         except ValueError:
             raise MissingCI(f"side must be 'primary' or 'secondary' in {path}") from None
+    if semantics is not None and not (isinstance(semantics, str) and semantics in SEMANTICS):
+        raise MissingCI(f"semantics must be one of {', '.join(SEMANTICS)} in {path}")
 
     if isinstance(obj, dict) and "ci_midpoints" in obj:
         mids = obj["ci_midpoints"]
@@ -347,7 +357,7 @@ def load_ci_bands(path: str | Path) -> tuple[Optional[Side], tuple[Optional[CIBa
         for key, values in (("ci_midpoints", mids), ("ci_low", lows), ("ci_high", highs)):
             if not isinstance(values, list) or len(values) != 4:
                 raise MissingCI(f"{key} must hold exactly 4 entries")
-        return side, tuple(_band(m, lo, hi) for m, lo, hi in zip(mids, lows, highs))
+        return side, semantics, tuple(_band(m, lo, hi) for m, lo, hi in zip(mids, lows, highs))
 
     classes = None
     if isinstance(obj, dict):
@@ -356,6 +366,6 @@ def load_ci_bands(path: str | Path) -> tuple[Optional[Side], tuple[Optional[CIBa
         elif "classes" in obj:
             classes = obj["classes"]
     if classes is not None:
-        return side, bands_from_classes(classes)
+        return side, semantics, bands_from_classes(classes)
 
     raise MissingCI(f"no usable interval data in {path}")

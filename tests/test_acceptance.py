@@ -105,7 +105,7 @@ def test_criterion_2_per_node_coefficients_match_reference(davis):
 def test_criterion_3_driving_scores_and_influence_sets(davis):
     # scores within +/-0.0005 against the reference score tables, with
     # the interval midpoints injected from tests/data
-    side_p, bands_p = load_ci_bands(DATA / "ci_southern_women_primary.json")
+    side_p, _, bands_p = load_ci_bands(DATA / "ci_southern_women_primary.json")
     assert side_p is Side.PRIMARY
     report = classify(davis, bands_p)
     assert report.ds_global == pytest.approx(DS_GLOBAL_PRIMARY, abs=5e-4)
@@ -117,7 +117,7 @@ def test_criterion_3_driving_scores_and_influence_sets(davis):
     assert by_label["Olivia"].ds == by_label["Flora"].ds
     assert by_label["Olivia"].ds == pytest.approx(-0.8607, abs=5e-4)
 
-    side_s, bands_s = load_ci_bands(DATA / "ci_southern_women_secondary.json")
+    side_s, _, bands_s = load_ci_bands(DATA / "ci_southern_women_secondary.json")
     assert side_s is Side.SECONDARY
     report_s = classify(davis, bands_s, side=Side.SECONDARY)
     assert report_s.ds_global == pytest.approx(DS_GLOBAL_SECONDARY, abs=5e-4)
@@ -172,7 +172,7 @@ def test_criterion_4_optional_second_dataset():
     gp = global_profile(census(g))
     for value, ref in zip(gp.cc, expected["global_cc"]):
         assert value == pytest.approx(ref, abs=1e-4)
-    _, bands = load_ci_bands(DATA / "ci_noordin_members.json")
+    _, _, bands = load_ci_bands(DATA / "ci_noordin_members.json")
     report = classify(g, bands)
     assert report.ds_global == pytest.approx(expected["ds_global"], abs=5e-4)
     by_label = {n.label: n for n in report.nodes}

@@ -457,6 +457,20 @@ def test_exit_code_bad_runs(tmp_path):
     assert main(argv) == 3
 
 
+@pytest.mark.parametrize("seed", [-1, 1 << 64])
+def test_exit_code_seed_outside_64_bits(tmp_path, caplog, seed):
+    # replica seeds read a base seed modulo 2⁶⁴: -1 and 2⁶⁴ − 1 gave one ensemble
+    with pytest.raises(bimotif.InvalidConfig):
+        bimotif.EnsembleConfig(seed=seed)
+    assert bimotif.EnsembleConfig(seed=(1 << 64) - 1).seed == (1 << 64) - 1
+    out = tmp_path / "out"
+    argv = ["ensemble", "--input", WOMEN, "--runs", "2", "--seed", str(seed), "--out", str(out)]
+    assert main(argv) == 3
+    (record,) = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert record.getMessage() == f"seed must be in [0, 2**64), got {seed}"
+    assert not (out / "report.json").exists()
+
+
 def test_exit_code_ci_side_mismatch(tmp_path):
     ci = write_midpoints(tmp_path, side="secondary")
     argv = [
@@ -466,6 +480,26 @@ def test_exit_code_ci_side_mismatch(tmp_path):
         "--out", str(tmp_path),
     ]
     assert main(argv) == 3
+
+
+def test_exit_code_ci_semantics_mismatch(tmp_path, caplog):
+    ensemble = tmp_path / "ensemble"
+    argv = ["ensemble", "--input", WOMEN, "--semantics", "pair-count", "--runs", "5"]
+    assert main(argv + ["--out", str(ensemble)]) == 0
+    score = ["score", "--input", WOMEN, "--ci-file", str(ensemble / "report.json")]
+    assert main(score + ["--semantics", "pair-count", "--out", str(tmp_path / "same")]) == 0
+    caplog.clear()
+    assert main(score + ["--out", str(tmp_path / "out")]) == 3
+    (record,) = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert record.getMessage() == (
+        "--ci-file is for the pair-count semantics, requested configuration"
+    )
+    assert not (tmp_path / "out" / "report.json").exists()
+    # a semantics the package does not know makes the file unusable
+    text = '{"config": {"semantics": "pairs"}, "ci_midpoints": [0.6, 0.5, 0.4, 0.3]}'
+    assert main(_score_argv(tmp_path, text)) == 3
+    assert "semantics must be one of" in caplog.records[-1].getMessage()
+    assert not (tmp_path / "out" / "report.json").exists()
 
 
 def test_exit_code_ci_bounds_short(tmp_path):

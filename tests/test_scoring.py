@@ -238,8 +238,8 @@ def test_load_ci_bands_midpoint_file(tmp_path):
     path = tmp_path / "bands.json"
     payload = {"side": "primary", "ci_midpoints": [0.1, 0.2, None, 0.4]}
     path.write_text(json.dumps(payload), encoding="utf-8")
-    side, bands = load_ci_bands(path)
-    assert side is Side.PRIMARY
+    side, semantics, bands = load_ci_bands(path)
+    assert side is Side.PRIMARY and semantics is None
     assert bands[0] == CIBand(Fraction("0.1"))
     assert bands[2] is None
     assert bands[3].midpoint == Fraction("0.4")
@@ -254,7 +254,7 @@ def test_load_ci_bands_with_bounds(tmp_path):
         "ci_high": [0.6, None, 0.6, 0.6],
     }
     path.write_text(json.dumps(payload), encoding="utf-8")
-    side, bands = load_ci_bands(path)
+    side, _, bands = load_ci_bands(path)
     assert side is Side.SECONDARY
     assert bands[0] == CIBand(Fraction(1, 2), Fraction("0.4"), Fraction("0.6"))
     assert bands[1] == CIBand(Fraction(1, 2), None, None)
@@ -274,7 +274,7 @@ def test_load_ci_bands_from_ensemble_report(tmp_path):
         },
     }
     path.write_text(json.dumps(payload), encoding="utf-8")
-    side, bands = load_ci_bands(path)
+    side, _, bands = load_ci_bands(path)
     assert side is Side.SECONDARY
     assert bands[0].low == Fraction("0.45")
     assert bands[1] == CIBand(Fraction("0.6"))
