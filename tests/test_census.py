@@ -473,9 +473,14 @@ def test_census_out_of_memory_is_census_too_large(monkeypatch):
     def exhausted(*args):
         raise MemoryError
 
-    monkeypatch.setattr(sys.modules["bimotif.census"], "_add_row_blocks", exhausted)
-    with pytest.raises(CensusTooLarge, match="too large to count in memory"):
-        census(c6())
+    kernel = sys.modules["bimotif.census"]
+    monkeypatch.setattr(kernel, "_add_row_blocks", exhausted)
+    bits = biadjacency(c6())
+    # the kernel holds the guard, so every way into it is covered
+    for count in (lambda: census(c6()), lambda: census_totals(np.stack([bits, bits])),
+                  lambda: kernel._count(bits[None])):
+        with pytest.raises(CensusTooLarge, match="too large to count in memory"):
+            count()
 
 
 def test_side_symmetry():
