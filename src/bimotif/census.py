@@ -577,7 +577,8 @@ def census(g: BipartiteGraph, side: Side = Side.PRIMARY) -> MotifCensus:
     """
     bits = g.biadjacency if side is Side.PRIMARY else g.biadjacency.T
     acc = _count(bits[None])[:, 0]
-    return MotifCensus(*vars(_totals(acc.tolist())).values(), *map(_rows, _groups(acc, per_node=True)))
+    totals = vars(_totals(acc.tolist())).values()
+    return MotifCensus(*totals, *map(_rows, _groups(acc, per_node=True)))
 
 
 def _chunk_step(na: int, ns: int) -> int:
