@@ -77,15 +77,15 @@ part-2 stack takes its N(w) from any of them, with node indices offset
 per graph.
 
 The boolean array is the kernel's one source: both sides' degrees are
-summed from it once, the rows of A (part 1) are read from it, and a
-contiguous boolean copy of its transpose gives the later rows of a
-block's product and the members of each N(w) (part 2).  Part 1's
-co-degree product, a block's rows of D, is a float32 matrix product
-over only the columns the block's rows use; its product with U reads
-only the rows that share two neighbours with some row of the block.
-No float copy of the whole of A is held.
-The rows packed into uint64 bit sets are used only where popcounts
-count overlaps: part 2's co-degree blocks and part 3's t.
+summed from it once, for :func:`_check_exact` and parts 1 and 2, the
+rows of A (part 1) are read from it, and a contiguous boolean copy of
+its transpose gives the later rows of a block's product and the members
+of each N(w) (part 2).  Part 1's co-degree product, a block's rows of
+D, is a float32 matrix product over only the columns the block's rows
+use; its product with U reads only the rows that share two neighbours
+with some row of the block.  No float copy of the whole of A is held.
+The rows, packed once into uint64 bit sets, are used only where
+popcounts count overlaps: part 2's co-degree blocks and part 3's t.
 
 :func:`_groups` is the one table from the kernel's 16 per-center sums
 to the six count groups: applied to each center's sums it gives the
@@ -517,11 +517,9 @@ def _count(bits):
     """The kernel: the per-center sums of the 16 per-triple counts, as a 16 × chunk × na array.
 
     ``bits`` is the biadjacency of a chunk of graphs, a (chunk, na, ns)
-    array in which any nonzero cell is an edge.  Both sides' degrees are
-    summed from it once, for :func:`_check_exact` and for parts 1 and 2;
-    its rows are packed once into the bit sets that count overlaps.
-    Raises :class:`CensusTooLarge` when the counts could not be exact,
-    or when an allocation fails: this is the census's one memory guard.
+    array in which any nonzero cell is an edge.  Raises
+    :class:`CensusTooLarge` when the counts could not be exact, or when
+    an allocation fails: this is the census's one memory guard.
     """
     chunk, na, ns = bits.shape
     with _in_memory("count", na, ns):
@@ -539,11 +537,11 @@ def _count(bits):
 def _groups(s, per_node: bool) -> tuple:
     """The six count groups of :class:`CensusTotals`, in field order, from the 16 per-center sums ``s``.
 
-    Per node, ``s`` holds each row's values at every center, and a
-    configuration counts at each of its centers.  Globally, ``s`` holds
-    the rows' sums over all centers, and a class-1 or class-2
-    configuration, counted at each of its 2 or 3 centers, is divided by
-    them.
+    Per node, ``s`` is the kernel's 16 rows of one graph, an array of
+    each center's sums, and a configuration counts at each of its
+    centers.  Globally, ``s`` is the 16 sums over all centers, and a
+    class-1 or class-2 configuration, counted at each of its 2 or 3
+    centers, is divided by them.
     """
     one, two = (1, 1) if per_node else (2, 3)
     return (

@@ -368,16 +368,13 @@ def _write_files(out_dir: Path, files) -> None:
         raise
 
 
-def _file_bands(args, side: Side):
+def _file_bands(args):
+    """The bands of ``--ci-file``, refused unless the side and semantics it names are the flags'."""
     file_side, file_semantics, bands = load_ci_bands(args.ci_file)
-    if file_side is not None and file_side is not side:
-        raise InvalidConfig(
-            f"--ci-file is for the {file_side.value} side, requested {side.value}"
-        )
-    if file_semantics is not None and file_semantics != args.semantics:
-        raise InvalidConfig(
-            f"--ci-file is for the {file_semantics} semantics, requested {args.semantics}"
-        )
+    named = {"side": file_side and file_side.value, "semantics": file_semantics}
+    for key, value in named.items():
+        if value is not None and value != getattr(args, key):
+            raise InvalidConfig(f"--ci-file is for the {value} {key}, requested {getattr(args, key)}")
     return bands
 
 
@@ -387,7 +384,7 @@ def _run(args, out_dir: Path) -> None:
     side = Side(args.side)
     command = args.command
     ci_source = getattr(args, "ci_file", None)
-    bands = None if ci_source is None else _file_bands(args, side)
+    bands = None if ci_source is None else _file_bands(args)
     obj = _report_skeleton(args, meta)
     c = None
     if command in ("analyze", "report"):

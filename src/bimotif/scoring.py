@@ -314,43 +314,37 @@ def bands_from_classes(classes) -> tuple[Optional[CIBand], ...]:
     return tuple(_band(c.get("midpoint"), c.get("ci_low"), c.get("ci_high")) for c in classes)
 
 
-def load_ci_bands(
-    path: str | Path,
-) -> tuple[Optional[Side], Optional[str], tuple[Optional[CIBand], ...]]:
-    """Read interval midpoints from a JSON file, with the side and semantics it names.
+def load_ci_bands(path: str | Path) -> tuple[Optional[Side], Optional[str], tuple[Optional[CIBand], ...]]:
+    """Read interval midpoints, and the side and semantics they are for, from a JSON file.
 
     Accepts either a midpoint file {"side": ..., "ci_midpoints": [4]}
     with optional 4-entry "ci_low"/"ci_high" arrays, or a previously
     written ensemble report (its per-class stats are reused).  The side
-    and the semantics are read at the top level, else under "config",
-    and are None when the file names none.  Numbers are parsed exactly,
-    not through binary floats.  Anything else, an unknown side or
-    semantics, or a band that fails the checks of :func:`_band`, raises
-    MissingCI.
+    and the semantics are read at the top level, else under "config";
+    either is None when the file names none.  Numbers are parsed
+    exactly, not through binary floats.  Anything else, an unknown side
+    or semantics, or a band that fails the checks of :func:`_band`,
+    raises MissingCI.
     """
     text = Path(path).read_text(encoding="utf-8")
     try:
         obj = json.loads(text, parse_float=Decimal, parse_int=Decimal)
     except RecursionError:
         raise json.JSONDecodeError("too deeply nested", text, 0) from None
-
-    def named(key):
-        if not isinstance(obj, dict):
-            return None
-        if obj.get(key) is None and isinstance(obj.get("config"), dict):
-            return obj["config"].get(key)
-        return obj.get(key)
-
-    side, semantics = named("side"), named("semantics")
+    if not isinstance(obj, dict):
+        raise MissingCI(f"no usable interval data in {path}")
+    config = obj["config"] if isinstance(obj.get("config"), dict) else {}
+    side, semantics = (config.get(key) if obj.get(key) is None else obj[key]
+                       for key in ("side", "semantics"))
     if side is not None:
         try:
             side = Side(side)
         except ValueError:
             raise MissingCI(f"side must be 'primary' or 'secondary' in {path}") from None
-    if semantics is not None and not (isinstance(semantics, str) and semantics in SEMANTICS):
+    if semantics is not None and semantics not in SEMANTICS:
         raise MissingCI(f"semantics must be one of {', '.join(SEMANTICS)} in {path}")
 
-    if isinstance(obj, dict) and "ci_midpoints" in obj:
+    if "ci_midpoints" in obj:
         mids = obj["ci_midpoints"]
         lows = obj.get("ci_low", [None] * 4)
         highs = obj.get("ci_high", [None] * 4)
@@ -358,14 +352,8 @@ def load_ci_bands(
             if not isinstance(values, list) or len(values) != 4:
                 raise MissingCI(f"{key} must hold exactly 4 entries")
         return side, semantics, tuple(_band(m, lo, hi) for m, lo, hi in zip(mids, lows, highs))
-
-    classes = None
-    if isinstance(obj, dict):
-        if isinstance(obj.get("ensemble"), dict):
-            classes = obj["ensemble"].get("classes")
-        elif "classes" in obj:
-            classes = obj["classes"]
-    if classes is not None:
-        return side, semantics, bands_from_classes(classes)
-
-    raise MissingCI(f"no usable interval data in {path}")
+    ensemble = obj.get("ensemble")
+    classes = ensemble.get("classes") if isinstance(ensemble, dict) else obj.get("classes")
+    if classes is None:
+        raise MissingCI(f"no usable interval data in {path}")
+    return side, semantics, bands_from_classes(classes)
