@@ -459,7 +459,7 @@ def test_exit_code_bad_runs(tmp_path):
 
 @pytest.mark.parametrize("seed", [-1, 1 << 64])
 def test_exit_code_seed_outside_64_bits(tmp_path, caplog, seed):
-    # replica seeds read a base seed modulo 2⁶⁴: -1 and 2⁶⁴ − 1 gave one ensemble
+    # replica_seed reads a base seed modulo 2⁶⁴, so -1 would give the ensemble of 2⁶⁴ − 1
     with pytest.raises(bimotif.InvalidConfig):
         bimotif.EnsembleConfig(seed=seed)
     assert bimotif.EnsembleConfig(seed=(1 << 64) - 1).seed == (1 << 64) - 1
@@ -494,11 +494,6 @@ def test_exit_code_ci_semantics_mismatch(tmp_path, caplog):
     assert record.getMessage() == (
         "--ci-file is for the pair-count semantics, requested configuration"
     )
-    assert not (tmp_path / "out" / "report.json").exists()
-    # a semantics the package does not know makes the file unusable
-    text = '{"config": {"semantics": "pairs"}, "ci_midpoints": [0.6, 0.5, 0.4, 0.3]}'
-    assert main(_score_argv(tmp_path, text)) == 3
-    assert "semantics must be one of" in caplog.records[-1].getMessage()
     assert not (tmp_path / "out" / "report.json").exists()
 
 
@@ -548,6 +543,7 @@ def _score_argv(tmp_path, ci_text, *extra):
         '{"classes": {"a": 1, "b": 2, "c": 3, "d": 4}}',
         '{"classes": 2}',
         '{"ensemble": {"classes": [{"midpoint": NaN}, {}, {}, {}]}}',
+        '{"config": {"semantics": "pairs"}, "ci_midpoints": [0.6, 0.5, 0.4, 0.3]}',
     ],
     ids=[
         "nan-midpoint",
@@ -569,6 +565,7 @@ def _score_argv(tmp_path, ci_text, *extra):
         "classes-object",
         "classes-number",
         "ensemble-class-nan",
+        "unknown-semantics",
     ],
 )
 def test_exit_code_bad_interval_values(tmp_path, caplog, ci_text):
