@@ -269,7 +269,7 @@ def _stats_json(stats: EnsembleStats) -> dict:
             }
             for c in stats.classes
         ],
-        "replica_values": [list(row) for row in stats.replica_values],
+        "replica_values": stats.replica_values,
     }
 
 
@@ -385,11 +385,8 @@ def _run(args, out_dir: Path) -> None:
     command = args.command
     ci_source = getattr(args, "ci_file", None)
     bands = None if ci_source is None else _file_bands(args)
-    obj = _report_skeleton(args, meta)
-    c = None
-    if command in ("analyze", "report"):
-        c, sections = _analysis_sections(g, side, args.semantics)
-        obj.update(sections)
+    # checked before any stage runs, as the --ci-file is
+    cfg = None
     if command in ("ensemble", "report"):
         cfg = EnsembleConfig(
             runs=args.runs,
@@ -399,6 +396,12 @@ def _run(args, out_dir: Path) -> None:
             null_model=args.null_model,
             semantics=args.semantics,
         )
+    obj = _report_skeleton(args, meta)
+    c = None
+    if command in ("analyze", "report"):
+        c, sections = _analysis_sections(g, side, args.semantics)
+        obj.update(sections)
+    if cfg is not None:
         if command == "ensemble":
             obj["side"] = args.side
         obj["ensemble"] = _stats_json(run_ensemble(g, cfg))

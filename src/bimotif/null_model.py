@@ -18,24 +18,25 @@ one ``rng.sample`` call per replica; the degree model runs the
 Curveball rounds of the whole stack together, in numpy.
 :func:`run_ensemble` makes a chunk's stack, transposes it once for the
 secondary side, and hands it to :func:`census_totals`, which gives
-each replica's global totals; its global clustering profile is
-computed from those alone.  :func:`randomize` and
+each replica's global totals; its four global values are computed
+from those alone, by :func:`global_values`.  :func:`randomize` and
 :func:`density_rewire` give a generator's replica for one seed the
 graph's labels.
 
 A run of two or more kernel calls is split at multiples of the chunk
 step (``_CHUNK_CELLS`` // (na·ns), at least one replica) into
 contiguous ranges, one per usable CPU and at most one per chunk.  A
-forked worker generates and counts each range and pipes its totals
-back; this process only joins them in replica order before any
-profile is computed.  The seeds are per replica and the totals exact
-integers, so every output is byte-identical whatever the number of
-processes.  While the workers run, the OpenBLAS that numpy loaded is
-held at one thread, so that each worker's products run on one thread
-instead of on every core; its own count is restored on every exit.
-Where no such setter is found, only runs whose kernel calls hold two
-or more replicas are forked, and larger graphs are counted here.
-Each process holds its own chunk, so memory is per worker.
+forked worker generates and counts each range, turns each replica's
+totals into its four values, and pipes back only those; this process
+joins them in replica order.  The seeds are per replica and the
+totals exact integers, each value their correctly rounded ratio, so
+every output is byte-identical whatever the number of processes.
+While the workers run, the OpenBLAS that numpy loaded is held at one
+thread, so that each worker's products run on one thread instead of
+on every core; its own count is restored on every exit.  Where no
+such setter is found, only runs whose kernel calls hold two or more
+replicas are forked, and larger graphs are counted here.  Each
+process holds its own chunk, so memory is per worker.
 
 Per class, the defined values are aggregated into a mean, a 95%
 confidence interval from the correctly rounded Student-t quantile, and
@@ -501,7 +502,7 @@ def _in_workers(count: Callable[[range], list], runs: int, step: int) -> list:
                 pipe.close()
                 if status != 0:
                     raise BimotifError(
-                        f"ensemble worker {pid} ended without its totals (exit status {status})"
+                        f"ensemble worker {pid} ended without its values (exit status {status})"
                     )
                 ok, value = pickle.loads(data)
                 if not ok:
@@ -528,9 +529,10 @@ def run_ensemble(g: BipartiteGraph, cfg: EnsembleConfig) -> EnsembleStats:
     A run of two or more chunks is generated and counted in forked
     processes, one per usable CPU at most, each over a contiguous range
     of whole chunks, with BLAS held at one thread (:func:`_in_workers`;
-    it says when a run stays here instead).  The totals come
-    back in replica order and each replica has its own seed, so every
-    output is byte-identical to a single process's.  Each process holds
+    it says when a run stays here instead).  A worker sends back each
+    replica's four values, not its totals; they come back in replica
+    order and each replica has its own seed, so every output is
+    byte-identical to a single process's.  Each process holds
     its own chunk, so peak memory grows with the number of processes.
 
     Raises :class:`CensusTooLarge` when a replica or its count does not
@@ -542,20 +544,20 @@ def run_ensemble(g: BipartiteGraph, cfg: EnsembleConfig) -> EnsembleStats:
 
     def count(part: range) -> list:
         # a chunk at a time, so that the degree model runs one chunk's rounds together
-        totals = []
+        values = []
         for lo in range(part.start, part.stop, step):
             seeds = [replica_seed(cfg.seed, r) for r in range(lo, min(lo + step, part.stop))]
             if cfg.null_model == "degree":
                 chunk = _curveball_rows(g.biadjacency, seeds, cfg.swaps_per_edge)
             else:
                 chunk = _sampled_rows(g.biadjacency, seeds)
-            totals += census_totals(chunk if cfg.side is Side.PRIMARY else chunk.transpose(0, 2, 1))
-        return totals
+            totals = census_totals(chunk if cfg.side is Side.PRIMARY else chunk.transpose(0, 2, 1))
+            values += [global_values(t, cfg.semantics) for t in totals]
+        return values
 
     # the replicas are allocated outside the kernel's guard, so guard them too
     with _in_memory("count", na, ns):
-        totals_per_replica = _in_workers(count, cfg.runs, step)
-    rows = [global_values(totals, cfg.semantics) for totals in totals_per_replica]
+        rows = _in_workers(count, cfg.runs, step)
 
     classes = []
     for k in range(4):

@@ -471,6 +471,29 @@ def test_exit_code_seed_outside_64_bits(tmp_path, caplog, seed):
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--seed", "-1", "seed must be in [0, 2**64), got -1"),
+    ("--runs", "1", "runs must be >= 2, got 1"),
+])
+def test_ensemble_flags_checked_before_any_stage(tmp_path, caplog, monkeypatch, flag, value,
+                                                 message):
+    cli = sys.modules["bimotif.cli"]
+    counted = []
+    census = cli.census
+
+    def recorded(*args, **kwargs):
+        counted.append(args)
+        return census(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "census", recorded)
+    out = tmp_path / "out"
+    assert main(["report", "--input", WOMEN, flag, value, "--out", str(out)]) == 3
+    (record,) = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert record.getMessage() == message
+    assert counted == []
+    assert not (out / "report.json").exists()
+
+
 def test_exit_code_ci_side_mismatch(tmp_path):
     ci = write_midpoints(tmp_path, side="secondary")
     argv = [

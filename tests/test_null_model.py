@@ -5,6 +5,7 @@ import pickle
 import random
 import statistics
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -291,6 +292,23 @@ def test_ensemble_independent_of_worker_count(davis, monkeypatch, forked, graph,
             assert all(pickle.dumps(stats) == pickle.dumps(results[0]) for stats in results[1:])
 
 
+def test_parent_memory_per_replica(davis, monkeypatch, forked):
+    # two workers send back each replica's four values, about 0.2 KB a
+    # replica here; a replica's census totals would take 1.3 KB
+    monkeypatch.setattr(sys.modules["bimotif.null_model"], "_usable_cpus", lambda: 2)
+    run_ensemble(davis, EnsembleConfig(runs=200, seed=1))  # imports, lookups and caches first
+    forked.clear()
+    runs = 2000
+    tracemalloc.start()
+    try:
+        run_ensemble(davis, EnsembleConfig(runs=runs, seed=1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(forked) == 2
+    assert peak < runs * 512
+
+
 @pytest.fixture
 def blas_threads():
     """``get`` of numpy's OpenBLAS thread count, set to two for the test and restored after it."""
@@ -323,7 +341,7 @@ def test_blas_thread_count_restored(monkeypatch, forked, blas_threads, outcome):
         def interrupted(data):
             raise KeyboardInterrupt
 
-        # this process fails while it joins the first worker's totals
+        # this process fails while it joins the first worker's results
         monkeypatch.setattr(pickle, "loads", interrupted)
         with pytest.raises(KeyboardInterrupt):
             _in_workers(count, 4, 1)
