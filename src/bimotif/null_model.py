@@ -3,8 +3,9 @@
 Two replica generators are available:
 
 * ``density``: a fresh uniform graph with the same node counts and the
-  same number of edges.  This is the default and is what the bundled
-  reference midpoints were produced with.
+  same number of edges.  This is the default, and the model the
+  bundled reference intervals are compared with (README, "Null
+  models", says how closely it reproduces them).
 * ``degree``: a global Curveball on the original graph, which
   preserves both degree sequences exactly (the fixed-degree null model
   of Strona et al., Nat. Commun. 5, 2014, sampled as in Carstens,

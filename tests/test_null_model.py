@@ -294,7 +294,7 @@ def test_ensemble_independent_of_worker_count(davis, monkeypatch, forked, graph,
 
 def test_parent_memory_per_replica(davis, monkeypatch, forked):
     # two workers send back each replica's four values, about 0.2 KB a
-    # replica here; a replica's census totals would take 1.3 KB
+    # replica in this process; sending its census totals takes 1.3 KB
     monkeypatch.setattr(sys.modules["bimotif.null_model"], "_usable_cpus", lambda: 2)
     run_ensemble(davis, EnsembleConfig(runs=200, seed=1))  # imports, lookups and caches first
     forked.clear()
