@@ -60,8 +60,9 @@ each g over all triples in three parts:
    two of them sharing at least two neighbours, and evaluated a pool
    at a time, pooled across the steps that list them.  There
    x, y, z ≥ t ≥ 2, so every indicator in g(0) and g(1) is fixed, and
-   :func:`_deep_terms` gives the combination as one short expression
-   per row.
+   :func:`_deep_terms` yields the combination one short expression per
+   row; each row is added to the per-center sums as it is computed, and
+   no stack of the 16 rows is held.
 
 Parts 1 and 3 run in one pass over blocks of analysis rows: each
 block's rows of D are computed once, from the block's first column on
@@ -194,10 +195,11 @@ class OpsahlStats:
 
 
 def _deep_terms(x, y, z, t):
-    """g(t) + (t − 1)·g(0) − t·g(1) for triples with x, y, z ≥ t ≥ 2, as 16 rows.
+    """g(t) + (t − 1)·g(0) − t·g(1) for triples with x, y, z ≥ t ≥ 2, yielded as 16 rows.
 
     With every region of g(0) and g(1) then positive, each of their
-    indicators is fixed, and the combination reduces to these closed forms.
+    indicators is fixed, and the combination reduces to these closed forms,
+    each row computed as it is yielded from region terms computed once.
     """
     tt = t * (t - 1)
     half = tt // 2
@@ -205,24 +207,22 @@ def _deep_terms(x, y, z, t):
     flat = z > t
     a_closes, b_closes = flat | (b > 0), flat | (a > 0)
     s = x + y + z
-    out = np.empty((16,) + t.shape, dtype=np.int64)
-    out[_K0] = tt
-    out[_K1] = -2 * tt
-    out[_K2] = half
-    out[_P0] = a * b * flat + t * (x + y - 1) - x * y
-    out[_U0] = (t - 1) * (t - x * y)
-    out[_V1] = t * ((a + b) * flat - x - y + 2)
-    out[_U1] = t * (a + b)
-    out[_V2] = tt * flat
-    out[_K3] = half * (t > 2)
-    out[_Q0] = tt * (s - t - 1)
-    out[_Q1] = tt * (3 * t + 3 - 2 * s)
-    out[_Q2] = tt * (s - 3 * t)
-    out[_Q3] = tt * (t - 2)
-    out[_ANY] = -tt * (z == 2)
-    out[_S1] = t * (a * a_closes + b * b_closes - x - y + 2)
-    out[_S2] = half * (a_closes | b_closes)
-    return out
+    yield tt  # _K0
+    yield -2 * tt  # _K1
+    yield half  # _K2
+    yield a * b * flat + t * (x + y - 1) - x * y  # _P0
+    yield (t - 1) * (t - x * y)  # _U0
+    yield t * ((a + b) * flat - x - y + 2)  # _V1
+    yield t * (a + b)  # _U1
+    yield tt * flat  # _V2
+    yield half * (t > 2)  # _K3
+    yield tt * (s - t - 1)  # _Q0
+    yield tt * (3 * t + 3 - 2 * s)  # _Q1
+    yield tt * (s - 3 * t)  # _Q2
+    yield tt * (t - 2)  # _Q3
+    yield -tt * (z == 2)  # _ANY
+    yield t * (a * a_closes + b * b_closes - x - y + 2)  # _S1
+    yield half * (a_closes | b_closes)  # _S2
 
 
 def _check_exact(na: int, max_degree: int, max_opposite_degree: int) -> None:
@@ -399,7 +399,8 @@ def _add_single_shares(acc, bits_t, words, opposite_deg) -> None:
     last node, so padded rows and columns of X, Ā and F are 0, add to
     no sum, and are dropped only where the sums are added to ``acc``.
     The blocks are float64, so that ĀF is a BLAS product; every value is
-    an integer within the bound :func:`_check_exact` enforces.
+    an integer within the bound :func:`_check_exact` enforces.  The 9
+    rows nonzero at t = 1 are added to ``acc`` one at a time, unstacked.
     """
     chunk, na, width = words.shape
     ns = bits_t.shape[1]
@@ -414,7 +415,6 @@ def _add_single_shares(acc, bits_t, words, opposite_deg) -> None:
     owner, member = np.nonzero(bits_t.reshape(chunk * ns, na)[order])
     member += order[owner] // ns * na  # N(w) of each w in turn, as rows of node_words
     first = np.cumsum(sizes) - sizes  # where each N(w) starts in member
-    at_t1 = np.array(_AT_T1)[:, None]  # the row of acc for each row of delta
     lo = 0
     while lo < len(order):
         # the longest run from lo whose blocks, each padded to the run's last size, fit _STACK
@@ -443,18 +443,18 @@ def _add_single_shares(acc, bits_t, words, opposite_deg) -> None:
         u_sflat = aq - r  # (a + b)[f > 0]
         u_sf = np.einsum("kij,kj->ki", abar, r) - aa  # (a + b)f
         u_xy = u_ab + u_s + pairs
-        delta = np.stack([
-            -(u_s + pairs),
-            u_s,
-            np.einsum("kij,kij->ki", prod, abar) // 2 - u_xy,
-            u_ab,
-            u_sflat,
-            -(u_ab + u_sf + u_s + u_f + pairs),
-            u_ab + u_sf,
-            u_sflat - u_s - pairs,
-            aq + r * q - 2 * r - np.einsum("kij,kij->ki", prod, flat),
-        ])[:, real].astype(np.int64)
-        np.add.at(acc, (at_t1, members[real]), delta)
+        centers = members[real]
+        for row, values in zip(_AT_T1, (
+                -(u_s + pairs),
+                u_s,
+                np.einsum("kij,kij->ki", prod, abar) // 2 - u_xy,
+                u_ab,
+                u_sflat,
+                -(u_ab + u_sf + u_s + u_f + pairs),
+                u_ab + u_sf,
+                u_sflat - u_s - pairs,
+                aq + r * q - 2 * r - np.einsum("kij,kij->ki", prod, flat)), strict=True):
+            np.add.at(acc[row], centers, values[real].astype(np.int64))
         lo = hi
 
 
@@ -509,7 +509,7 @@ def _add_deep_triples(acc, words, pool) -> None:
     z = np.concatenate([qr, pr, pq])
     deep = _deep_terms(x, y, z, np.tile(t, 3))
     centers = np.concatenate([ps, qs, rs]) + np.tile(gs, 3) * na
-    for row, values in zip(acc.reshape(16, chunk * na), deep):
+    for row, values in zip(acc.reshape(16, chunk * na), deep, strict=True):
         np.add.at(row, centers, values)
 
 
