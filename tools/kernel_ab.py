@@ -19,7 +19,9 @@ that alternates from round to round, and checks that both give equal
 per-center sums.  Besides the total, the time inside ``_add_row_blocks``
 (parts 1 and 3) and ``_add_single_shares`` (part 2) is recorded; "rest"
 is the remainder of ``_count``.  The output is one line per input and
-part: A's and B's medians in milliseconds, and the rounds B won.
+part: A's and B's medians in milliseconds, and the rounds B won.  After
+the timed rounds, one more ``_count`` call per input and side runs under
+``tracemalloc``, and one line per input gives the two traced peaks.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -93,6 +96,16 @@ def _inputs(seed: int) -> dict:
     }
 
 
+def _peak_mb(module, bits) -> float:
+    """The traced peak of one ``_count`` call, in MB."""
+    tracemalloc.start()
+    try:
+        module._count(bits)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("a", help="the census.py to compare against")
@@ -127,6 +140,7 @@ def main(argv=None) -> None:
                     record["rest"].append(total - sum(spent[side][k] for k in PARTS))
                 if not np.array_equal(results[0], results[1]):
                     raise SystemExit(f"{name}: the two kernels' sums differ")
+        peaks = {name: [_peak_mb(m, bits) for m in modules] for name, bits in data.items()}
     print(f"seed {args.seed}, {args.rounds} rounds, CPU ms (median A -> median B, rounds B won)")
     for name in data:
         for k in keys:
@@ -134,6 +148,8 @@ def main(argv=None) -> None:
             wins = sum(y < x for x, y in zip(a, b))
             print(f"{name:17s} {k:19s} {1e3 * statistics.median(a):8.2f} -> "
                   f"{1e3 * statistics.median(b):8.2f}  {wins}/{args.rounds}")
+    for name, (a, b) in peaks.items():
+        print(f"{name:17s} peak MB {a:8.2f} -> {b:8.2f}")
 
 
 if __name__ == "__main__":
