@@ -2,16 +2,17 @@
 
 Nodes live on two sides (primary and secondary) and edges only cross
 sides.  A graph is its two label tuples and one read-only (primary,
-secondary) boolean biadjacency, which the loaders fill directly and
-every count reads; the secondary side is its transpose, so analyses of
-that side take a ``side`` argument rather than another graph.  A graph
-too large to allocate raises :class:`CensusTooLarge`.
+secondary) boolean biadjacency, which every count reads; the loaders
+turn each row into index pairs as they read it, and set all the cells
+in one numpy assignment.  The secondary side is the transpose, so
+analyses of that side take a ``side`` argument rather than another
+graph.  A graph too large to allocate raises :class:`CensusTooLarge`.
 """
 
 from __future__ import annotations
 
 import csv
-import io
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
@@ -114,18 +115,17 @@ class BipartiteGraph:
         return tuple(self.biadjacency.sum(axis=1 if side is Side.PRIMARY else 0).tolist())
 
 
-def _from_cells(
+def _from_pairs(
     primary_labels: Sequence[str],
     secondary_labels: Sequence[str],
-    cells: Iterable[int],
+    pairs: array,
 ) -> BipartiteGraph:
-    """The graph whose biadjacency is True at the row-major offsets ``cells``."""
+    """The graph whose biadjacency is True at each (i, j) of ``pairs``, laid out i0, j0, i1, j1."""
     shape = (len(primary_labels), len(secondary_labels))
     with _in_memory("hold", *shape):
-        flat = bytearray(shape[0] * shape[1])
-    for c in cells:
-        flat[c] = 1
-    bits = np.frombuffer(flat, dtype=bool).reshape(shape)
+        bits = np.zeros(shape, dtype=bool)
+    ij = np.frombuffer(pairs, dtype=np.int64).reshape(-1, 2)
+    bits[ij[:, 0], ij[:, 1]] = True
     return BipartiteGraph(tuple(primary_labels), tuple(secondary_labels), bits)
 
 
@@ -139,27 +139,27 @@ def from_indexed_edges(
     Raises :class:`DimensionMismatch` for an index outside ``[0, count)``
     of its side.
     """
-    edges = list(edges)
     n_p, n_s = len(primary_labels), len(secondary_labels)
-    if not all(0 <= i < n_p and 0 <= j < n_s for i, j in edges):
-        raise DimensionMismatch(f"edge index outside {n_p} primary and {n_s} secondary nodes")
-    return _from_cells(primary_labels, secondary_labels, (i * n_s + j for i, j in edges))
+    pairs = array("q")
+    for i, j in edges:
+        if not (0 <= i < n_p and 0 <= j < n_s):
+            raise DimensionMismatch(f"edge index outside {n_p} primary and {n_s} secondary nodes")
+        pairs.fromlist([i, j])
+    return _from_pairs(primary_labels, secondary_labels, pairs)
 
 
 def from_edge_list(
-    rows: Sequence[tuple[str, str]],
+    rows: Iterable[tuple[str, str]],
 ) -> tuple[BipartiteGraph, int]:
-    """Build a graph from labeled edge rows.
+    """Build a graph from labeled edge rows, any iterable, read once.
 
     Returns the graph and the number of duplicate rows that were
     collapsed.  Node order is first appearance.  A label seen on both
     sides raises BipartiteViolation.
     """
-    if not rows:
-        raise EmptyInput("edge list is empty")
     p_index: dict[str, int] = {}  # label -> index, in order of first appearance
     s_index: dict[str, int] = {}
-    edges: set[tuple[int, int]] = set()
+    pairs = array("q")
     for a, b in rows:
         if not a or not b:
             raise EmptyInput(f"empty label in row ({a!r}, {b!r})")
@@ -167,10 +167,11 @@ def from_edge_list(
             raise BipartiteViolation(f"label {a!r} appears on both sides")
         if b in p_index:
             raise BipartiteViolation(f"label {b!r} appears on both sides")
-        edges.add((p_index.setdefault(a, len(p_index)), s_index.setdefault(b, len(s_index))))
-    n_s = len(s_index)
-    cells = (i * n_s + j for i, j in edges)
-    return _from_cells(list(p_index), list(s_index), cells), len(rows) - len(edges)
+        pairs.fromlist([p_index.setdefault(a, len(p_index)), s_index.setdefault(b, len(s_index))])
+    if not pairs:
+        raise EmptyInput("edge list is empty")
+    g = _from_pairs(list(p_index), list(s_index), pairs)
+    return g, len(pairs) // 2 - g.edge_count
 
 
 def from_biadjacency(
@@ -192,7 +193,7 @@ def from_biadjacency(
     both = set(row_labels) & set(col_labels)
     if both:
         raise BipartiteViolation(f"label {sorted(both)[0]!r} appears on both sides")
-    cells = []
+    pairs = array("q")
     for i, row in enumerate(matrix):
         if len(row) != len(col_labels):
             raise DimensionMismatch(
@@ -200,10 +201,10 @@ def from_biadjacency(
             )
         for j, entry in enumerate(row):
             if entry == 1:
-                cells.append(i * len(row) + j)
+                pairs.fromlist([i, j])
             elif entry != 0:
                 raise NonBinaryEntry(f"entry {entry!r} at ({i}, {j})")
-    return _from_cells(row_labels, col_labels, cells)
+    return _from_pairs(row_labels, col_labels, pairs)
 
 
 def _data_lines(path: str | Path) -> Iterator[str]:
@@ -228,54 +229,53 @@ def _data_lines(path: str | Path) -> Iterator[str]:
 
 
 def load_edge_list(path: str | Path) -> tuple[BipartiteGraph, int]:
-    """Load a two-column edge file, TAB or comma separated.
+    """Load a two-column edge file, TAB or comma separated, reading each row once.
 
     The delimiter is detected from the first data line and must be used
     consistently.  Lines starting with ``#`` are ignored.
     """
-    lines = list(_data_lines(path))
-    delim = "\t" if "\t" in lines[0] else ","
-    rows = []
-    for line in lines:
-        parts = [p.strip() for p in line.split(delim)]
-        if len(parts) != 2:
-            raise MalformedInput(
-                f"expected 2 fields separated by {delim!r}, got {len(parts)}: {line!r}"
-            )
-        rows.append((parts[0], parts[1]))
-    return from_edge_list(rows)
+    def rows() -> Iterator[tuple[str, str]]:
+        delim = None
+        for line in _data_lines(path):
+            delim = delim or ("\t" if "\t" in line else ",")
+            parts = line.split(delim)
+            if len(parts) != 2:
+                raise MalformedInput(
+                    f"expected 2 fields separated by {delim!r}, got {len(parts)}: {line!r}"
+                )
+            yield parts[0].strip(), parts[1].strip()
+
+    return from_edge_list(rows())
 
 
 def load_biadjacency(path: str | Path) -> BipartiteGraph:
-    """Load a biadjacency CSV.
+    """Load a biadjacency CSV, converting each row as it is read.
 
     First row: blank cell, then secondary labels.  Each later row: a
     primary label followed by 0/1 entries.
     """
-    lines = list(_data_lines(path))
-    try:
-        header, *rows = csv.reader(io.StringIO("\n".join(lines)))
-    except csv.Error as exc:  # e.g. a cell longer than csv.field_size_limit()
-        raise MalformedInput(f"unreadable biadjacency CSV: {exc}") from None
-    if len(header) < 2 or header[0].strip():
-        raise MalformedInput("first biadjacency row must start with a blank cell")
-    col_labels = [c.strip() for c in header[1:]]
+    # each line keeps its break, so a quoted cell that spans lines keeps it too
+    reader = csv.reader(f"{line}\n" for line in _data_lines(path))
     row_labels = []
     matrix = []
-    for row in rows:
-        if not row:
-            continue
-        row_labels.append(row[0].strip())
-        entries = []
-        for cell in row[1:]:
-            cell = cell.strip()
-            if cell not in ("0", "1"):
-                raise NonBinaryEntry(f"entry {cell!r} in row {row[0]!r}")
-            entries.append(int(cell))
-        matrix.append(entries)
+    try:
+        header = next(reader)
+        if len(header) < 2 or header[0].strip():
+            raise MalformedInput("first biadjacency row must start with a blank cell")
+        for row in reader:
+            row_labels.append(row[0].strip())
+            entries = bytearray()
+            for cell in row[1:]:
+                cell = cell.strip()
+                if cell not in ("0", "1"):
+                    raise NonBinaryEntry(f"entry {cell!r} in row {row[0]!r}")
+                entries.append(cell == "1")
+            matrix.append(entries)
+    except csv.Error as exc:  # e.g. a cell longer than csv.field_size_limit()
+        raise MalformedInput(f"unreadable biadjacency CSV: {exc}") from None
     if not matrix:
         raise EmptyInput(f"no matrix rows in {path}")
-    return from_biadjacency(matrix, row_labels, col_labels)
+    return from_biadjacency(matrix, row_labels, [c.strip() for c in header[1:]])
 
 
 def detect_format(path: str | Path) -> str:

@@ -1,5 +1,6 @@
 import csv
-import sys
+import random
+import tracemalloc
 from importlib.resources import files
 
 import numpy as np
@@ -47,6 +48,13 @@ def test_from_edge_list_first_appearance_order():
     g, _ = from_edge_list([("b", "y"), ("a", "y"), ("a", "x")])
     assert g.primary_labels == ("b", "a")
     assert g.secondary_labels == ("y", "x")
+
+
+def test_from_edge_list_reads_an_iterator_once():
+    rows = [("a", "E1"), ("b", "E1"), ("a", "E2"), ("a", "E1")]
+    g, dups = from_edge_list(iter(rows))
+    assert (g, dups) == from_edge_list(rows)
+    assert dups == 1
 
 
 def test_from_edge_list_empty_rejected():
@@ -139,6 +147,25 @@ def test_load_edge_list_tab_and_comma(tmp_path):
     csvf.write_text("a,x\nb,x\na,y\n", encoding="utf-8")
     g2, _ = load_edge_list(csvf)
     assert g2 == g
+
+
+def test_load_edge_list_memory_is_bounded(tmp_path):
+    # 20,000 distinct edges over 2,000 x 500 nodes: the 1 MB biadjacency and the
+    # constructor's copy of it are 2 MB of a 2.6 MB peak; keeping each line, row or
+    # edge tuple as well would pass 4 MB
+    rng = random.Random(3)
+    cells = rng.sample(range(2000 * 500), 20000)
+    f = tmp_path / "edges.tsv"
+    f.write_text("".join(f"p{c // 500}\ts{c % 500}\n" for c in cells), encoding="utf-8")
+    load_edge_list(f)
+    tracemalloc.start()
+    try:
+        g, dups = load_edge_list(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (g.edge_count, dups) == (20000, 0)
+    assert peak < 4e6
 
 
 def test_load_edge_list_malformed(tmp_path):
@@ -271,11 +298,11 @@ def test_edge_count_and_degrees_match_the_file(davis, tmp_path):
 
 
 def test_failed_allocation_in_a_loader_exits_2(tmp_path, caplog, monkeypatch):
-    # each builder allocates its graph's cells first; fail that allocation
-    def exhausted(size):
+    # each builder allocates its graph's biadjacency with np.zeros first; fail that allocation
+    def exhausted(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(sys.modules["bimotif.graph"], "bytearray", exhausted, raising=False)
+    monkeypatch.setattr(np, "zeros", exhausted)
     with pytest.raises(CensusTooLarge,
                        match="too large to hold in memory: 18 primary and 14 secondary nodes"):
         load_southern_women()
