@@ -566,14 +566,15 @@ def _rows(group) -> tuple:
     return tuple(group.tolist())
 
 
-def census(g: BipartiteGraph, side: Side = Side.PRIMARY) -> MotifCensus:
+def census(g: BipartiteGraph, side: Side | str = Side.PRIMARY) -> MotifCensus:
     """Count paths, configurations and their closures for one side.
 
     The kernel, :func:`_count`, counts a chunk of one graph: its
-    biadjacency for the primary side, the transpose for the secondary.
-    Raises :class:`CensusTooLarge` as the kernel does.
+    biadjacency for the primary side, the transpose for the secondary;
+    ``side`` is a :class:`Side` or its name.  Raises
+    :class:`CensusTooLarge` as the kernel does.
     """
-    bits = g.biadjacency if side is Side.PRIMARY else g.biadjacency.T
+    bits = g.biadjacency if Side(side) is Side.PRIMARY else g.biadjacency.T
     acc = _count(bits[None])[:, 0]
     totals = vars(_totals(acc.tolist())).values()
     return MotifCensus(*totals, *map(_rows, _groups(acc, per_node=True)))

@@ -29,6 +29,7 @@ at presentation.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -79,9 +80,12 @@ def _semantic_counts(c: CensusTotals, semantics: str, scope: Union[str, int]):
         if semantics == "at-least-one":
             return c.path_totals, c.path_closed_totals
         return c.path_totals, c.closure_pair_totals
-    i = scope
-    if not isinstance(i, int) or not 0 <= i < c.node_count:
-        raise InvalidNode(f"no node {i!r} on the analysis side")
+    try:  # any integer, numpy's too, but not 3.0 or "3"
+        i = operator.index(scope)
+    except TypeError:
+        i = -1
+    if not 0 <= i < c.node_count:
+        raise InvalidNode(f"no node {scope!r} on the analysis side")
     if semantics == "configuration":
         return c.config_counts[i], c.config_closed[i]
     if semantics == "at-least-one":
@@ -121,6 +125,6 @@ def global_values(c: CensusTotals, semantics: str = "configuration") -> tuple[Op
 
 
 def local_profile(c: MotifCensus, i: int, semantics: str = "configuration") -> ClusteringProfile:
-    """Coefficients restricted to structures anchored at node ``i``."""
+    """Coefficients restricted to structures anchored at node ``i``, any integer index."""
     counts, closed = _semantic_counts(c, semantics, i)
     return _profile(counts, closed)

@@ -1,12 +1,12 @@
 """Immutable bipartite graph model with loaders for common text formats.
 
 Nodes live on two sides (primary and secondary) and edges only cross
-sides.  A graph is its two label tuples and one read-only (primary,
-secondary) boolean biadjacency, which every count reads; the loaders
-turn each row into index pairs as they read it, and set all the cells
-in one numpy assignment.  The secondary side is the transpose, so
-analyses of that side take a ``side`` argument rather than another
-graph.  A graph too large to allocate raises :class:`CensusTooLarge`.
+sides.  A graph is one read-only (primary, secondary) boolean
+biadjacency and its two label tuples.  The loaders check each row as
+they read it, a matrix by the routine that checks an in-memory one, so
+the first fault in file order raises.  The secondary side is the
+transpose: analyses of it take a ``side``, a :class:`Side` or its name.
+A graph too large to allocate raises :class:`CensusTooLarge`.
 """
 
 from __future__ import annotations
@@ -105,14 +105,14 @@ class BipartiteGraph:
         # read only by bench/traced.py::_edge_set, until the benchmark reads a trace instead
         return tuple(tuple(np.flatnonzero(row).tolist()) for row in self.biadjacency)
 
-    def labels(self, side: Side) -> tuple[str, ...]:
-        return self.primary_labels if side is Side.PRIMARY else self.secondary_labels
+    def labels(self, side: Side | str) -> tuple[str, ...]:
+        return self.primary_labels if Side(side) is Side.PRIMARY else self.secondary_labels
 
-    def node_count(self, side: Side) -> int:
+    def node_count(self, side: Side | str) -> int:
         return len(self.labels(side))
 
-    def degree_sequence(self, side: Side) -> tuple[int, ...]:
-        return tuple(self.biadjacency.sum(axis=1 if side is Side.PRIMARY else 0).tolist())
+    def degree_sequence(self, side: Side | str) -> tuple[int, ...]:
+        return tuple(self.biadjacency.sum(axis=1 if Side(side) is Side.PRIMARY else 0).tolist())
 
 
 def _from_pairs(
@@ -174,37 +174,45 @@ def from_edge_list(
     return g, len(pairs) // 2 - g.edge_count
 
 
+def _from_rows(rows: Iterable[tuple[str, Sequence]], col_labels: Sequence[str]) -> BipartiteGraph:
+    """The graph of a 0/1 matrix as (label, cells) rows, read once; the first fault raises.
+
+    Column labels are checked first, then each row's label, length and cells, row by row.
+    """
+    cols = set(col_labels)
+    if not all(col_labels):
+        raise EmptyInput("empty column label in biadjacency matrix")
+    if len(cols) != len(col_labels):
+        raise BipartiteViolation("duplicate secondary label")
+    p_index: dict[str, int] = {}
+    pairs = array("q")
+    for i, (a, cells) in enumerate(rows):
+        if not a:
+            raise EmptyInput(f"empty label of row {i} in biadjacency matrix")
+        if a in p_index:
+            raise BipartiteViolation(f"duplicate primary label {a!r}")
+        if a in cols:
+            raise BipartiteViolation(f"label {a!r} appears on both sides")
+        if len(cells) != len(col_labels):
+            raise DimensionMismatch(f"row {a!r} has {len(cells)} entries, expected {len(col_labels)}")
+        p_index[a] = i
+        for j, entry in enumerate(cells):
+            if entry == 1:
+                pairs.fromlist([i, j])
+            elif entry != 0:
+                raise NonBinaryEntry(f"entry {entry!r} in row {a!r}")
+    return _from_pairs(list(p_index), col_labels, pairs)
+
+
 def from_biadjacency(
     matrix: Sequence[Sequence[int]],
     row_labels: Sequence[str],
     col_labels: Sequence[str],
 ) -> BipartiteGraph:
-    """Build a graph from a 0/1 matrix; rows are primary nodes."""
+    """Build a graph from a 0/1 matrix; rows are primary nodes, checked as a file's rows are."""
     if len(row_labels) != len(matrix):
-        raise DimensionMismatch(
-            f"{len(row_labels)} row labels for {len(matrix)} rows"
-        )
-    if not all(row_labels) or not all(col_labels):
-        raise EmptyInput("empty row or column label in biadjacency matrix")
-    if len(set(row_labels)) != len(row_labels):
-        raise BipartiteViolation("duplicate primary label")
-    if len(set(col_labels)) != len(col_labels):
-        raise BipartiteViolation("duplicate secondary label")
-    both = set(row_labels) & set(col_labels)
-    if both:
-        raise BipartiteViolation(f"label {sorted(both)[0]!r} appears on both sides")
-    pairs = array("q")
-    for i, row in enumerate(matrix):
-        if len(row) != len(col_labels):
-            raise DimensionMismatch(
-                f"row {i} has {len(row)} entries, expected {len(col_labels)}"
-            )
-        for j, entry in enumerate(row):
-            if entry == 1:
-                pairs.fromlist([i, j])
-            elif entry != 0:
-                raise NonBinaryEntry(f"entry {entry!r} at ({i}, {j})")
-    return _from_pairs(row_labels, col_labels, pairs)
+        raise DimensionMismatch(f"{len(row_labels)} row labels for {len(matrix)} rows")
+    return _from_rows(zip(row_labels, matrix), col_labels)
 
 
 def _data_lines(path: str | Path) -> Iterator[str]:
@@ -249,33 +257,25 @@ def load_edge_list(path: str | Path) -> tuple[BipartiteGraph, int]:
 
 
 def load_biadjacency(path: str | Path) -> BipartiteGraph:
-    """Load a biadjacency CSV, converting each row as it is read.
+    """Load a biadjacency CSV, checking each row as it is read; the first fault raises.
 
     First row: blank cell, then secondary labels.  Each later row: a
     primary label followed by 0/1 entries.
     """
     # each line keeps its break, so a quoted cell that spans lines keeps it too
     reader = csv.reader(f"{line}\n" for line in _data_lines(path))
-    row_labels = []
-    matrix = []
+    bits = {"0": 0, "1": 1}  # any other cell text is kept, for _from_rows to reject
     try:
         header = next(reader)
         if len(header) < 2 or header[0].strip():
             raise MalformedInput("first biadjacency row must start with a blank cell")
-        for row in reader:
-            row_labels.append(row[0].strip())
-            entries = bytearray()
-            for cell in row[1:]:
-                cell = cell.strip()
-                if cell not in ("0", "1"):
-                    raise NonBinaryEntry(f"entry {cell!r} in row {row[0]!r}")
-                entries.append(cell == "1")
-            matrix.append(entries)
+        rows = ((row[0].strip(), [bits.get(c, c) for c in map(str.strip, row[1:])]) for row in reader)
+        g = _from_rows(rows, [c.strip() for c in header[1:]])
     except csv.Error as exc:  # e.g. a cell longer than csv.field_size_limit()
         raise MalformedInput(f"unreadable biadjacency CSV: {exc}") from None
-    if not matrix:
+    if not g.primary_labels:
         raise EmptyInput(f"no matrix rows in {path}")
-    return from_biadjacency(matrix, row_labels, [c.strip() for c in header[1:]])
+    return g
 
 
 def detect_format(path: str | Path) -> str:

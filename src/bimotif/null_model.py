@@ -252,12 +252,10 @@ def _sampled_rows(bits: np.ndarray, seeds: list[int]) -> np.ndarray:
     call of its own ``random.Random``, so it depends on its seed alone.
     """
     size, m = bits.size, int(np.count_nonzero(bits))
-    cells = bytearray(len(seeds) * size)
+    cells = np.frombuffer(bytearray(len(seeds) * size), dtype=bool).reshape(len(seeds), size)
     for r, seed in enumerate(seeds):
-        # sample draws the same positions from any range of this length
-        for c in random.Random(seed).sample(range(r * size, (r + 1) * size), m):
-            cells[c] = 1
-    return np.frombuffer(cells, dtype=bool).reshape(len(seeds), *bits.shape)
+        cells[r, random.Random(seed).sample(range(size), m)] = True
+    return cells.reshape(len(seeds), *bits.shape)
 
 
 def randomize(g: BipartiteGraph, seed: int, swaps_per_edge: int = 10) -> BipartiteGraph:

@@ -223,7 +223,7 @@ def direction_of(local: Optional[Fraction], band: Optional[CIBand]) -> Optional[
 def classify(
     g: BipartiteGraph,
     bands: Sequence[Optional[CIBand]],
-    side: Side = Side.PRIMARY,
+    side: Side | str = Side.PRIMARY,
     semantics: str = "configuration",
     literal_divisor: bool = False,
     census_result: Optional[MotifCensus] = None,
@@ -232,7 +232,9 @@ def classify(
 
     A node is influential when its score is defined and exceeds the
     global score; it is an anti-driver when its score is negative.
+    ``side`` is a :class:`Side` or its name, and the report holds the member.
     """
+    side = Side(side)
     bands = _bands(bands)
     c = census_result if census_result is not None else census(g, side)
     gp = global_profile(c, semantics)

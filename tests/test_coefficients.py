@@ -2,6 +2,7 @@ import decimal
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from bimotif import (
@@ -89,6 +90,15 @@ def test_local_profile_invalid_node(davis):
         local_profile(cen, 18)
     with pytest.raises(InvalidNode):
         local_profile(cen, -1)
+
+
+def test_local_profile_takes_any_integer_index(davis):
+    cen = census(davis)
+    assert local_profile(cen, np.int64(3)) == local_profile(cen, 3)
+    assert local_profile(cen, np.uint8(17), "pair-count") == local_profile(cen, 17, "pair-count")
+    for bad in (3.0, "3", np.float64(3), np.int64(18), None):
+        with pytest.raises(InvalidNode):
+            local_profile(cen, bad)
 
 
 def test_global_is_not_mean_of_locals(davis):

@@ -1,6 +1,7 @@
 import csv
 import random
 import tracemalloc
+from fractions import Fraction
 from importlib.resources import files
 
 import numpy as np
@@ -15,6 +16,8 @@ from bimotif import (
     MalformedInput,
     NonBinaryEntry,
     Side,
+    census,
+    classify,
     detect_format,
     from_biadjacency,
     from_edge_list,
@@ -67,6 +70,8 @@ def test_from_edge_list_empty_rejected():
 def test_label_on_both_sides_rejected():
     with pytest.raises(BipartiteViolation):
         from_edge_list([("a", "b"), ("b", "c")])
+    with pytest.raises(BipartiteViolation, match="'a' appears on both sides"):
+        from_edge_list([("a", "x"), ("b", "a")])
 
 
 @pytest.mark.parametrize(
@@ -90,12 +95,49 @@ def test_from_biadjacency_identity_and_full():
 def test_from_biadjacency_errors():
     with pytest.raises(NonBinaryEntry):
         from_biadjacency([[0, 2]], ["a"], ["x", "y"])
+    with pytest.raises(NonBinaryEntry, match="^entry 'q' in row 'b'$"):
+        from_biadjacency([[1, 0], [1, "q"]], ["a", "b"], ["x", "y"])
     with pytest.raises(DimensionMismatch):
         from_biadjacency([[0, 1]], ["a"], ["x"])
     with pytest.raises(DimensionMismatch):
         from_biadjacency([[0, 1]], ["a", "b"], ["x", "y"])
     with pytest.raises(BipartiteViolation):
         from_biadjacency([[1]], ["a"], ["a"])
+    with pytest.raises(BipartiteViolation, match="duplicate primary label 'a'"):
+        from_biadjacency([[1], [0]], ["a", "a"], ["x"])
+    with pytest.raises(BipartiteViolation, match="duplicate secondary label"):
+        from_biadjacency([[1, 0]], ["a"], ["x", "x"])
+    # the first such label in row order, not the alphabetically first
+    with pytest.raises(BipartiteViolation, match="label 'y' appears on both sides"):
+        from_biadjacency([[1, 0], [0, 1]], ["y", "x"], ["x", "y"])
+
+
+def _cells(text):
+    """A matrix file's text as (matrix, row labels, column labels), each 0/1 cell an int."""
+    header, *rows = [line.split(",") for line in text.splitlines()]
+    matrix = [[int(c) if c in ("0", "1") else c for c in row[1:]] for row in rows]
+    return matrix, [row[0] for row in rows], header[1:]
+
+
+@pytest.mark.parametrize(
+    "text, error, code",
+    [
+        pytest.param(",x,y\na,1\nb,1,q\n", DimensionMismatch, 1, id="ragged-row"),
+        pytest.param(",x,y\n,1,0\nb,1,q\n", EmptyInput, 1, id="empty-label"),
+        pytest.param(",x,y\na,1,0\na,0,q\n", BipartiteViolation, 2, id="duplicate-row-label"),
+        pytest.param(",x,y\nx,1,0\nb,1,q\n", BipartiteViolation, 2, id="label-on-both-sides"),
+        pytest.param(",x,y\na,q,0\na,1,0\n", NonBinaryEntry, 1, id="bad-cell-then-duplicate"),
+    ],
+)
+def test_matrix_reports_its_first_fault_in_row_order(tmp_path, text, error, code):
+    f = tmp_path / "m.csv"
+    f.write_text(text, encoding="utf-8")
+    for fmt in ("auto", "biadjacency"):
+        with pytest.raises(error):
+            load_graph(f, fmt)
+    with pytest.raises(error):
+        from_biadjacency(*_cells(text))
+    assert main(["analyze", "--input", str(f), "--out", str(tmp_path / "out")]) == code
 
 
 @pytest.mark.parametrize("edge", [(-1, 0), (2, 0), (0, -1), (0, 1), (5, 5)])
@@ -190,6 +232,9 @@ def test_load_biadjacency(tmp_path):
     bad.write_text(",x,y\na,1,2\n", encoding="utf-8")
     with pytest.raises(NonBinaryEntry):
         load_biadjacency(bad)
+    bad.write_text(",x,y\na,1,0\n b , 1 , q \n", encoding="utf-8")
+    with pytest.raises(NonBinaryEntry, match="^entry 'q' in row 'b'$"):
+        load_biadjacency(bad)
 
 
 @pytest.mark.parametrize(
@@ -234,6 +279,8 @@ def test_detect_format(tmp_path):
     assert detect_format(el) == "edgelist"
     g, _ = load_graph(bi, "auto")
     assert g.edge_count == 1
+    with pytest.raises(ValueError, match="unknown format 'xml'"):
+        load_graph(bi, "xml")
 
 
 def test_biadjacency_is_read_only(davis):
@@ -279,6 +326,25 @@ def test_equal_graphs_compare_and_hash_equal(davis):
     for g in different:
         assert g != davis
         assert hash(g) != hash(davis)
+    assert (davis == 1, davis != 1) == (False, True)
+
+
+def test_a_side_given_by_name_is_that_side(davis):
+    bands = [Fraction(1, 2)] * 4
+    calls = [
+        davis.labels,
+        davis.node_count,
+        davis.degree_sequence,
+        lambda side: census(davis, side),
+        lambda side: classify(davis, bands, side=side),
+    ]
+    for side in Side:
+        for call in calls:
+            assert call(side.value) == call(side)
+        assert classify(davis, bands, side=side.value).side is side
+    for call in calls:
+        with pytest.raises(ValueError):
+            call("sideways")
 
 
 def test_edge_count_and_degrees_match_the_file(davis, tmp_path):
