@@ -10,13 +10,18 @@ Files are written only after every stage has succeeded: a
 and ``replicas.csv`` (ensemble/report).  Every file is written from
 ``report.json``'s object: the CSV files read its ``nodes``, ``scores``
 and ``ensemble`` sections, and the sections present choose the files.
-Each is written under a temporary name first and replaced whole once
-all of them are written.
+The two per-node sections are built while they are written, one node
+at a time, from the census and the driving scores the stages keep;
+``report.json`` itself is written one item at a time, with the bytes
+of ``json.dump(obj, f, indent=2, allow_nan=False)``.  Each file is
+written under a temporary name first and replaced whole once all of
+them are written.
 
 Exit codes: 0 success, otherwise the failing error's ``exit_code``
 (1 input parse error, 2 validation error, 3 configuration error); an
-unreadable file exits 1.  All randomness flows from --seed; outputs are
-byte-identical across reruns with the same flags.
+unreadable file exits 1.  A failure writes one line to stderr,
+``bimotif: ERROR: <message>``.  All randomness flows from --seed;
+outputs are byte-identical across reruns with the same flags.
 """
 
 from __future__ import annotations
@@ -24,9 +29,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import logging
+import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Optional
 
@@ -54,12 +60,11 @@ from .null_model import (
 )
 from .scoring import (
     DrivingScoreReport,
+    NodeScore,
     bands_from_classes,
     classify,
     load_ci_bands,
 )
-
-log = logging.getLogger("bimotif")
 
 SCHEMA_VERSION = 1
 
@@ -210,9 +215,72 @@ def _report_skeleton(args, meta: dict) -> dict:
     }
 
 
+class _Rows:
+    """A section of one row per item, each built by ``build`` when it is read; it can be read again."""
+
+    def __init__(self, items, build):
+        self.items, self.build = items, build
+
+    def __len__(self):
+        return len(self.items)
+
+    def __iter__(self):
+        return map(self.build, self.items)
+
+
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _encode(v, level: int) -> str:
+    """``v`` as ``json.dumps(v, indent=2, allow_nan=False)`` writes it, ``level`` containers deep."""
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)
+    if v is None or v is True or v is False:
+        return _CONSTANTS[v]
+    if isinstance(v, int):
+        return int.__repr__(v)
+    if isinstance(v, float):
+        if not math.isfinite(v):
+            raise ValueError(f"Out of range float values are not JSON compliant: {v!r}")
+        return float.__repr__(v)
+    if not isinstance(v, (dict, list, tuple, _Rows)):
+        raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+    if not len(v):
+        return "{}" if isinstance(v, dict) else "[]"
+    inner, outer = "\n" + "  " * (level + 1), "\n" + "  " * level
+    if isinstance(v, dict):
+        items = (f"{encode_basestring_ascii(k)}: {_encode(x, level + 1)}" for k, x in v.items())
+        return "{" + inner + ("," + inner).join(items) + outer + "}"
+    return "[" + inner + ("," + inner).join(_encode(x, level + 1) for x in v) + outer + "]"
+
+
+def _write(f, v, level: int) -> None:
+    """Write ``v`` as ``_encode`` would, one item at a time.
+
+    A dict's values are written by ``_write`` again, a sequence's items
+    each encoded whole: the longest string made is one node, class or
+    replica row of a section.
+    """
+    if not isinstance(v, (dict, list, tuple, _Rows)) or not len(v):
+        f.write(_encode(v, level))
+        return
+    inner, outer = "\n" + "  " * (level + 1), "\n" + "  " * level
+    if isinstance(v, dict):
+        f.write("{")
+        for n, (k, x) in enumerate(v.items()):
+            f.write(f"{',' if n else ''}{inner}{encode_basestring_ascii(k)}: ")
+            _write(f, x, level + 1)
+        f.write(outer + "}")
+    else:
+        f.write("[")
+        for n, x in enumerate(v):
+            f.write(f"{',' if n else ''}{inner}{_encode(x, level + 1)}")
+        f.write(outer + "]")
+
+
 def _write_json(f, obj: dict) -> None:
-    """Write ``obj`` as indented JSON and a final newline."""
-    json.dump(obj, f, indent=2, allow_nan=False)
+    """Write ``obj`` as ``json.dump(obj, f, indent=2, allow_nan=False)`` would, and a final newline."""
+    _write(f, obj, 0)
     f.write("\n")
 
 
@@ -222,17 +290,15 @@ def _analysis_sections(g: BipartiteGraph, side: Side, semantics: str):
     ops = opsahl(c)
     labels = g.labels(side)
     degrees = g.degree_sequence(side)
-    nodes = []
-    for i in range(c.node_count):
-        lp = local_profile(c, i, semantics)
-        nodes.append(
-            {
-                "label": labels[i],
-                "degree": degrees[i],
-                **_profile_json(lp),
-                "opsahl_c": _float(ops.per_node_c[i]),
-            }
-        )
+
+    def node(i: int) -> dict:
+        return {
+            "label": labels[i],
+            "degree": degrees[i],
+            **_profile_json(local_profile(c, i, semantics)),
+            "opsahl_c": _float(ops.per_node_c[i]),
+        }
+
     sections = {
         "global": {"semantics": semantics, **_profile_json(gp)},
         "opsahl": {
@@ -240,12 +306,12 @@ def _analysis_sections(g: BipartiteGraph, side: Side, semantics: str):
             "tau_star_closed": ops.tau_star_closed,
             "c_star": _float(ops.c_star),
         },
-        "nodes": nodes,
+        "nodes": _Rows(range(c.node_count), node),
     }
     return c, sections
 
 
-def _write_analyze_csv(f, nodes: list) -> None:
+def _write_analyze_csv(f, nodes: _Rows) -> None:
     w = csv.writer(f)
     w.writerow(["label", "degree", "cc0", "cc1", "cc2", "cc3"])
     for n in nodes:
@@ -296,29 +362,28 @@ def _bands_json(bands, source: Optional[str]) -> dict:
     }
 
 
+def _node_score_json(n: NodeScore) -> dict:
+    return {
+        "label": n.label,
+        "degree": n.degree,
+        "cc": [_float(v) for v in n.local_cc],
+        "cc_display": [format_value(v) for v in n.local_cc],
+        "directions": list(n.directions),
+        "ds": _float(n.ds),
+        "ds_display": format_value(n.ds),
+        "defined_components": n.defined_component_count,
+        "influential": n.influential,
+        "anti_driver": n.anti_driver,
+    }
+
+
 def _score_sections(report: DrivingScoreReport) -> dict:
-    nodes = []
-    for n in report.nodes:
-        nodes.append(
-            {
-                "label": n.label,
-                "degree": n.degree,
-                "cc": [_float(v) for v in n.local_cc],
-                "cc_display": [format_value(v) for v in n.local_cc],
-                "directions": list(n.directions),
-                "ds": _float(n.ds),
-                "ds_display": format_value(n.ds),
-                "defined_components": n.defined_component_count,
-                "influential": n.influential,
-                "anti_driver": n.anti_driver,
-            }
-        )
     return {
         "ds_global": _float(report.ds_global),
         "ds_global_display": format_value(report.ds_global),
         "influential": list(report.influential_labels),
         "anti_drivers": list(report.anti_driver_labels),
-        "nodes": nodes,
+        "nodes": _Rows(report.nodes, _node_score_json),
     }
 
 
@@ -427,21 +492,15 @@ def _run(args, out_dir: Path) -> None:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(
-        stream=sys.stderr, level=logging.WARNING, format="bimotif: %(levelname)s: %(message)s"
-    )
     parser = build_parser()
     args = parser.parse_args(argv)
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         _run(args, out_dir)
-    except BimotifError as exc:
-        log.error("%s", exc)
-        return exc.exit_code
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        log.error("%s", exc)
-        return 1
+    except (BimotifError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        sys.stderr.write(f"bimotif: ERROR: {exc}\n")
+        return exc.exit_code if isinstance(exc, BimotifError) else 1
     return 0
 
 

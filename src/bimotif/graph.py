@@ -12,7 +12,7 @@ A graph too large to allocate raises :class:`CensusTooLarge`.
 from __future__ import annotations
 
 import csv
-from array import array
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
@@ -118,13 +118,13 @@ class BipartiteGraph:
 def _from_pairs(
     primary_labels: Sequence[str],
     secondary_labels: Sequence[str],
-    pairs: array,
+    pairs: np.ndarray,
 ) -> BipartiteGraph:
-    """The graph whose biadjacency is True at each (i, j) of ``pairs``, laid out i0, j0, i1, j1."""
+    """The graph whose biadjacency is True at each (i, j) of ``pairs``, an int64 array laid out i0, j0, i1, j1."""
     shape = (len(primary_labels), len(secondary_labels))
     with _in_memory("hold", *shape):
         bits = np.zeros(shape, dtype=bool)
-    ij = np.frombuffer(pairs, dtype=np.int64).reshape(-1, 2)
+    ij = pairs.reshape(-1, 2)
     bits[ij[:, 0], ij[:, 1]] = True
     return BipartiteGraph(tuple(primary_labels), tuple(secondary_labels), bits)
 
@@ -136,16 +136,23 @@ def from_indexed_edges(
 ) -> BipartiteGraph:
     """Build a graph from (primary, secondary) index pairs; a repeated pair is one edge.
 
-    Raises :class:`DimensionMismatch` for an index outside ``[0, count)``
-    of its side.
+    Raises :class:`DimensionMismatch` for an index that is not an integer
+    (``operator.index``) or lies outside ``[0, count)`` of its side.
     """
     n_p, n_s = len(primary_labels), len(secondary_labels)
-    pairs = array("q")
-    for i, j in edges:
-        if not (0 <= i < n_p and 0 <= j < n_s):
-            raise DimensionMismatch(f"edge index outside {n_p} primary and {n_s} secondary nodes")
-        pairs.fromlist([i, j])
-    return _from_pairs(primary_labels, secondary_labels, pairs)
+
+    def indices() -> Iterator[int]:
+        for edge in edges:
+            try:
+                i, j = map(operator.index, edge)
+            except TypeError:
+                raise DimensionMismatch(f"edge {edge!r} has an index that is not an integer") from None
+            if not (0 <= i < n_p and 0 <= j < n_s):
+                raise DimensionMismatch(f"edge index outside {n_p} primary and {n_s} secondary nodes")
+            yield i
+            yield j
+
+    return _from_pairs(primary_labels, secondary_labels, np.fromiter(indices(), np.int64))
 
 
 def from_edge_list(
@@ -159,16 +166,20 @@ def from_edge_list(
     """
     p_index: dict[str, int] = {}  # label -> index, in order of first appearance
     s_index: dict[str, int] = {}
-    pairs = array("q")
-    for a, b in rows:
-        if not a or not b:
-            raise EmptyInput(f"empty label in row ({a!r}, {b!r})")
-        if a == b or a in s_index:
-            raise BipartiteViolation(f"label {a!r} appears on both sides")
-        if b in p_index:
-            raise BipartiteViolation(f"label {b!r} appears on both sides")
-        pairs.fromlist([p_index.setdefault(a, len(p_index)), s_index.setdefault(b, len(s_index))])
-    if not pairs:
+
+    def indices() -> Iterator[int]:
+        for a, b in rows:
+            if not a or not b:
+                raise EmptyInput(f"empty label in row ({a!r}, {b!r})")
+            if a == b or a in s_index:
+                raise BipartiteViolation(f"label {a!r} appears on both sides")
+            if b in p_index:
+                raise BipartiteViolation(f"label {b!r} appears on both sides")
+            yield p_index.setdefault(a, len(p_index))
+            yield s_index.setdefault(b, len(s_index))
+
+    pairs = np.fromiter(indices(), np.int64)
+    if not len(pairs):
         raise EmptyInput("edge list is empty")
     g = _from_pairs(list(p_index), list(s_index), pairs)
     return g, len(pairs) // 2 - g.edge_count
@@ -185,22 +196,26 @@ def _from_rows(rows: Iterable[tuple[str, Sequence]], col_labels: Sequence[str]) 
     if len(cols) != len(col_labels):
         raise BipartiteViolation("duplicate secondary label")
     p_index: dict[str, int] = {}
-    pairs = array("q")
-    for i, (a, cells) in enumerate(rows):
-        if not a:
-            raise EmptyInput(f"empty label of row {i} in biadjacency matrix")
-        if a in p_index:
-            raise BipartiteViolation(f"duplicate primary label {a!r}")
-        if a in cols:
-            raise BipartiteViolation(f"label {a!r} appears on both sides")
-        if len(cells) != len(col_labels):
-            raise DimensionMismatch(f"row {a!r} has {len(cells)} entries, expected {len(col_labels)}")
-        p_index[a] = i
-        for j, entry in enumerate(cells):
-            if entry == 1:
-                pairs.fromlist([i, j])
-            elif entry != 0:
-                raise NonBinaryEntry(f"entry {entry!r} in row {a!r}")
+
+    def indices() -> Iterator[int]:
+        for i, (a, cells) in enumerate(rows):
+            if not a:
+                raise EmptyInput(f"empty label of row {i} in biadjacency matrix")
+            if a in p_index:
+                raise BipartiteViolation(f"duplicate primary label {a!r}")
+            if a in cols:
+                raise BipartiteViolation(f"label {a!r} appears on both sides")
+            if len(cells) != len(col_labels):
+                raise DimensionMismatch(f"row {a!r} has {len(cells)} entries, expected {len(col_labels)}")
+            p_index[a] = i
+            for j, entry in enumerate(cells):
+                if entry == 1:
+                    yield i
+                    yield j
+                elif entry != 0:
+                    raise NonBinaryEntry(f"entry {entry!r} in row {a!r}")
+
+    pairs = np.fromiter(indices(), np.int64)  # every row read, so p_index is whole
     return _from_pairs(list(p_index), col_labels, pairs)
 
 

@@ -1,5 +1,6 @@
 import csv
 import importlib.util
+import io
 import json
 import os
 import random
@@ -7,6 +8,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from importlib.resources import files
 from pathlib import Path
@@ -194,7 +196,7 @@ def test_startup_leaves_scipy_unimported(tmp_path):
     assert (version.returncode, version.stdout) == (0, f"bimotif {bimotif.__version__}\n")
     modules = [line.rsplit("|", 1)[-1].strip() for line in version.stderr.splitlines()]
     assert "bimotif.null_model" in modules
-    assert not [m for m in modules if m.split(".")[0] == "scipy"]
+    assert not [m for m in modules if m.split(".")[0] in ("scipy", "logging", "array")]
 
 
 def test_census_leaves_numpy_ma_unimported(tmp_path):
@@ -458,7 +460,7 @@ def test_exit_code_bad_runs(tmp_path):
 
 
 @pytest.mark.parametrize("seed", [-1, 1 << 64])
-def test_exit_code_seed_outside_64_bits(tmp_path, caplog, seed):
+def test_exit_code_seed_outside_64_bits(tmp_path, capsys, seed):
     # replica_seed reads a base seed modulo 2⁶⁴, so -1 would give the ensemble of 2⁶⁴ − 1
     with pytest.raises(bimotif.InvalidConfig):
         bimotif.EnsembleConfig(seed=seed)
@@ -466,8 +468,7 @@ def test_exit_code_seed_outside_64_bits(tmp_path, caplog, seed):
     out = tmp_path / "out"
     argv = ["ensemble", "--input", WOMEN, "--runs", "2", "--seed", str(seed), "--out", str(out)]
     assert main(argv) == 3
-    (record,) = [r for r in caplog.records if r.levelname == "ERROR"]
-    assert record.getMessage() == f"seed must be in [0, 2**64), got {seed}"
+    assert capsys.readouterr().err == f"bimotif: ERROR: seed must be in [0, 2**64), got {seed}\n"
     assert not (out / "report.json").exists()
 
 
@@ -475,7 +476,7 @@ def test_exit_code_seed_outside_64_bits(tmp_path, caplog, seed):
     ("--seed", "-1", "seed must be in [0, 2**64), got -1"),
     ("--runs", "1", "runs must be >= 2, got 1"),
 ])
-def test_ensemble_flags_checked_before_any_stage(tmp_path, caplog, monkeypatch, flag, value,
+def test_ensemble_flags_checked_before_any_stage(tmp_path, capsys, monkeypatch, flag, value,
                                                  message):
     cli = sys.modules["bimotif.cli"]
     counted = []
@@ -488,8 +489,7 @@ def test_ensemble_flags_checked_before_any_stage(tmp_path, caplog, monkeypatch, 
     monkeypatch.setattr(cli, "census", recorded)
     out = tmp_path / "out"
     assert main(["report", "--input", WOMEN, flag, value, "--out", str(out)]) == 3
-    (record,) = [r for r in caplog.records if r.levelname == "ERROR"]
-    assert record.getMessage() == message
+    assert capsys.readouterr().err == f"bimotif: ERROR: {message}\n"
     assert counted == []
     assert not (out / "report.json").exists()
 
@@ -505,17 +505,16 @@ def test_exit_code_ci_side_mismatch(tmp_path):
     assert main(argv) == 3
 
 
-def test_exit_code_ci_semantics_mismatch(tmp_path, caplog):
+def test_exit_code_ci_semantics_mismatch(tmp_path, capsys):
     ensemble = tmp_path / "ensemble"
     argv = ["ensemble", "--input", WOMEN, "--semantics", "pair-count", "--runs", "5"]
     assert main(argv + ["--out", str(ensemble)]) == 0
     score = ["score", "--input", WOMEN, "--ci-file", str(ensemble / "report.json")]
     assert main(score + ["--semantics", "pair-count", "--out", str(tmp_path / "same")]) == 0
-    caplog.clear()
+    assert capsys.readouterr() == ("", "")
     assert main(score + ["--out", str(tmp_path / "out")]) == 3
-    (record,) = [r for r in caplog.records if r.levelname == "ERROR"]
-    assert record.getMessage() == (
-        "--ci-file is for the pair-count semantics, requested configuration"
+    assert capsys.readouterr().err == (
+        "bimotif: ERROR: --ci-file is for the pair-count semantics, requested configuration\n"
     )
     assert not (tmp_path / "out" / "report.json").exists()
 
@@ -544,57 +543,62 @@ def _score_argv(tmp_path, ci_text, *extra):
     return ["score", "--input", WOMEN, "--ci-file", str(ci), "--out", str(tmp_path / "out"), *extra]
 
 
+# what a refused interval file writes after "bimotif: ERROR: "; {ci} is its path
+NOT_FINITE = "interval values must be finite and within the float range"
+NOT_A_NUMBER = "interval values must be numbers or null, got "
+OUT_OF_ORDER = "interval bounds must satisfy low <= midpoint <= high"
+BAD_SIDE = "side must be 'primary' or 'secondary' in {ci}"
+BAD_CLASSES = "expected stats for exactly 4 classes, one object each"
+
+
 @pytest.mark.parametrize(
-    "ci_text",
+    "ci_text, message",
     [
-        '{"ci_midpoints": [NaN, 0.5, 0.4, 0.3]}',
-        '{"ci_midpoints": [Infinity, 0.5, 0.4, 0.3]}',
-        '{"ci_midpoints": [1e400, 0.5, 0.4, 0.3]}',
-        '{"ci_midpoints": ["abc", 0.5, 0.4, 0.3]}',
-        '{"ci_midpoints": [[1], 0.5, 0.4, 0.3]}',
-        '{"ci_midpoints": ["0.6", 0.5, 0.4, 0.3]}',
-        '{"ci_midpoints": [true, 0.5, 0.4, 0.3]}',
-        '{"ci_midpoints": [0.6, 0.5, 0.4, 0.3], "ci_low": [0.7, null, null, null]}',
-        '{"ci_midpoints": [0.6, 0.5, 0.4, 0.3], "ci_high": [null, 0.4, null, null]}',
-        '{"side": 1e5000, "ci_midpoints": [0.6, 0.5, 0.4, 0.3]}',
-        '{"ci_midpoints": [1e20000000, 0.5, 0.4, 0.3]}',
-        '{"ci_midpoints": [1e-999999999, 0.5, 0.4, 0.3]}',
-        '{"ci_midpoints": [%s, 0.5, 0.4, 0.3]}' % ("9" * 5000),
-        '{"side": %s, "ci_midpoints": [0.6, 0.5, 0.4, 0.3]}' % ("9" * 5000),
-        '{"ci_midpoints": [0.%s, 0.5, 0.4, 0.3]}' % ("3" * 4301),
-        '{"classes": [1, 2, 3, 4]}',
-        '{"classes": {"a": 1, "b": 2, "c": 3, "d": 4}}',
-        '{"classes": 2}',
-        '{"ensemble": {"classes": [{"midpoint": NaN}, {}, {}, {}]}}',
-        '{"config": {"semantics": "pairs"}, "ci_midpoints": [0.6, 0.5, 0.4, 0.3]}',
-    ],
-    ids=[
-        "nan-midpoint",
-        "infinite-midpoint",
-        "out-of-float-range-midpoint",
-        "string-midpoint",
-        "list-midpoint",
-        "numeric-string-midpoint",
-        "bool-midpoint",
-        "low-above-midpoint",
-        "high-below-midpoint",
-        "huge-number-side",
-        "huge-exponent-midpoint",
-        "tiny-exponent-midpoint",
-        "long-integer-midpoint",
-        "long-integer-side",
-        "long-decimal-midpoint",
-        "classes-of-numbers",
-        "classes-object",
-        "classes-number",
-        "ensemble-class-nan",
-        "unknown-semantics",
+        pytest.param('{"ci_midpoints": [NaN, 0.5, 0.4, 0.3]}', NOT_FINITE, id="nan-midpoint"),
+        pytest.param('{"ci_midpoints": [Infinity, 0.5, 0.4, 0.3]}', NOT_FINITE,
+                     id="infinite-midpoint"),
+        pytest.param('{"ci_midpoints": [1e400, 0.5, 0.4, 0.3]}', NOT_FINITE,
+                     id="out-of-float-range-midpoint"),
+        pytest.param('{"ci_midpoints": ["abc", 0.5, 0.4, 0.3]}', NOT_A_NUMBER + "str",
+                     id="string-midpoint"),
+        pytest.param('{"ci_midpoints": [[1], 0.5, 0.4, 0.3]}', NOT_A_NUMBER + "list",
+                     id="list-midpoint"),
+        pytest.param('{"ci_midpoints": ["0.6", 0.5, 0.4, 0.3]}', NOT_A_NUMBER + "str",
+                     id="numeric-string-midpoint"),
+        pytest.param('{"ci_midpoints": [true, 0.5, 0.4, 0.3]}', NOT_A_NUMBER + "bool",
+                     id="bool-midpoint"),
+        pytest.param('{"ci_midpoints": [0.6, 0.5, 0.4, 0.3], "ci_low": [0.7, null, null, null]}',
+                     OUT_OF_ORDER, id="low-above-midpoint"),
+        pytest.param('{"ci_midpoints": [0.6, 0.5, 0.4, 0.3], "ci_high": [null, 0.4, null, null]}',
+                     OUT_OF_ORDER, id="high-below-midpoint"),
+        pytest.param('{"side": 1e5000, "ci_midpoints": [0.6, 0.5, 0.4, 0.3]}', BAD_SIDE,
+                     id="huge-number-side"),
+        pytest.param('{"ci_midpoints": [1e20000000, 0.5, 0.4, 0.3]}', NOT_FINITE,
+                     id="huge-exponent-midpoint"),
+        pytest.param('{"ci_midpoints": [1e-999999999, 0.5, 0.4, 0.3]}', NOT_FINITE,
+                     id="tiny-exponent-midpoint"),
+        pytest.param('{"ci_midpoints": [%s, 0.5, 0.4, 0.3]}' % ("9" * 5000), NOT_FINITE,
+                     id="long-integer-midpoint"),
+        pytest.param('{"side": %s, "ci_midpoints": [0.6, 0.5, 0.4, 0.3]}' % ("9" * 5000),
+                     BAD_SIDE, id="long-integer-side"),
+        pytest.param('{"ci_midpoints": [0.%s, 0.5, 0.4, 0.3]}' % ("3" * 4301),
+                     "interval values may have at most 4300 significant digits",
+                     id="long-decimal-midpoint"),
+        pytest.param('{"classes": [1, 2, 3, 4]}', BAD_CLASSES, id="classes-of-numbers"),
+        pytest.param('{"classes": {"a": 1, "b": 2, "c": 3, "d": 4}}', BAD_CLASSES,
+                     id="classes-object"),
+        pytest.param('{"classes": 2}', BAD_CLASSES, id="classes-number"),
+        pytest.param('{"ensemble": {"classes": [{"midpoint": NaN}, {}, {}, {}]}}', NOT_FINITE,
+                     id="ensemble-class-nan"),
+        pytest.param('{"config": {"semantics": "pairs"}, "ci_midpoints": [0.6, 0.5, 0.4, 0.3]}',
+                     "semantics must be one of configuration, at-least-one, pair-count in {ci}",
+                     id="unknown-semantics"),
     ],
 )
-def test_exit_code_bad_interval_values(tmp_path, caplog, ci_text):
+def test_exit_code_bad_interval_values(tmp_path, capsys, ci_text, message):
     assert main(_score_argv(tmp_path, ci_text)) == 3
-    (record,) = [r for r in caplog.records if r.levelname == "ERROR"]
-    assert "\n" not in record.getMessage()
+    message = message.format(ci=tmp_path / "ci.json")
+    assert capsys.readouterr().err == f"bimotif: ERROR: {message}\n"
     assert not (tmp_path / "out" / "report.json").exists()
 
 
@@ -643,18 +647,19 @@ def test_exit_code_table(tmp_path, command, text, extra, code):
     assert main(argv) == code
 
 
-def test_exit_code_census_too_large(tmp_path, caplog, monkeypatch):
+def test_exit_code_census_too_large(tmp_path, capsys, monkeypatch):
     # shrink the exactness bound instead of building a huge graph
     monkeypatch.setattr(sys.modules["bimotif.census"], "_EXACT64", 1000)
     assert main(["analyze", "--input", WOMEN, "--out", str(tmp_path / "out")]) == 2
-    (record,) = [r for r in caplog.records if r.levelname == "ERROR"]
-    assert "too large to count exactly" in record.getMessage()
-    assert "\n" not in record.getMessage()
+    assert capsys.readouterr().err == (
+        "bimotif: ERROR: graph too large to count exactly: 18 analysis nodes, "
+        "maximum degrees 8 and 14\n"
+    )
     assert not (tmp_path / "out" / "report.json").exists()
 
 
 @pytest.mark.parametrize("cause", ["exactness", "memory"])
-def test_exit_code_census_too_large_in_ensemble_chunk(tmp_path, caplog, monkeypatch, cause):
+def test_exit_code_census_too_large_in_ensemble_chunk(tmp_path, capsys, monkeypatch, cause):
     census_module = sys.modules["bimotif.census"]
     # seven Southern Women replicas per kernel call, so `--runs 7` is one call
     monkeypatch.setattr(census_module, "_CHUNK_CELLS", 7 * 18 * 14)
@@ -668,7 +673,7 @@ def test_exit_code_census_too_large_in_ensemble_chunk(tmp_path, caplog, monkeypa
         ]
         assert degrees == [7, 8, 8, 9]
         monkeypatch.setattr(census_module, "_EXACT64", 8 ** 3 * 19 ** 2 + 1)
-        message = "too large to count exactly"
+        message = "graph too large to count exactly: 18 analysis nodes, maximum degrees 11 and 12"
     else:
         counted = census_module._add_row_blocks
 
@@ -678,17 +683,15 @@ def test_exit_code_census_too_large_in_ensemble_chunk(tmp_path, caplog, monkeypa
             counted(acc, bits, *rest)
 
         monkeypatch.setattr(census_module, "_add_row_blocks", exhausted)
-        message = "too large to count in memory"
+        message = "graph too large to count in memory: 18 analysis and 14 opposite nodes"
     argv = ["report", "--input", WOMEN, "--runs", "7", "--seed", "4", "--out", str(tmp_path / "out")]
     assert main(argv) == 2
-    (record,) = [r for r in caplog.records if r.levelname == "ERROR"]
-    assert message in record.getMessage()
-    assert "\n" not in record.getMessage()
+    assert capsys.readouterr().err == f"bimotif: ERROR: {message}\n"
     assert not (tmp_path / "out" / "report.json").exists()
 
 
 @pytest.mark.parametrize("null_model", ["density", "degree"])
-def test_exit_code_census_too_large_in_replica(tmp_path, caplog, monkeypatch, null_model):
+def test_exit_code_census_too_large_in_replica(tmp_path, capsys, monkeypatch, null_model):
     # each generator allocates its replica's cells first; fail that allocation
     def exhausted(size):
         raise MemoryError
@@ -697,14 +700,14 @@ def test_exit_code_census_too_large_in_replica(tmp_path, caplog, monkeypatch, nu
     argv = ["ensemble", "--input", WOMEN, "--null-model", null_model, "--runs", "3",
             "--out", str(tmp_path / "out")]
     assert main(argv) == 2
-    (record,) = [r for r in caplog.records if r.levelname == "ERROR"]
-    assert "too large to count in memory" in record.getMessage()
-    assert "\n" not in record.getMessage()
+    assert capsys.readouterr().err == (
+        "bimotif: ERROR: graph too large to count in memory: 18 analysis and 14 opposite nodes\n"
+    )
     assert not (tmp_path / "out" / "report.json").exists()
 
 
 @pytest.mark.parametrize("failure", ["memory", "exactness", "exit"])
-def test_failed_worker_exits_cleanly(tmp_path, caplog, capfd, monkeypatch, failure):
+def test_failed_worker_exits_cleanly(tmp_path, capfd, monkeypatch, failure):
     # 200 Southern Women replicas are four kernel calls of 65, so with two CPUs
     # each of two forked workers counts two chunks, and this process none
     monkeypatch.setattr(sys.modules["bimotif.null_model"], "_usable_cpus", lambda: 2)
@@ -719,7 +722,9 @@ def test_failed_worker_exits_cleanly(tmp_path, caplog, capfd, monkeypatch, failu
             check(na, max_degree, max_opposite_degree)
 
         monkeypatch.setattr(census_module, "_check_exact", check_in_worker)
-        message = "too large to count exactly"
+        # the degree is of the worker's chunk; the opposite one is the bound set above
+        message = (r"graph too large to count exactly: 18 analysis nodes, maximum degrees \d+ "
+                   f"and {census_module._EXACT32}")
     else:
         def fail_in_worker(*args):
             if os.getpid() != parent:
@@ -730,15 +735,15 @@ def test_failed_worker_exits_cleanly(tmp_path, caplog, capfd, monkeypatch, failu
 
         monkeypatch.setattr(sys.modules["bimotif.null_model"], "bytearray", fail_in_worker,
                             raising=False)
-        message = "too large to count in memory" if failure == "memory" else "exit status 1"
+        message = ("graph too large to count in memory: 18 analysis and 14 opposite nodes"
+                   if failure == "memory"
+                   else r"ensemble worker \d+ ended without its values \(exit status 1\)")
     argv = ["report", "--input", WOMEN, "--runs", "200", "--out", str(tmp_path / "out")]
     assert main(argv) == 2
-    (record,) = [r for r in caplog.records if r.levelname == "ERROR"]
-    assert message in record.getMessage()
-    assert "\n" not in record.getMessage()
     assert not (tmp_path / "out" / "report.json").exists()
     out, err = capfd.readouterr()
-    assert out == "" and "Traceback" not in err
+    assert out == ""
+    assert re.fullmatch(f"bimotif: ERROR: {message}\n", err), err
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -865,3 +870,97 @@ def test_any_network_file_exits_cleanly(tmp_path, text):
                 "--side", side, "--out", str(tmp_path / "out"),
             ]
             assert main(argv) in (0, 1, 2, 3)
+
+
+def _written(value) -> str:
+    f = io.StringIO()
+    sys.modules["bimotif.cli"]._write_json(f, value)
+    return f.getvalue()
+
+
+_WRITER_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([1 << 64, -(1 << 64) - 1, 10 ** 40])
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308])
+    | st.text()
+    | st.sampled_from(["", "\x00\x1f\x7f", "é\u2028😀", "\ud800", '"\\/\b\f\n\r\t']),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=3) | st.sampled_from(["", "\x00é😀"]), inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(value=_WRITER_VALUES)
+def test_report_writer_bytes_equal_json_dumps(value):
+    assert _written(value) == json.dumps(value, indent=2, allow_nan=False) + "\n"
+
+
+def test_lazy_section_writes_the_bytes_of_its_list():
+    cli = sys.modules["bimotif.cli"]
+    built = []
+
+    def row(i):
+        built.append(i)
+        return {"label": f"n{i}", "cc": [i / 3, None], "exact": [[i, 3]], "hub": i == 2}
+
+    section = cli._Rows(range(3), row)
+    assert len(section) == 3 and built == []
+    listed = [row(i) for i in range(3)]
+    obj = {"nodes": section, "none": cli._Rows((), row), "nested": [section, {"rows": section}]}
+    expected = {"nodes": listed, "none": [], "nested": [listed, {"rows": listed}]}
+    assert _written(obj) == json.dumps(expected, indent=2, allow_nan=False) + "\n"
+    assert _written(obj) == _written(expected)  # and it can be read again
+    assert built == [0, 1, 2] * 7
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_report_writer_refuses_non_finite_floats(bad):
+    cli = sys.modules["bimotif.cli"]
+    for value in (bad, [1.0, bad], {"nodes": cli._Rows(range(2), lambda i: {"ds": [bad][:i]})}):
+        with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+            _written(value)
+
+
+@pytest.mark.parametrize("command", ["analyze", "report"])
+def test_report_json_is_written_without_its_node_sections(tmp_path, monkeypatch, command):
+    # 1,000 analysis nodes.  Traced from the end of the command's last stage
+    # to the end of the report.json write, the run may add only a small part of
+    # what its node sections would hold as dicts, as json.loads builds them.
+    g = heavy_tailed(random.Random(1), 1000, 300, 8000)
+    path = tmp_path / "input.tsv"
+    path.write_text("".join(f"{a}\t{b}\n" for a, b in edge_list(g)), encoding="utf-8")
+    cli = sys.modules["bimotif.cli"]
+    monkeypatch.setattr(sys.modules["bimotif.null_model"], "_usable_cpus", lambda: 1)
+    last_stage = "classify" if command == "report" else "opsahl"
+    stage, write_json, marks = getattr(cli, last_stage), cli._write_json, {}
+
+    def staged(*args, **kwargs):
+        result = stage(*args, **kwargs)
+        marks["held"] = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        return result
+
+    def written(f, obj):
+        write_json(f, obj)
+        marks["written"] = tracemalloc.get_traced_memory()[1] - marks["held"]
+
+    monkeypatch.setattr(cli, last_stage, staged)
+    monkeypatch.setattr(cli, "_write_json", written)
+    out = tmp_path / "out"
+    argv = [command, "--input", str(path), "--out", str(out)]
+    tracemalloc.start()
+    try:
+        assert main(argv + ["--runs", "2"] if command == "report" else argv) == 0
+        text = (out / "report.json").read_text(encoding="utf-8")
+        start = tracemalloc.get_traced_memory()[0]
+        obj = json.loads(text)
+        materialized = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert len(obj["nodes"]) == 1000
+    assert marks["written"] < materialized / 4, (marks["written"], materialized)
